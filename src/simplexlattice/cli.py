@@ -129,10 +129,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_facets(args: argparse.Namespace) -> int:
     params = _params(args)
-    facets = enumerate_facets(params) if params.q >= 1 else []
     if args.count_only:
-        print(len(facets))
+        # the facets tile the q-dilated simplex: q**(k-1) of them, 0 at q = 0
+        print(params.q ** (params.k - 1))
         return 0
+    facets = enumerate_facets(params) if params.q >= 1 else []
     for v, pi in facets:
         base = ",".join(map(str, v))
         image = ",".join(map(str, pi))

@@ -95,14 +95,23 @@ def _check_rows(rows: list[tuple[Point, int, int]], params: Params,
     """Validate (vertex, color, row number) triples against V_{k,q}.
 
     Rows must be complete and in vertex-rank order; colors in [1, k].
+    The header alone sets k and q, so the count is settled before any
+    vertex is enumerated: first by |V| >= 2**min(k - 1, q), which needs no
+    binomial of unbounded size, then exactly.
     """
-    expected = enumerate_vertices(params)
-    if len(rows) != len(expected):
-        row = rows[len(expected)][2] if len(rows) > len(expected) else end_row
+    floor = min(params.k - 1, params.q)
+    if floor >= len(rows).bit_length():
         raise LabelingFormatError(
-            f"wrong row count: expected {len(expected)} vertices, got {len(rows)}",
-            row,
+            f"wrong row count: expected at least 2**{floor} vertices, got {len(rows)}",
+            end_row,
         )
+    count = params.num_vertices
+    if len(rows) != count:
+        row = rows[count][2] if len(rows) > count else end_row
+        raise LabelingFormatError(
+            f"wrong row count: expected {count} vertices, got {len(rows)}", row
+        )
+    expected = enumerate_vertices(params)
     seen: set[Point] = set()
     colors = []
     for (v, c, row), want in zip(rows, expected):
@@ -128,7 +137,9 @@ def _check_rows(rows: list[tuple[Point, int, int]], params: Params,
 def _read_json(text: str) -> Labeling:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError and over-long integer literals;
+        # RecursionError comes from deeply nested arrays
         raise LabelingFormatError(f"invalid JSON: {exc}") from exc
     if not isinstance(data, dict) or not isinstance(data.get("labels"), list):
         raise LabelingFormatError("expected an object with a 'labels' array")
@@ -169,17 +180,25 @@ def _read_csv(text: str) -> Labeling:
             if sep:
                 header_fields[key.strip()] = value.strip()
             continue
+        try:
+            cells = next(csv.reader([line]))
+        except csv.Error as exc:
+            raise LabelingFormatError(f"malformed row: {exc}", lineno) from None
         if data_starts is None:
             params, rule = _parse_header(header_fields)
+            # the width first: k comes from the header and may be huge
+            if len(cells) != params.k:
+                raise LabelingFormatError(
+                    f"bad column header: expected {params.k} columns, got {len(cells)}",
+                    lineno,
+                )
             want = [f"v{i}" for i in range(1, params.k)] + ["color"]
-            got = next(csv.reader([line]))
-            if got != want:
+            if cells != want:
                 raise LabelingFormatError(
                     f"bad column header: expected {','.join(want)}", lineno
                 )
             data_starts = lineno
             continue
-        cells = next(csv.reader([line]))
         if len(cells) != params.k:
             raise LabelingFormatError(
                 f"malformed row: expected {params.k} columns, got {len(cells)}",
@@ -205,9 +224,12 @@ def read_labeling(data: bytes) -> Labeling:
     The format is sniffed: JSON when the first byte is ``{``, CSV
     otherwise.  Raises LabelingFormatError with the offending row number
     for malformed rows, wrong row counts, out-of-range colors, and
-    duplicate vertices.
+    duplicate vertices; any other undecodable input raises it too.
     """
-    text = data.decode("utf-8")
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise LabelingFormatError(f"not UTF-8 text: {exc}") from None
     if text.lstrip()[:1] == "{":
         return _read_json(text)
     return _read_csv(text)

@@ -34,8 +34,8 @@ from .lattice import (
     Params,
     Perm,
     Point,
+    _instance_index,
     coordinate,
-    enumerate_vertices,
     extended_image,
     is_permutation,
     vertex_rank,
@@ -167,7 +167,12 @@ def parse_rule(rule: str, params: Params):
         return lambda v: label(v, params)
     if rule.startswith("pi:"):
         parts = rule.split(":")
-        pi = tuple(int(x) for x in parts[1].split(","))
+        try:
+            pi = tuple(int(x) for x in parts[1].split(","))
+        except ValueError:
+            raise ValueError(
+                f"rule {rule!r} names no permutation image: expected integers like pi:2,1,3"
+            ) from None
         if not is_permutation(pi, params):
             raise ValueError(f"rule {rule!r} names an invalid permutation")
         reading = READING_SELECTED
@@ -187,11 +192,30 @@ def label_all(params: Params, pi: Perm | None = None,
 
     Total for ``q >= k``; below that, the first undefined vertex raises
     :class:`LabelUndefined` (the exception names it).
+
+    Equal pointwise to :func:`label` and :func:`label_pi`, but the set of
+    deficiency-attaining indices comes from the shared instance index, so
+    only the tie-break of the scan order is worked out here: once per
+    distinct attaining set, then looked up for every vertex.
     """
     if pi is None:
-        colors = tuple(label(v, params) for v in enumerate_vertices(params))
+        order = tuple(range(params.k + 1))
     else:
         if not is_permutation(pi, params):
             raise ValueError(f"not a permutation image over 1..{params.k - 1}: {pi!r}")
-        colors = tuple(label_pi(v, pi, params, reading) for v in enumerate_vertices(params))
+        if reading not in READINGS:
+            raise ValueError(f"unknown reading {reading!r}; expected one of {READINGS}")
+        order = (0, *pi, params.k)
+    index = _instance_index(params)
+    table = {}
+    for mask in set(index.masks):
+        t = next(t for t, idx in enumerate(order) if mask >> idx & 1)
+        if order[t] == params.k:
+            table[mask] = None  # no color: see label_pi
+        else:
+            # on the identity order t == order[t], so both readings agree
+            table[mask] = t + 1 if reading == READING_POSITION else order[t] + 1
+    colors = tuple(map(table.__getitem__, index.masks))
+    if None in table.values():
+        raise LabelUndefined(index.vertices[colors.index(None)], params)
     return Labeling(params, colors, rule_descriptor(pi, reading))

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 
 Point = tuple[int, ...]
@@ -245,3 +246,85 @@ def enumerate_facets(params: Params) -> list[tuple[Point, Perm]]:
     base_points = enumerate_vertices(params.base())
     perms = list(itertools.permutations(range(1, params.k)))
     return [(v, pi) for v in base_points for pi in perms if is_consistent(pi, v)]
+
+
+def _inverse_descent_mask(pi: Perm) -> int:
+    """Bit ``i`` set iff ``i + 1`` precedes ``i`` in ``pi``: exactly the ties
+    ``v_i = v_{i+1}`` that make a base point inconsistent with ``pi``."""
+    position = {image: pos for pos, image in enumerate(pi)}
+    return sum(1 << i for i in range(1, len(pi)) if position[i] > position[i + 1])
+
+
+@dataclass(frozen=True, eq=False)
+class _InstanceIndex:
+    """The facts about one instance that every module reads, built once.
+
+    ``vertices`` is the lexicographic enumeration and ``rank`` its inverse.
+    ``masks[r]`` has bit ``t`` set iff index ``t`` attains the deficiency
+    ``max{t - v_t}`` of vertex ``r``; that set does not depend on any
+    permutation, only the tie-break among its members does.  ``bases``
+    pairs the rank of each base point of ``V_{k,q-1}`` (the vertices below
+    ``q`` everywhere, already in lexicographic order) with its tie mask,
+    bit ``i`` set iff ``v_i = v_{i+1}``.
+    """
+
+    params: Params
+    vertices: tuple[Point, ...]
+    rank: dict[Point, int]
+    masks: tuple[int, ...]
+    bases: tuple[tuple[int, int], ...]
+
+    def cells(self, pi: Perm | None) -> list[tuple[int, ...]]:
+        """The cells of ``pi`` (the identity for None) as tuples of vertex
+        ranks: the vertices and order of :func:`pi_hyperedge` over the
+        consistent base points in lexicographic order."""
+        params = self.params
+        if pi is None:
+            pi = identity_permutation(params)
+        elif not is_permutation(pi, params):
+            raise ValueError(f"not a permutation image over 1..{params.k - 1}: {pi!r}")
+        forbidden = _inverse_descent_mask(pi)
+        steps = [image - 1 for image in reversed(pi)]
+        vertices, rank = self.vertices, self.rank
+        cells = []
+        for base, ties in self.bases:
+            if ties & forbidden:
+                continue
+            current = list(vertices[base])
+            cell = [base]
+            for j in steps:
+                current[j] += 1
+                cell.append(rank[tuple(current)])
+            cells.append(tuple(cell))
+        return cells
+
+
+@lru_cache(maxsize=4)
+def _instance_index(params: Params) -> _InstanceIndex:
+    # Built on first use and kept for the few instances in use at a time,
+    # so that a permutation sweep labels and checks against one index.
+    k, q = params.k, params.q
+    vertices = tuple(enumerate_vertices(params))
+    masks = []
+    bases = []
+    for r, v in enumerate(vertices):
+        # one pass over v_1..v_{k-1}: the running maximum of t - v_t with the
+        # indices attaining it, and the ties v_{t-1} = v_t; t = 0 gives 0
+        top, mask, ties, prev = 0, 1, 0, -1
+        for t, x in enumerate(v, 1):
+            if t - x > top:
+                top, mask = t - x, 1 << t
+            elif t - x == top:
+                mask |= 1 << t
+            if x == prev:
+                ties |= 1 << (t - 1)
+            prev = x
+        if k - q > top:
+            mask = 1 << k
+        elif k - q == top:
+            mask |= 1 << k
+        masks.append(mask)
+        if prev < q:
+            bases.append((r, ties))
+    return _InstanceIndex(params, vertices, {v: r for r, v in enumerate(vertices)},
+                          tuple(masks), tuple(bases))

@@ -3,13 +3,16 @@
 The search answers: over ALL admissible labelings of an instance, what is
 the smallest achievable maximum number of colors on a cell?  It exists so
 the constructive rule has something to be measured against; the two code
-paths share nothing but the lattice enumeration, and the witness a search
+paths share nothing but the lattice and its cells, and the witness a search
 returns is always re-checkable through :mod:`simplexlattice.verify`.
 
-Instances must be tiny (roughly 25 vertices or fewer); the point is
-auditability, not speed.  The search is a deterministic depth-first
-backtracking over vertices in rank order with ascending colors, so repeated
-runs explore identical node sequences.
+The point is auditability, not speed.  The search is a deterministic
+depth-first backtracking over vertices in rank order with ascending colors,
+so repeated runs explore identical node sequences.  Its cost is the number
+of nodes, not the number of vertices: some instances with hundreds or
+thousands of vertices finish in a few thousand nodes (``(6, 6)``, 462
+vertices; ``(3, 50)``, 1326 vertices), while ``(6, 4)`` with 126 vertices
+spends the default budget of a million nodes without finishing.
 """
 
 from __future__ import annotations
@@ -17,8 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .labeling import Labeling, label_all
-from .lattice import Params, Perm, Point, coordinate, enumerate_vertices
-from .verify import VerificationReport, _edges, _edge_rule_descriptor, full_report
+from .lattice import Params, Perm, Point, _instance_index, coordinate
+from .verify import VerificationReport, _edge_rule_descriptor, full_report
 
 
 @dataclass
@@ -39,10 +42,6 @@ class OracleResult:
     exhausted: bool
 
 
-class _BudgetExceeded(Exception):
-    pass
-
-
 def admissible_colors(v: Point, params: Params) -> frozenset[int]:
     """Colors ``c`` with ``v_c > v_{c-1}``; nonempty whenever ``q >= 1``
     because the virtual coordinates rise from 0 to q overall."""
@@ -55,47 +54,55 @@ def admissible_colors(v: Point, params: Params) -> frozenset[int]:
 def _search(domains, incidence, num_edges, threshold, node_budget):
     """First admissible assignment with every edge at <= threshold colors.
 
-    Returns (assignment or None, nodes used, completed flag); completed is
-    False when the node budget ran out before the search finished.
+    Depth-first over vertices in rank order, colors ascending, with an
+    explicit stack so that depth is not bounded by the interpreter's
+    recursion limit.  Returns (assignment or None, nodes used, completed
+    flag); completed is False when the node budget ran out before the
+    search finished.
     """
     n = len(domains)
+    if n == 0:
+        return [], 0, True
     assignment = [0] * n
     edge_sets: list[set[int]] = [set() for _ in range(num_edges)]
+    colors_left: list = [None] * n  # at each depth, the colors not yet tried
+    entered_at: list = [None] * n  # edges the color at each depth entered
     nodes = 0
-
-    def dfs(i: int):
-        nonlocal nodes
-        if i == n:
-            return list(assignment)
-        for c in domains[i]:
+    i = 0
+    colors, edges = iter(domains[0]), incidence[0]
+    while True:
+        for c in colors:
             if nodes >= node_budget:
-                raise _BudgetExceeded(nodes)
+                return None, nodes, False
             nodes += 1
-            added = []
-            feasible = True
-            for e in incidence[i]:
+            entered = []
+            for e in edges:
                 present = edge_sets[e]
                 if c in present:
                     continue
                 if len(present) >= threshold:
-                    feasible = False
                     break
                 present.add(c)
-                added.append(e)
-            if feasible:
-                assignment[i] = c
-                solution = dfs(i + 1)
-                if solution is not None:
-                    return solution
-            for e in added:
+                entered.append(e)
+            else:
+                break  # feasible: descend
+            for e in entered:
                 edge_sets[e].remove(c)
-        return None
-
-    try:
-        solution = dfs(0)
-    except _BudgetExceeded:
-        return None, nodes, False
-    return solution, nodes, True
+        else:
+            # out of colors at depth i: take back the color one level up and
+            # resume that level's scan where it stopped
+            i -= 1
+            if i < 0:
+                return None, nodes, True
+            c, colors, edges = assignment[i], colors_left[i], incidence[i]
+            for e in entered_at[i]:
+                edge_sets[e].remove(c)
+            continue
+        assignment[i], colors_left[i], entered_at[i] = c, colors, entered
+        i += 1
+        if i == n:
+            return list(assignment), nodes, True
+        colors, edges = iter(domains[i]), incidence[i]
 
 
 def min_max_colors(params: Params, pi: Perm | None = None,
@@ -116,15 +123,13 @@ def min_max_colors(params: Params, pi: Perm | None = None,
     if budget < 0:
         raise ValueError("budget must be nonnegative")
 
-    vertices = enumerate_vertices(params)
-    rank_of = {v: i for i, v in enumerate(vertices)}
-    edges = _edges(params, pi)
-    edge_ranks = [[rank_of[u] for u in e.vertices] for e in edges]
-    incidence: list[list[int]] = [[] for _ in vertices]
-    for e_index, ranks in enumerate(edge_ranks):
-        for r in ranks:
+    index = _instance_index(params)
+    cells = index.cells(pi)
+    incidence: list[list[int]] = [[] for _ in index.vertices]
+    for e_index, cell in enumerate(cells):
+        for r in cell:
             incidence[r].append(e_index)
-    domains = [sorted(admissible_colors(v, params)) for v in vertices]
+    domains = [sorted(admissible_colors(v, params)) for v in index.vertices]
 
     nodes_total = 0
     best = params.k  # k-uniform cells never exceed k colors
@@ -134,7 +139,7 @@ def min_max_colors(params: Params, pi: Perm | None = None,
     threshold = params.k
     while threshold >= 1:
         solution, nodes, completed = _search(
-            domains, incidence, len(edges), threshold, budget - nodes_total
+            domains, incidence, len(cells), threshold, budget - nodes_total
         )
         nodes_total += nodes
         if not completed:

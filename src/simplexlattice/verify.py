@@ -20,12 +20,10 @@ from .lattice import (
     Perm,
     Point,
     _build_cell,
-    coordinate,
-    enumerate_hyperedges,
+    _instance_index,
     enumerate_vertices,
+    identity_permutation,
     is_consistent,
-    is_permutation,
-    pi_hyperedge,
 )
 
 # violation record types:
@@ -71,15 +69,12 @@ def edge_colors(edge: Hyperedge, labeling: Labeling) -> frozenset[int]:
     return frozenset(labeling.color_of(u) for u in edge.vertices)
 
 
-def _color_lookup(labeling: Labeling) -> dict[Point, int]:
-    return dict(zip(enumerate_vertices(labeling.params), labeling.colors))
-
-
 def _sperner_scan(labeling: Labeling) -> tuple[bool, tuple[tuple[Point, int], ...]]:
-    params = labeling.params
+    k, q = labeling.params.k, labeling.params.q
     violations = []
-    for v, c in zip(enumerate_vertices(params), labeling.colors):
-        if coordinate(v, c, params) <= coordinate(v, c - 1, params):
+    for v, c in zip(_instance_index(labeling.params).vertices, labeling.colors):
+        # v_c > v_{c-1} with the virtual coordinates v_0 = 0 and v_k = q
+        if (v[c - 1] if c < k else q) <= (v[c - 2] if c > 1 else 0):
             violations.append((v, c))
     return not violations, tuple(violations)
 
@@ -99,36 +94,24 @@ def check_sperner(labeling: Labeling) -> VerificationReport:
     )
 
 
-def _edges(params: Params, pi: Perm | None) -> list[Hyperedge]:
-    if pi is None:
-        return enumerate_hyperedges(params)
-    if not is_permutation(pi, params):
-        raise ValueError(f"not a permutation image over 1..{params.k - 1}: {pi!r}")
-    return [
-        pi_hyperedge(v, pi, params)
-        for v in enumerate_vertices(params.base())
-        if is_consistent(pi, v)
-    ]
-
-
 def _edge_rule_descriptor(pi: Perm | None) -> str:
     return "identity" if pi is None else "pi:" + ",".join(str(x) for x in pi)
 
 
-def _color_scan(labeling: Labeling, edges: list[Hyperedge], threshold: int):
-    lookup = _color_lookup(labeling)
-    histogram: Counter[int] = Counter()
-    violating = []
-    for edge in edges:
-        try:
-            colors = {lookup[u] for u in edge.vertices}
-        except KeyError as exc:
-            raise ValueError(f"edge vertex outside the labeling domain: {exc}") from None
-        histogram[len(colors)] += 1
-        if len(colors) > threshold:
-            violating.append((edge.base, edge.perm, tuple(sorted(colors))))
+def _color_scan(labeling: Labeling, pi: Perm | None, threshold: int):
+    index = _instance_index(labeling.params)
+    cells = index.cells(pi)
+    color = labeling.colors.__getitem__
+    counts = [len(set(map(color, cell))) for cell in cells]
+    histogram = Counter(counts)
+    perm = identity_permutation(labeling.params) if pi is None else pi
+    violating = tuple(
+        (index.vertices[cell[0]], perm, tuple(sorted(set(map(color, cell)))))
+        for cell, n in zip(cells, counts)
+        if n > threshold
+    )
     max_colors = max(histogram) if histogram else 0
-    return dict(sorted(histogram.items())), max_colors, tuple(violating)
+    return dict(sorted(histogram.items())), max_colors, violating
 
 
 def check_colors(labeling: Labeling, pi: Perm | None = None, threshold: int = 2,
@@ -147,7 +130,7 @@ def check_colors(labeling: Labeling, pi: Perm | None = None, threshold: int = 2,
         raise ValueError("color check needs q >= 1 (no edges otherwise)")
     if threshold < 1:
         raise ValueError(f"threshold must be >= 1, got {threshold}")
-    histogram, max_colors, violating = _color_scan(labeling, _edges(params, pi), threshold)
+    histogram, max_colors, violating = _color_scan(labeling, pi, threshold)
     report = VerificationReport(
         params=params,
         labeling_rule=labeling.rule,

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import simplexlattice
-from simplexlattice import Params, read_labeling
+from simplexlattice import Params, cli, read_labeling
 from simplexlattice.cli import main
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -118,6 +118,11 @@ def test_verify_external_labels(tmp_path, capsys):
                        "--labels", str(tmp_path / "absent.csv"))
     assert code == 2 and "--labels" in err
 
+    binary = tmp_path / "binary.csv"
+    binary.write_bytes(path.read_bytes().replace(b"# rule", b"# \xff rule"))
+    code, _, err = run(capsys, "verify", "--k", "3", "--q", "4", "--labels", str(binary))
+    assert code == 2 and "--labels" in err and "not UTF-8" in err
+
 
 def test_verify_flag_validation(capsys):
     code, _, err = run(capsys, "verify", "--k", "3", "--q", "4", "--threshold", "0")
@@ -149,6 +154,19 @@ def test_facets_output(capsys):
 
     code, out, _ = run(capsys, "facets", "--k", "4", "--q", "3", "--count-only")
     assert code == 0 and out == "27\n"
+
+
+def test_facets_count_only_is_closed_form(capsys, monkeypatch):
+    def refuse(params):
+        raise AssertionError("--count-only enumerated the facets")
+
+    monkeypatch.setattr(cli, "enumerate_facets", refuse)
+    for k, q in [(3, 2), (4, 3), (3, 0), (3, 1)]:
+        assert run(capsys, "facets", "--k", str(k), "--q", str(q), "--count-only") == \
+            (0, f"{q ** (k - 1)}\n", "")
+    # 9! orderings for each of the C(48, 9) base points, were they enumerated
+    assert run(capsys, "facets", "--k", "10", "--q", "40", "--count-only")[:2] == \
+        (0, f"{40 ** 9}\n")
 
 
 def test_oracle_exit_codes(capsys):

@@ -1,0 +1,153 @@
+"""The shared instance index against the per-point reference functions.
+
+``label_all``, ``full_report`` and the oracle read one cached index per
+instance: deficiency masks, rank map and cells as tuples of vertex ranks.
+The public per-point functions (``label``, ``label_pi``, ``pi_hyperedge``)
+do not use it, so they serve as the reference here, over every permutation
+of every ``k <= 6`` and ``q`` from 0 (a single point) to ``k + 1``, which
+takes in the ``q < k`` range where the rule is partial.
+"""
+
+import itertools
+import json
+from collections import Counter
+from functools import lru_cache
+
+from simplexlattice import (
+    READINGS,
+    LabelUndefined,
+    Params,
+    VerificationReport,
+    coordinate,
+    enumerate_hyperedges,
+    enumerate_vertices,
+    full_report,
+    is_consistent,
+    label,
+    label_all,
+    label_pi,
+    pi_hyperedge,
+    report_to_dict,
+    rule_descriptor,
+    vertex_rank,
+)
+from simplexlattice.lattice import _instance_index
+
+INSTANCES = [Params(k, q) for k in range(3, 7) for q in range(0, k + 2)]
+
+
+def permutations(k):
+    return list(itertools.permutations(range(1, k)))
+
+
+@lru_cache(maxsize=None)
+def reference_colors(params, pi, reading):
+    """Colors in rank order by the per-point rule, or the vertex the first
+    LabelUndefined names.  ``pi=None`` is the plain identity rule."""
+    try:
+        if pi is None:
+            return tuple(label(v, params) for v in enumerate_vertices(params))
+        return tuple(label_pi(v, pi, params, reading) for v in enumerate_vertices(params))
+    except LabelUndefined as exc:
+        return exc.vertex
+
+
+def index_colors(params, pi, reading):
+    try:
+        return label_all(params, pi, reading).colors
+    except LabelUndefined as exc:
+        return exc.vertex
+
+
+@lru_cache(maxsize=None)
+def reference_edges(params, pi):
+    """(base, vertices) of the pi_hyperedge cells over consistent base points;
+    ``pi=None`` takes the identity route, enumerate_hyperedges."""
+    if pi is None:
+        return [(edge.base, edge.vertices) for edge in enumerate_hyperedges(params)]
+    return [(v, pi_hyperedge(v, pi, params).vertices)
+            for v in enumerate_vertices(params.base()) if is_consistent(pi, v)]
+
+
+def reference_report(params, pi, reading, threshold):
+    """A full report built from label_pi, coordinate and pi_hyperedge."""
+    colors = dict(zip(enumerate_vertices(params), reference_colors(params, pi, reading)))
+    sperner = tuple(
+        (v, c) for v, c in colors.items()
+        if coordinate(v, c, params) <= coordinate(v, c - 1, params)
+    )
+    histogram = Counter()
+    violating = []
+    perm = tuple(range(1, params.k)) if pi is None else pi
+    for base, vertices in reference_edges(params, pi):
+        seen = {colors[u] for u in vertices}
+        histogram[len(seen)] += 1
+        if len(seen) > threshold:
+            violating.append((base, perm, tuple(sorted(seen))))
+    return VerificationReport(
+        params=params,
+        labeling_rule=rule_descriptor(pi, reading),
+        edge_rule="identity" if pi is None else "pi:" + ",".join(map(str, pi)),
+        threshold=threshold,
+        sperner_ok=not sperner,
+        sperner_violations=sperner,
+        edges_checked=sum(histogram.values()),
+        max_colors_per_edge=max(histogram),
+        histogram=dict(sorted(histogram.items())),
+        violating_edges=tuple(violating),
+    )
+
+
+def serialized(report):
+    # uncapped, and without indentation so that json's C encoder runs
+    return json.dumps(report_to_dict(report, max_violations=10**6)).encode()
+
+
+def test_label_all_matches_per_point_rules():
+    for params in INSTANCES:
+        assert index_colors(params, None, READINGS[0]) == reference_colors(params, None, None)
+        for pi in permutations(params.k):
+            for reading in READINGS:
+                assert index_colors(params, pi, reading) == \
+                    reference_colors(params, pi, reading), (params, pi, reading)
+
+
+def test_undefined_vertex_is_first_in_rank_order():
+    # q < k: the first vertex in rank order whose deficiency is attained
+    # only at index k, the same vertex under every rule
+    for params in INSTANCES:
+        if params.q >= params.k:
+            continue
+        first = next(v for v in enumerate_vertices(params)
+                     if params.k - params.q > max(t - x for t, x in enumerate(v, 1)))
+        assert reference_colors(params, None, None) == first
+        for pi in permutations(params.k):
+            assert index_colors(params, pi, READINGS[1]) == first
+
+
+def test_rank_cells_match_pi_hyperedge():
+    for params in INSTANCES:
+        if params.q < 1:
+            assert _instance_index(params).cells(None) == []
+            continue
+        index = _instance_index(params)
+        rank = {v: vertex_rank(v, params) for v in enumerate_vertices(params)}
+        for pi in [None, *permutations(params.k)]:
+            want = [tuple(rank[u] for u in vertices)
+                    for _, vertices in reference_edges(params, pi)]
+            assert index.cells(pi) == want, (params, pi)
+
+
+def test_full_report_matches_reference_bytes():
+    # threshold 1 lists violating cells and the position reading lists
+    # Sperner violations, so both lists are compared, not just counts
+    for params in INSTANCES:
+        if params.q < params.k:
+            continue
+        for pi in [None, *permutations(params.k)]:
+            for reading in READINGS if pi is not None else READINGS[:1]:
+                labeling = label_all(params, pi, reading)
+                for threshold in (1, 2):
+                    got = full_report(labeling, pi, threshold)
+                    want = reference_report(params, pi, reading, threshold)
+                    assert serialized(got) == serialized(want), (params, pi, reading, threshold)

@@ -1,6 +1,9 @@
 import json
+from math import comb
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from simplexlattice import (
     Labeling,
@@ -160,6 +163,49 @@ def test_csv_errors():
     expect_error(_mangled_csv(set_line(2, "# j: 3")), "missing 'k'")
     expect_error(_mangled_csv(lambda lines: lines.append("# note")), "comment after data")
     expect_error(b"# k: 3\n# q: 4\n# rule: external\n", "missing column header")
+
+
+def test_undecodable_input_is_a_format_error():
+    expect_error(b"\xff\xfe", "not UTF-8")
+    csv_file = write_labeling(label_all(Params(3, 4)), "csv")
+    expect_error(csv_file.replace(b"# rule", b"# \xff rule"), "not UTF-8")
+    expect_error(b'{"k": 3, "q": ' + b"9" * 5000 + b', "rule": "x", "labels": []}',
+                 "invalid JSON")
+    expect_error(b'{"labels": ' + b"[" * 100_000, "invalid JSON")
+
+
+def test_header_sizes_are_checked_before_enumerating():
+    # Each header names a lattice far too large to enumerate; the reader
+    # must refuse the file from its row count or width alone.
+    rows = ", ".join(['{"v": [0, 0, 0, 0, 0, 0, 0], "color": 1}'] * 200)
+    huge_q = f'{{"k": 8, "q": 1000000, "rule": "x", "labels": [{rows}]}}'.encode()
+    expect_error(huge_q, f"wrong row count: expected {comb(1000007, 7)} vertices", row=201)
+    expect_error(b'{"k": 8, "q": 1000000, "rule": "x", "labels": []}',
+                 "wrong row count: expected at least 2**7 vertices, got 0", row=1)
+    huge_both = b'{"k": 1' + b"0" * 100 + b', "q": 1' + b"0" * 100 + b', "rule": "x", "labels": []}'
+    expect_error(huge_both, "wrong row count", row=1)
+    wide = b"# k: 1000000000\n# q: 3\n# rule: x\nv1,color\n"
+    expect_error(wide, "bad column header: expected 1000000000 columns, got 2", row=4)
+
+
+SMALL_FILES = [write_labeling(label_all(Params(3, 3)), fmt) for fmt in ("json", "csv")]
+
+
+@st.composite
+def mutated_files(draw):
+    data = draw(st.sampled_from(SMALL_FILES))
+    start = draw(st.integers(0, len(data)))
+    end = draw(st.integers(start, min(len(data), start + 8)))
+    return data[:start] + draw(st.binary(max_size=8)) + data[end:]
+
+
+@given(st.one_of(st.binary(max_size=256), mutated_files()))
+def test_any_bytes_give_a_labeling_or_a_format_error(data):
+    try:
+        labeling = read_labeling(data)
+    except LabelingFormatError:
+        return
+    assert isinstance(labeling, Labeling)
 
 
 def test_error_row_is_exposed():

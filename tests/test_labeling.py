@@ -187,6 +187,9 @@ def test_parse_rule():
         parse_rule("pi:1,1", p)
     with pytest.raises(ValueError):
         parse_rule("pi:2,1:literal", p)
+    for rule in ("pi:a", "pi:", "pi:2,x:position"):
+        with pytest.raises(ValueError, match=f"rule '{rule}'"):
+            parse_rule(rule, p)
 
 
 def test_label_all_rank_alignment():

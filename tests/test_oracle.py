@@ -107,6 +107,20 @@ def test_budget_exhaustion_returns_partial_result():
     assert not zero.exhausted and zero.nodes_explored == 0 and zero.witness is None
 
 
+def test_search_node_counts_are_pinned():
+    # (value, nodes) as the earlier recursive search gave them; a changed
+    # count means a changed node sequence.  (3, 50) has 1326 vertices, deeper
+    # than the default recursion limit: the recursive search needed a raised
+    # limit to finish it.
+    pinned = {(5, 3): (3, 1994), (6, 6): (2, 2607), (3, 40): (2, 1803), (3, 50): (2, 2753)}
+    for (k, q), (value, nodes) in pinned.items():
+        result = min_max_colors(Params(k, q))
+        assert (result.min_max_colors, result.exhausted, result.nodes_explored) == \
+            (value, True, nodes), (k, q)
+        report = full_report(result.witness, None, value)
+        assert report.passed and report.max_colors_per_edge == value
+
+
 def test_search_is_deterministic():
     a = min_max_colors(Params(3, 3))
     b = min_max_colors(Params(3, 3))
