@@ -61,8 +61,11 @@ def _parse_pi(text: str, params: Params) -> Perm:
 def _emit(data: bytes, out: str | None) -> None:
     if out is None:
         sys.stdout.write(data.decode())
-    else:
+        return
+    try:
         Path(out).write_bytes(data)
+    except OSError as exc:
+        raise CliError(f"--out: cannot write {out}: {exc}") from None
 
 
 def _load_labels(path: str, params: Params):
@@ -162,7 +165,7 @@ def _cmd_render(args: argparse.Namespace) -> int:
         svg = render_svg(labeling)
     except UnsupportedDimension as exc:
         raise CliError(f"--k: {exc}") from None
-    Path(args.out).write_bytes(svg)
+    _emit(svg, args.out)
     return 0
 
 

@@ -14,7 +14,7 @@ import json
 
 from ._version import __version__ as TOOL_VERSION
 from .labeling import Labeling
-from .lattice import Params, Point, enumerate_vertices, is_lattice_point
+from .lattice import Params, Point, _instance_index
 from .oracle import OracleResult
 from .verify import VerificationReport
 
@@ -43,7 +43,7 @@ def _labeling_dict(labeling: Labeling) -> dict:
     params = labeling.params
     rows = [
         {"v": list(v), "color": c}
-        for v, c in zip(enumerate_vertices(params), labeling.colors)
+        for v, c in zip(_instance_index(params).vertices, labeling.colors)
     ]
     return {
         "k": params.k,
@@ -74,7 +74,7 @@ def write_labeling(labeling: Labeling, format: str = "json") -> bytes:
     buf.write(f"# rule: {labeling.rule}\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow([f"v{i}" for i in range(1, params.k)] + ["color"])
-    for v, c in zip(enumerate_vertices(params), labeling.colors):
+    for v, c in zip(_instance_index(params).vertices, labeling.colors):
         writer.writerow(list(v) + [c])
     return buf.getvalue().encode()
 
@@ -111,27 +111,26 @@ def _check_rows(rows: list[tuple[Point, int, int]], params: Params,
         raise LabelingFormatError(
             f"wrong row count: expected {count} vertices, got {len(rows)}", row
         )
-    expected = enumerate_vertices(params)
-    seen: set[Point] = set()
-    colors = []
-    for (v, c, row), want in zip(rows, expected):
+    index = _instance_index(params)
+    for position, (v, c, row) in enumerate(rows):
         if not 1 <= c <= params.k:
             raise LabelingFormatError(
                 f"color out of range: {c} not in 1..{params.k}", row
             )
+        want = index.vertices[position]
         if v != want:
-            if v in seen:
-                raise LabelingFormatError(f"duplicate vertex {v}", row)
-            if not is_lattice_point(v, params):
+            # the rows before this one are exactly the vertices ranked below it
+            rank = index.rank.get(v)
+            if rank is None:
                 raise LabelingFormatError(
                     f"{v} is not a point of V_{{{params.k},{params.q}}}", row
                 )
+            if rank < position:
+                raise LabelingFormatError(f"duplicate vertex {v}", row)
             raise LabelingFormatError(
                 f"vertex {v} out of rank order (expected {want})", row
             )
-        seen.add(v)
-        colors.append(c)
-    return tuple(colors)
+    return tuple(c for _, c, _ in rows)
 
 
 def _read_json(text: str) -> Labeling:
@@ -151,8 +150,9 @@ def _read_json(text: str) -> Labeling:
         if (
             not isinstance(entry, dict)
             or not isinstance(entry.get("v"), list)
-            or not all(isinstance(x, int) for x in entry["v"])
-            or not isinstance(entry.get("color"), int)
+            # exact int: JSON true and false load as bool, a subclass of int
+            or not all(type(x) is int for x in entry["v"])
+            or type(entry.get("color")) is not int
             or len(entry["v"]) != params.k - 1
         ):
             raise LabelingFormatError(
@@ -307,8 +307,6 @@ def render_svg(labeling: Labeling) -> bytes:
     (0,0), (0,q), (q,q), so points are placed at raw (v1, v2).  Facets
     become outlined triangles, vertices circles filled by PALETTE.
     """
-    from .lattice import enumerate_facets, pi_hyperedge
-
     params = labeling.params
     if params.k != 3:
         raise UnsupportedDimension(f"rendering needs k=3, got k={params.k}")
@@ -327,16 +325,16 @@ def render_svg(labeling: Labeling) -> bytes:
         f'width="{size:.0f}" height="{size:.0f}" '
         f'viewBox="0 0 {size:.0f} {size:.0f}">',
     ]
-    if params.q >= 1:
-        for v, pi in enumerate_facets(params):
-            cell = pi_hyperedge(v, pi, params)
-            points = " ".join(",".join(place(u)) for u in cell.vertices)
-            parts.append(
-                f'  <polygon points="{points}" fill="none" '
-                f'stroke="#888888" stroke-width="1"/>'
-            )
+    index = _instance_index(params)
+    # by base rank; the stable sort keeps (1,2) before (2,1) as enumerate_facets does
+    for cell in sorted(index.cells((1, 2)) + index.cells((2, 1)), key=lambda cell: cell[0]):
+        points = " ".join(",".join(place(index.vertices[r])) for r in cell)
+        parts.append(
+            f'  <polygon points="{points}" fill="none" '
+            f'stroke="#888888" stroke-width="1"/>'
+        )
     radius = min(6.0, scale * 0.3)
-    for v, c in zip(enumerate_vertices(params), labeling.colors):
+    for v, c in zip(index.vertices, labeling.colors):
         x, y = place(v)
         parts.append(
             f'  <circle cx="{x}" cy="{y}" r="{radius:.1f}" '

@@ -29,6 +29,7 @@ integer tuples that fall outside the lattice.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .lattice import (
     Params,
@@ -36,7 +37,6 @@ from .lattice import (
     Point,
     _instance_index,
     coordinate,
-    extended_image,
     is_permutation,
     vertex_rank,
 )
@@ -111,8 +111,7 @@ def label(v: Point, params: Params) -> int:
 def _scan(v: Point, pi: Perm, params: Params) -> tuple[int, int]:
     # first scan position whose index attains the deficiency -> (position, index)
     r = deficiency(v, params)
-    for t in range(params.k + 1):
-        idx = extended_image(pi, t, params)
+    for t, idx in enumerate((0, *pi, params.k)):
         if idx - coordinate(v, idx, params) == r:
             return t, idx
     raise AssertionError("deficiency is attained somewhere by construction")
@@ -186,6 +185,29 @@ def parse_rule(rule: str, params: Params):
     return None
 
 
+@lru_cache(maxsize=4)
+def _attaining_masks(params: Params) -> tuple[int, ...]:
+    """Per vertex in rank order, bit ``t`` set iff index ``t`` attains the
+    deficiency ``max{t - v_t}``.  That set does not depend on any
+    permutation, only the tie-break among its members does."""
+    k, q = params.k, params.q
+    masks = []
+    for v in _instance_index(params).vertices:
+        top, mask = 0, 1  # t = 0 gives 0; t = k is folded in after the loop
+        for t, x in enumerate(v, 1):
+            d = t - x
+            if d > top:
+                top, mask = d, 1 << t
+            elif d == top:
+                mask |= 1 << t
+        if k - q > top:
+            mask = 1 << k
+        elif k - q == top:
+            mask |= 1 << k
+        masks.append(mask)
+    return tuple(masks)
+
+
 def label_all(params: Params, pi: Perm | None = None,
               reading: str = READING_SELECTED) -> Labeling:
     """Apply a rule to the whole lattice, colors in vertex rank order.
@@ -194,8 +216,8 @@ def label_all(params: Params, pi: Perm | None = None,
     :class:`LabelUndefined` (the exception names it).
 
     Equal pointwise to :func:`label` and :func:`label_pi`, but the set of
-    deficiency-attaining indices comes from the shared instance index, so
-    only the tie-break of the scan order is worked out here: once per
+    deficiency-attaining indices is worked out once per instance, so only
+    the tie-break of the scan order is worked out per rule: once per
     distinct attaining set, then looked up for every vertex.
     """
     if pi is None:
@@ -206,16 +228,16 @@ def label_all(params: Params, pi: Perm | None = None,
         if reading not in READINGS:
             raise ValueError(f"unknown reading {reading!r}; expected one of {READINGS}")
         order = (0, *pi, params.k)
-    index = _instance_index(params)
+    masks = _attaining_masks(params)
     table = {}
-    for mask in set(index.masks):
+    for mask in set(masks):
         t = next(t for t, idx in enumerate(order) if mask >> idx & 1)
         if order[t] == params.k:
             table[mask] = None  # no color: see label_pi
         else:
             # on the identity order t == order[t], so both readings agree
             table[mask] = t + 1 if reading == READING_POSITION else order[t] + 1
-    colors = tuple(map(table.__getitem__, index.masks))
+    colors = tuple(map(table.__getitem__, masks))
     if None in table.values():
-        raise LabelUndefined(index.vertices[colors.index(None)], params)
+        raise LabelUndefined(_instance_index(params).vertices[colors.index(None)], params)
     return Labeling(params, colors, rule_descriptor(pi, reading))

@@ -18,7 +18,7 @@ concurrently.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb
 
@@ -58,6 +58,7 @@ class Params:
         return Params(self.k, self.q - 1)
 
 
+@dataclass(frozen=True, slots=True)
 class Hyperedge:
     """An ordered k-vertex cell of the subdivision.
 
@@ -66,23 +67,9 @@ class Hyperedge:
     by value.
     """
 
-    __slots__ = ("base", "perm", "vertices")
-
-    def __init__(self, base: Point, perm: Perm, vertices: tuple[Point, ...]):
-        self.base = base
-        self.perm = perm
-        self.vertices = vertices
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Hyperedge):
-            return NotImplemented
-        return (self.base, self.perm, self.vertices) == (other.base, other.perm, other.vertices)
-
-    def __hash__(self) -> int:
-        return hash((self.base, self.perm, self.vertices))
-
-    def __repr__(self) -> str:
-        return f"Hyperedge(base={self.base}, perm={self.perm})"
+    base: Point
+    perm: Perm
+    vertices: tuple[Point, ...] = field(repr=False)
 
 
 def coordinate(v: Point, t: int, params: Params) -> int:
@@ -117,15 +104,6 @@ def identity_permutation(params: Params) -> Perm:
     return tuple(range(1, params.k))
 
 
-def extended_image(pi: Perm, t: int, params: Params) -> int:
-    """The permutation extended by the fixed points 0 and k at the ends."""
-    if t == 0:
-        return 0
-    if t == params.k:
-        return params.k
-    return pi[t - 1]
-
-
 def enumerate_vertices(params: Params) -> list[Point]:
     """All lattice points, in lexicographic order.
 
@@ -133,11 +111,6 @@ def enumerate_vertices(params: Params) -> list[Point]:
     over ``{0, ..., q}`` are combinations with replacement.
     """
     return list(itertools.combinations_with_replacement(range(params.q + 1), params.k - 1))
-
-
-def _tail_count(lo: int, q: int, length: int) -> int:
-    # weakly increasing tuples of the given length with values in [lo, q]
-    return comb(q - lo + length, length)
 
 
 def _prefix_count(lo: int, x: int, q: int, tail: int) -> int:
@@ -257,21 +230,18 @@ def _inverse_descent_mask(pi: Perm) -> int:
 
 @dataclass(frozen=True, eq=False)
 class _InstanceIndex:
-    """The facts about one instance that every module reads, built once.
+    """The geometry of one instance that every module reads, built once.
 
     ``vertices`` is the lexicographic enumeration and ``rank`` its inverse.
-    ``masks[r]`` has bit ``t`` set iff index ``t`` attains the deficiency
-    ``max{t - v_t}`` of vertex ``r``; that set does not depend on any
-    permutation, only the tie-break among its members does.  ``bases``
-    pairs the rank of each base point of ``V_{k,q-1}`` (the vertices below
-    ``q`` everywhere, already in lexicographic order) with its tie mask,
-    bit ``i`` set iff ``v_i = v_{i+1}``.
+    ``bases`` pairs the rank of each base point of ``V_{k,q-1}`` (the
+    vertices below ``q`` everywhere, already in lexicographic order) with
+    its tie mask, bit ``i`` set iff ``v_i = v_{i+1}``.  Nothing here depends
+    on a labeling rule.
     """
 
     params: Params
     vertices: tuple[Point, ...]
     rank: dict[Point, int]
-    masks: tuple[int, ...]
     bases: tuple[tuple[int, int], ...]
 
     def cells(self, pi: Perm | None) -> list[tuple[int, ...]]:
@@ -303,28 +273,15 @@ class _InstanceIndex:
 def _instance_index(params: Params) -> _InstanceIndex:
     # Built on first use and kept for the few instances in use at a time,
     # so that a permutation sweep labels and checks against one index.
-    k, q = params.k, params.q
     vertices = tuple(enumerate_vertices(params))
-    masks = []
     bases = []
     for r, v in enumerate(vertices):
-        # one pass over v_1..v_{k-1}: the running maximum of t - v_t with the
-        # indices attaining it, and the ties v_{t-1} = v_t; t = 0 gives 0
-        top, mask, ties, prev = 0, 1, 0, -1
-        for t, x in enumerate(v, 1):
-            if t - x > top:
-                top, mask = t - x, 1 << t
-            elif t - x == top:
-                mask |= 1 << t
-            if x == prev:
-                ties |= 1 << (t - 1)
-            prev = x
-        if k - q > top:
-            mask = 1 << k
-        elif k - q == top:
-            mask |= 1 << k
-        masks.append(mask)
-        if prev < q:
+        if v[-1] < params.q:
+            ties, prev = 0, -1
+            for i, x in enumerate(v):
+                if x == prev:
+                    ties |= 1 << i
+                prev = x
             bases.append((r, ties))
-    return _InstanceIndex(params, vertices, {v: r for r, v in enumerate(vertices)},
-                          tuple(masks), tuple(bases))
+    return _InstanceIndex(params, vertices, dict(zip(vertices, range(len(vertices)))),
+                          tuple(bases))

@@ -21,9 +21,8 @@ from .lattice import (
     Point,
     _build_cell,
     _instance_index,
-    enumerate_vertices,
+    _inverse_descent_mask,
     identity_permutation,
-    is_consistent,
 )
 
 # violation record types:
@@ -156,17 +155,15 @@ def _inconsistent_scan(labeling: Labeling, pi: Perm):
         raise ValueError(
             f"strict mode needs a rule-backed labeling, got rule {labeling.rule!r}"
         )
+    index = _instance_index(params)
+    forbidden = _inverse_descent_mask(pi)
     histogram: Counter[int] = Counter()
-    checked = 0
-    for v in enumerate_vertices(params.base()):
-        if is_consistent(pi, v):
-            continue
-        cell = _build_cell(v, pi, params)
-        colors = {rule_fn(u) for u in cell.vertices}
-        histogram[len(colors)] += 1
-        checked += 1
+    for base, ties in index.bases:
+        if ties & forbidden:  # inconsistent: not a cell
+            cell = _build_cell(index.vertices[base], pi, params)
+            histogram[len({rule_fn(u) for u in cell.vertices})] += 1
     max_colors = max(histogram) if histogram else 0
-    return checked, dict(sorted(histogram.items())), max_colors
+    return sum(histogram.values()), dict(sorted(histogram.items())), max_colors
 
 
 def full_report(labeling: Labeling, pi: Perm | None = None, threshold: int = 2,

@@ -207,6 +207,14 @@ def test_out_flag_redirects_report(tmp_path, capsys):
     assert json.loads(path.read_bytes())["passed"] is True
 
 
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys):
+    out = str(tmp_path / "missing" / "file")
+    for argv in (["label", "--k", "3", "--q", "4"], ["verify", "--k", "3", "--q", "4"],
+                 ["oracle", "--k", "3", "--q", "2"], ["render", "--k", "3", "--q", "4"]):
+        code, _, err = run(capsys, *argv, "--out", out)
+        assert code == 2 and "--out" in err, argv
+
+
 def test_usage_errors(capsys):
     assert run(capsys, "verify", "--q", "4")[0] == 2  # missing --k
     assert run(capsys, "bogus")[0] == 2

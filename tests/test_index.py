@@ -1,11 +1,14 @@
-"""The shared instance index against the per-point reference functions.
+"""The shared instance index and the rule's attaining masks against the
+per-point reference functions.
 
-``label_all``, ``full_report`` and the oracle read one cached index per
-instance: deficiency masks, rank map and cells as tuples of vertex ranks.
-The public per-point functions (``label``, ``label_pi``, ``pi_hyperedge``)
-do not use it, so they serve as the reference here, over every permutation
-of every ``k <= 6`` and ``q`` from 0 (a single point) to ``k + 1``, which
-takes in the ``q < k`` range where the rule is partial.
+``full_report``, strict mode, io, ``render_svg`` and the oracle read one
+cached index per instance, holding geometry only: vertices, rank map, base
+points with their tie masks, and cells as tuples of vertex ranks.
+``label_all`` reads the deficiency masks that labeling keeps beside it.
+The public per-point functions (``label``, ``label_pi``, ``pi_hyperedge``,
+``is_consistent``) use neither, so they serve as the reference here, over
+every permutation of every ``k <= 6`` and ``q`` from 0 (a single point) to
+``k + 1``, which takes in the ``q < k`` range where the rule is partial.
 """
 
 import itertools
@@ -18,6 +21,7 @@ from simplexlattice import (
     LabelUndefined,
     Params,
     VerificationReport,
+    check_colors,
     coordinate,
     enumerate_hyperedges,
     enumerate_vertices,
@@ -151,3 +155,30 @@ def test_full_report_matches_reference_bytes():
                     got = full_report(labeling, pi, threshold)
                     want = reference_report(params, pi, reading, threshold)
                     assert serialized(got) == serialized(want), (params, pi, reading, threshold)
+
+
+def reference_inconsistent(params, pi):
+    """Strict mode's fields from the non-cells of inconsistent base points,
+    stepped by hand and colored by label_pi."""
+    histogram = Counter()
+    for v in enumerate_vertices(params.base()):
+        if is_consistent(pi, v):
+            continue
+        current = list(v)
+        colors = {label_pi(v, pi, params)}
+        for image in reversed(pi):
+            current[image - 1] += 1
+            colors.add(label_pi(tuple(current), pi, params))
+        histogram[len(colors)] += 1
+    return sum(histogram.values()), dict(sorted(histogram.items())), max(histogram, default=0)
+
+
+def test_strict_mode_matches_reference():
+    for k in range(3, 6):
+        for q in range(k, k + 3):
+            params = Params(k, q)
+            for pi in permutations(k):
+                report = check_colors(label_all(params, pi), pi, 2, include_inconsistent=True)
+                got = (report.inconsistent_cells_checked, report.inconsistent_histogram,
+                       report.inconsistent_max_colors)
+                assert got == reference_inconsistent(params, pi), (params, pi)

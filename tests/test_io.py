@@ -11,10 +11,12 @@ from simplexlattice import (
     Params,
     UnsupportedDimension,
     check_sperner,
+    enumerate_facets,
     full_report,
     label_all,
     min_max_colors,
     oracle_result_to_dict,
+    pi_hyperedge,
     read_labeling,
     render_svg,
     report_to_dict,
@@ -133,6 +135,15 @@ def test_json_errors():
     )
     expect_error(
         _mangled_json(lambda d: d["labels"][0].update(color="red")),
+        "malformed row", row=1,
+    )
+    # JSON booleans are not ints, though Python's bool subclasses int
+    expect_error(
+        _mangled_json(lambda d: d["labels"][0].update(color=True)),
+        "malformed row", row=1,
+    )
+    expect_error(
+        _mangled_json(lambda d: d["labels"][0].update(v=[True, 0])),
         "malformed row", row=1,
     )
 
@@ -276,6 +287,23 @@ def test_render_counts():
     point = render_svg(Labeling(Params(3, 0), (2,), "external"))
     assert point.count(b"<circle") == 1
     assert point.count(b"<polygon") == 0
+
+
+def test_render_polygons_follow_enumerate_facets():
+    # order and coordinates of every facet outline, against the route
+    # through enumerate_facets and pi_hyperedge
+    for q in range(0, 9):
+        params = Params(3, q)
+        scale = 400.0 / max(q, 1)
+        want = []
+        for v, pi in enumerate_facets(params) if q >= 1 else []:
+            points = " ".join(f"{40 + u[0] * scale:.1f},{440 - u[1] * scale:.1f}"
+                              for u in pi_hyperedge(v, pi, params).vertices)
+            want.append(f'  <polygon points="{points}" fill="none" '
+                        f'stroke="#888888" stroke-width="1"/>')
+        svg = render_svg(Labeling(params, (1,) * params.num_vertices, "external"))
+        got = [line for line in svg.decode().splitlines() if "<polygon" in line]
+        assert got == want, q
 
 
 def test_render_rejects_other_dimensions():
