@@ -14,7 +14,7 @@ import json
 
 from ._version import __version__ as TOOL_VERSION
 from .labeling import Labeling
-from .lattice import Params, Point, _instance_index
+from .lattice import Params, Point, _instance_index, vertex_rank
 from .oracle import OracleResult
 from .verify import VerificationReport
 
@@ -120,11 +120,12 @@ def _check_rows(rows: list[tuple[Point, int, int]], params: Params,
         want = index.vertices[position]
         if v != want:
             # the rows before this one are exactly the vertices ranked below it
-            rank = index.rank.get(v)
-            if rank is None:
+            try:
+                rank = vertex_rank(v, params)
+            except ValueError:
                 raise LabelingFormatError(
                     f"{v} is not a point of V_{{{params.k},{params.q}}}", row
-                )
+                ) from None
             if rank < position:
                 raise LabelingFormatError(f"duplicate vertex {v}", row)
             raise LabelingFormatError(
@@ -207,9 +208,13 @@ def _read_csv(text: str) -> Labeling:
         try:
             numbers = [int(x) for x in cells]
         except ValueError:
+            numbers = None
+        # int() also takes spaces, signs, "_" and non-ASCII digits; only the
+        # writer's own spelling of an int is an entry
+        if numbers is None or list(map(str, numbers)) != cells:
             raise LabelingFormatError(
                 f"malformed row: non-integer entry in {cells}", lineno
-            ) from None
+            )
         rows.append((tuple(numbers[:-1]), numbers[-1], lineno))
     if data_starts is None:
         params, rule = _parse_header(header_fields)

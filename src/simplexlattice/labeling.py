@@ -71,9 +71,10 @@ class Labeling:
             raise ValueError(
                 f"expected {self.params.num_vertices} colors, got {len(self.colors)}"
             )
-        for c in self.colors:
-            if not 1 <= c <= self.params.k:
-                raise ValueError(f"color {c} outside [1, {self.params.k}]")
+        k = self.params.k
+        if not 1 <= min(self.colors) <= max(self.colors) <= k:
+            bad = next(c for c in self.colors if not 1 <= c <= k)
+            raise ValueError(f"color {bad} outside [1, {k}]")
 
     def color_of(self, v: Point) -> int:
         return self.colors[vertex_rank(v, self.params)]

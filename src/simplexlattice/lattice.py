@@ -18,8 +18,9 @@ concurrently.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb
 
 Point = tuple[int, ...]
@@ -89,7 +90,7 @@ def is_lattice_point(v: Point, params: Params) -> bool:
         return False
     prev = 0
     for x in v:
-        if not isinstance(x, int) or x < prev:
+        if type(x) is not int or x < prev:
             return False
         prev = x
     return prev <= params.q
@@ -232,41 +233,66 @@ def _inverse_descent_mask(pi: Perm) -> int:
 class _InstanceIndex:
     """The geometry of one instance that every module reads, built once.
 
-    ``vertices`` is the lexicographic enumeration and ``rank`` its inverse.
-    ``bases`` pairs the rank of each base point of ``V_{k,q-1}`` (the
-    vertices below ``q`` everywhere, already in lexicographic order) with
-    its tie mask, bit ``i`` set iff ``v_i = v_{i+1}``.  Nothing here depends
-    on a labeling rule.
+    ``vertices`` is the lexicographic enumeration.  ``bases`` pairs the rank
+    of each base point of ``V_{k,q-1}`` (the vertices below ``q``
+    everywhere, already in lexicographic order) with its tie mask, bit ``i``
+    set iff ``v_i = v_{i+1}``.  Nothing here depends on a labeling rule.
+
+    Cells come from rank arithmetic, not from a rank map.  With 0-based
+    coordinates, whenever ``v + e_j`` is a lattice point,
+
+        rank(v + e_j) - rank(v) = C(q - v_j + k - 3 - j, k - 2 - j),
+
+    which depends on ``v_j`` alone: by Pascal's rule the two terms of
+    :func:`vertex_rank` that read ``v_j`` (the one counting below it, and
+    the next one counting from it) change by ``C(q - v_j + t, t)`` and
+    ``-C(q - v_j + t - 1, t - 1)``, ``t = k - 2 - j``.  A cell steps each
+    coordinate exactly once, from its base's value, so the offset of step
+    ``j`` is fixed per base; ``_rank_steps`` holds one list of them per
+    coordinate over ``bases``.
     """
 
     params: Params
     vertices: tuple[Point, ...]
-    rank: dict[Point, int]
     bases: tuple[tuple[int, int], ...]
 
-    def cells(self, pi: Perm | None) -> list[tuple[int, ...]]:
-        """The cells of ``pi`` (the identity for None) as tuples of vertex
-        ranks: the vertices and order of :func:`pi_hyperedge` over the
-        consistent base points in lexicographic order."""
+    @cached_property
+    def _rank_steps(self) -> tuple[tuple[int, ...], tuple[int, ...], list[list[int]]]:
+        # base ranks, tie masks and offsets per coordinate, in the order of
+        # ``bases``; built on first use, so a process that only labels never
+        # pays for it
+        k, q = self.params.k, self.params.q
+        ranks, ties = zip(*self.bases) if self.bases else ((), ())
+        offsets = [
+            [comb(q - self.vertices[base][j] + k - 3 - j, k - 2 - j) for base in ranks]
+            for j in range(k - 1)
+        ]
+        return ranks, ties, offsets
+
+    def columns(self, pi: Perm | None) -> list[list[int]]:
+        """The cells of ``pi`` (the identity for None) as ``k`` lists of
+        vertex ranks: list ``t`` holds the ``t``-th vertex of every
+        consistent base point's cell, in lexicographic base order."""
         params = self.params
         if pi is None:
             pi = identity_permutation(params)
         elif not is_permutation(pi, params):
             raise ValueError(f"not a permutation image over 1..{params.k - 1}: {pi!r}")
+        ranks, ties, offsets = self._rank_steps
         forbidden = _inverse_descent_mask(pi)
-        steps = [image - 1 for image in reversed(pi)]
-        vertices, rank = self.vertices, self.rank
-        cells = []
-        for base, ties in self.bases:
-            if ties & forbidden:
-                continue
-            current = list(vertices[base])
-            cell = [base]
-            for j in steps:
-                current[j] += 1
-                cell.append(rank[tuple(current)])
-            cells.append(tuple(cell))
-        return cells
+        keep = [not t & forbidden for t in ties]
+        column = list(itertools.compress(ranks, keep))
+        columns = [column]
+        for image in reversed(pi):
+            column = list(map(operator.add, column, itertools.compress(offsets[image - 1], keep)))
+            columns.append(column)
+        return columns
+
+    def cells(self, pi: Perm | None) -> list[tuple[int, ...]]:
+        """The cells of ``pi`` (the identity for None) as tuples of vertex
+        ranks: the vertices and order of :func:`pi_hyperedge` over the
+        consistent base points in lexicographic order."""
+        return list(zip(*self.columns(pi)))
 
 
 @lru_cache(maxsize=4)
@@ -283,5 +309,4 @@ def _instance_index(params: Params) -> _InstanceIndex:
                     ties |= 1 << i
                 prev = x
             bases.append((r, ties))
-    return _InstanceIndex(params, vertices, dict(zip(vertices, range(len(vertices)))),
-                          tuple(bases))
+    return _InstanceIndex(params, vertices, tuple(bases))

@@ -3,9 +3,10 @@
 The search answers: over ALL admissible labelings of an instance, what is
 the smallest achievable maximum number of colors on a cell?  It exists so
 the constructive rule has something to be measured against; the two code
-paths share only geometry (vertices, ranks and cells from the lattice's
-instance index), none of the rule's deficiency arithmetic, and the witness
-a search returns is always re-checkable through :mod:`simplexlattice.verify`.
+paths share only geometry (the vertices and the cells as vertex ranks,
+from the lattice's instance index), none of the rule's deficiency
+arithmetic, and the witness a search returns is always re-checkable
+through :mod:`simplexlattice.verify`.
 
 The point is auditability, not speed.  The search is a deterministic
 depth-first backtracking over vertices in rank order with ascending colors,

@@ -99,17 +99,19 @@ def _edge_rule_descriptor(pi: Perm | None) -> str:
 
 def _color_scan(labeling: Labeling, pi: Perm | None, threshold: int):
     index = _instance_index(labeling.params)
-    cells = index.cells(pi)
+    columns = index.columns(pi)
     color = labeling.colors.__getitem__
-    counts = [len(set(map(color, cell))) for cell in cells]
+    counts = list(map(len, map(set, zip(*[map(color, column) for column in columns]))))
     histogram = Counter(counts)
-    perm = identity_permutation(labeling.params) if pi is None else pi
-    violating = tuple(
-        (index.vertices[cell[0]], perm, tuple(sorted(set(map(color, cell)))))
-        for cell, n in zip(cells, counts)
-        if n > threshold
-    )
     max_colors = max(histogram) if histogram else 0
+    violating = ()
+    if max_colors > threshold:
+        perm = identity_permutation(labeling.params) if pi is None else pi
+        violating = tuple(
+            (index.vertices[cell[0]], perm, tuple(sorted(set(map(color, cell)))))
+            for cell, n in zip(zip(*columns), counts)
+            if n > threshold
+        )
     return dict(sorted(histogram.items())), max_colors, violating
 
 

@@ -2,31 +2,40 @@
 per-point reference functions.
 
 ``full_report``, strict mode, io, ``render_svg`` and the oracle read one
-cached index per instance, holding geometry only: vertices, rank map, base
-points with their tie masks, and cells as tuples of vertex ranks.
+cached index per instance, holding geometry only: vertices, base points
+with their tie masks, and the cells of each permutation as columns of
+vertex ranks, stepped from each base by closed-form rank offsets.
 ``label_all`` reads the deficiency masks that labeling keeps beside it.
 The public per-point functions (``label``, ``label_pi``, ``pi_hyperedge``,
-``is_consistent``) use neither, so they serve as the reference here, over
-every permutation of every ``k <= 6`` and ``q`` from 0 (a single point) to
-``k + 1``, which takes in the ``q < k`` range where the rule is partial.
+``is_consistent``, ``vertex_rank``) use neither, so they serve as the
+reference here, over every permutation of every ``k <= 6`` and ``q`` from
+0 (a single point) to ``k + 1``, which takes in the ``q < k`` range where
+the rule is partial; the cells are also compared at ``k = 7`` and ``8``.
+Sperner's lemma gives a second check of the cells that shares no code
+with them: the cells of all permutations tile the simplex, so every
+admissible labeling has an odd number of rainbow cells among them.
 """
 
 import itertools
 import json
+import random
 from collections import Counter
 from functools import lru_cache
+from math import comb
 
 from simplexlattice import (
     READINGS,
     LabelUndefined,
     Params,
     VerificationReport,
+    admissible_colors,
     check_colors,
     coordinate,
     enumerate_hyperedges,
     enumerate_vertices,
     full_report,
     is_consistent,
+    is_lattice_point,
     label,
     label_all,
     label_pi,
@@ -38,6 +47,8 @@ from simplexlattice import (
 from simplexlattice.lattice import _instance_index
 
 INSTANCES = [Params(k, q) for k in range(3, 7) for q in range(0, k + 2)]
+# cells only: k! permutations make the label and report sweeps too slow here
+LARGE_INSTANCES = [Params(7, q) for q in range(0, 5)] + [Params(8, q) for q in range(0, 4)]
 
 
 def permutations(k):
@@ -129,8 +140,23 @@ def test_undefined_vertex_is_first_in_rank_order():
             assert index_colors(params, pi, READINGS[1]) == first
 
 
+def test_rank_step_closed_form():
+    # rank(v + e_j) - rank(v) = C(q - v_j + k - 3 - j, k - 2 - j), 0-based j,
+    # whatever the other coordinates are
+    for k in range(3, 7):
+        for q in range(0, 7):
+            params = Params(k, q)
+            for v in enumerate_vertices(params):
+                for j in range(k - 1):
+                    stepped = v[:j] + (v[j] + 1,) + v[j + 1:]
+                    if not is_lattice_point(stepped, params):
+                        continue
+                    assert vertex_rank(stepped, params) - vertex_rank(v, params) == \
+                        comb(q - v[j] + k - 3 - j, k - 2 - j), (params, v, j)
+
+
 def test_rank_cells_match_pi_hyperedge():
-    for params in INSTANCES:
+    for params in INSTANCES + LARGE_INSTANCES:
         if params.q < 1:
             assert _instance_index(params).cells(None) == []
             continue
@@ -140,6 +166,29 @@ def test_rank_cells_match_pi_hyperedge():
             want = [tuple(rank[u] for u in vertices)
                     for _, vertices in reference_edges(params, pi)]
             assert index.cells(pi) == want, (params, pi)
+
+
+def rainbow_cells(params, colors):
+    """Cells over all permutations, and how many of them show all k colors."""
+    index = _instance_index(params)
+    cells = [cell for pi in permutations(params.k) for cell in index.cells(pi)]
+    rainbow = sum(len({colors[r] for r in cell}) == params.k for cell in cells)
+    return len(cells), rainbow
+
+
+def test_sperner_parity_of_all_cells():
+    rng = random.Random(20251103)
+    for k in range(3, 7):
+        for q in range(1, 7 if k < 6 else 5):
+            params = Params(k, q)
+            domains = [sorted(admissible_colors(v, params)) for v in enumerate_vertices(params)]
+            labelings = [tuple(map(rng.choice, domains)) for _ in range(20)]
+            if q >= k:
+                labelings.append(label_all(params).colors)
+            for colors in labelings:
+                count, rainbow = rainbow_cells(params, colors)
+                assert count == q ** (k - 1), (params, count)
+                assert rainbow % 2 == 1, (params, colors, rainbow)
 
 
 def test_full_report_matches_reference_bytes():

@@ -165,6 +165,11 @@ def test_csv_errors():
     expect_error(_mangled_csv(set_line(6, "0,0,0")), "color out of range", row=7)
     expect_error(_mangled_csv(set_line(6, "0,0")), "malformed row", row=7)
     expect_error(_mangled_csv(set_line(6, "0,x,3")), "malformed row", row=7)
+    # int() takes each of these; the writer spells none of them
+    for entry in (" +0", "0_0", "+1", "00", "\u0663", "1 "):
+        for row in (f"{entry},0,3", f"0,{entry},3", f"0,0,{entry}"):
+            expect_error(_mangled_csv(set_line(6, row)),
+                         "malformed row: non-integer entry", row=7)
     expect_error(_mangled_csv(set_line(7, "0,0,2")), "duplicate vertex", row=8)
     expect_error(_mangled_csv(set_line(5, "v1,color")), "bad column header", row=6)
     expect_error(_mangled_csv(lambda lines: lines.pop()), "wrong row count")

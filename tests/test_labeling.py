@@ -157,12 +157,25 @@ def test_labeling_validation():
     assert lab.color_of((0, 1)) == 2
     with pytest.raises(ValueError):
         Labeling(p, (3, 2), "external")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^color 0 outside \[1, 3\]$"):
         Labeling(p, (3, 2, 0), "external")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^color 4 outside \[1, 3\]$"):
         Labeling(p, (3, 2, 4), "external")
+    # the first bad color in rank order is the one named
+    with pytest.raises(ValueError, match=r"^color 5 outside \[1, 3\]$"):
+        Labeling(p, (5, 0, 1), "external")
     with pytest.raises(ValueError):
         lab.color_of((1, 0))
+
+
+def test_bools_are_not_coordinates():
+    # bool subclasses int, so (True, 1) would otherwise pass for (1, 1)
+    p = Params(3, 4)
+    assert not is_lattice_point((True, 1), p)
+    with pytest.raises(ValueError):
+        vertex_rank((True, 1), p)
+    with pytest.raises(ValueError):
+        label_all(p).color_of((True, 1))
 
 
 def test_rule_descriptor():
