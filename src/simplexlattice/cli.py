@@ -25,7 +25,7 @@ from .io import (
     write_oracle_result,
     write_report,
 )
-from .labeling import READING_SELECTED, READINGS, LabelUndefined, label_all
+from .labeling import READING_SELECTED, READINGS, Labeling, LabelUndefined, label_all
 from .lattice import Params, Perm, enumerate_facets, is_permutation
 from .oracle import min_max_colors
 from .verify import full_report
@@ -83,13 +83,17 @@ def _load_labels(path: str, params: Params):
     return labeling
 
 
+def _label(params: Params, pi: Perm | None, reading: str) -> Labeling:
+    try:
+        return label_all(params, pi, reading)
+    except LabelUndefined as exc:
+        raise CliError(f"--q: {exc}") from None
+
+
 def _cmd_label(args: argparse.Namespace) -> int:
     params = _params(args)
     pi = _parse_pi(args.pi, params) if args.pi else None
-    try:
-        labeling = label_all(params, pi, args.reading)
-    except LabelUndefined as exc:
-        raise CliError(f"--q: {exc}") from None
+    labeling = _label(params, pi, args.reading)
     _emit(write_labeling(labeling, args.format), args.out)
     return 0
 
@@ -114,12 +118,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
     reports = []
     for pi in perms:
-        labeling = external
-        if labeling is None:
-            try:
-                labeling = label_all(params, pi, args.reading)
-            except LabelUndefined as exc:
-                raise CliError(f"--q: {exc}") from None
+        labeling = _label(params, pi, args.reading) if external is None else external
         reports.append(full_report(labeling, pi, args.threshold))
 
     if args.all_pi:
@@ -156,11 +155,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def _cmd_render(args: argparse.Namespace) -> int:
-    params = _params(args)
-    try:
-        labeling = label_all(params)
-    except LabelUndefined as exc:
-        raise CliError(f"--q: {exc}") from None
+    labeling = _label(_params(args), None, READING_SELECTED)
     try:
         svg = render_svg(labeling)
     except UnsupportedDimension as exc:

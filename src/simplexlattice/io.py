@@ -8,8 +8,6 @@ verified later.
 
 from __future__ import annotations
 
-import csv
-import io as _io
 import json
 
 from ._version import __version__ as TOOL_VERSION
@@ -54,6 +52,10 @@ def _labeling_dict(labeling: Labeling) -> dict:
     }
 
 
+def _json_bytes(obj) -> bytes:
+    return (json.dumps(obj, indent=2) + "\n").encode()
+
+
 def write_labeling(labeling: Labeling, format: str = "json") -> bytes:
     """Serialize a labeling, rows in vertex-rank order.
 
@@ -63,31 +65,46 @@ def write_labeling(labeling: Labeling, format: str = "json") -> bytes:
     if format not in FORMATS:
         raise ValueError(f"unknown format {format!r}; expected one of {FORMATS}")
     if format == "json":
-        return (json.dumps(_labeling_dict(labeling), indent=2) + "\n").encode()
+        return _json_bytes(_labeling_dict(labeling))
 
     params = labeling.params
-    buf = _io.StringIO()
-    buf.write("# simplexlattice labeling\n")
-    buf.write(f"# version: {TOOL_VERSION}\n")
-    buf.write(f"# k: {params.k}\n")
-    buf.write(f"# q: {params.q}\n")
-    buf.write(f"# rule: {labeling.rule}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow([f"v{i}" for i in range(1, params.k)] + ["color"])
-    for v, c in zip(_instance_index(params).vertices, labeling.colors):
-        writer.writerow(list(v) + [c])
-    return buf.getvalue().encode()
+    lines = [
+        "# simplexlattice labeling",
+        f"# version: {TOOL_VERSION}",
+        f"# k: {params.k}",
+        f"# q: {params.q}",
+        f"# rule: {labeling.rule}",
+        ",".join([f"v{i}" for i in range(1, params.k)] + ["color"]),
+    ]
+    row = ",".join(["%d"] * params.k)  # str(n) for the exact ints Labeling holds
+    lines += [row % (*v, c) for v, c in zip(_instance_index(params).vertices, labeling.colors)]
+    return ("\n".join(lines) + "\n").encode()
 
 
-def _parse_header(fields: dict[str, str]) -> tuple[Params, str]:
+def _int(text: str) -> int | None:
+    # int() also takes spaces, signs, "_" and non-ASCII digits; only the
+    # writer's own spelling str(n) is an int in a labeling file
+    try:
+        n = int(text)
+    except ValueError:
+        return None
+    return n if str(n) == text else None
+
+
+def _parse_header(fields: dict, as_int) -> tuple[Params, str]:
+    """``Params`` and the rule from a file's header fields; ``as_int``
+    returns a value as an int, or None where the format spells no int."""
     for key in ("k", "q", "rule"):
         if key not in fields:
             raise LabelingFormatError(f"header is missing {key!r}")
+    k, q, rule = as_int(fields["k"]), as_int(fields["q"]), fields["rule"]
+    if k is None or q is None or type(rule) is not str:
+        raise LabelingFormatError("bad header: k and q must be integers, rule a string")
     try:
-        params = Params(int(fields["k"]), int(fields["q"]))
+        params = Params(k, q)
     except ValueError as exc:
         raise LabelingFormatError(f"bad header: {exc}") from exc
-    return params, fields["rule"]
+    return params, rule
 
 
 def _check_rows(rows: list[tuple[Point, int, int]], params: Params,
@@ -143,15 +160,13 @@ def _read_json(text: str) -> Labeling:
         raise LabelingFormatError(f"invalid JSON: {exc}") from exc
     if not isinstance(data, dict) or not isinstance(data.get("labels"), list):
         raise LabelingFormatError("expected an object with a 'labels' array")
-    params, rule = _parse_header(
-        {k: str(data[k]) for k in ("k", "q", "rule") if k in data}
-    )
+    # exact int: JSON true and false load as bool, a subclass of int
+    params, rule = _parse_header(data, lambda x: x if type(x) is int else None)
     rows = []
     for i, entry in enumerate(data["labels"], start=1):
         if (
             not isinstance(entry, dict)
             or not isinstance(entry.get("v"), list)
-            # exact int: JSON true and false load as bool, a subclass of int
             or not all(type(x) is int for x in entry["v"])
             or type(entry.get("color")) is not int
             or len(entry["v"]) != params.k - 1
@@ -166,59 +181,41 @@ def _read_json(text: str) -> Labeling:
 
 
 def _read_csv(text: str) -> Labeling:
-    header_fields: dict[str, str] = {}
-    rows = []
-    params = None
     lines = text.splitlines()
-    data_starts = None
-    for lineno, line in enumerate(lines, start=1):
+    fields = {}
+    at = 0  # 0-based index of the line being read; its row number is at + 1
+    while at < len(lines) and (lines[at].startswith("#") or not lines[at].strip()):
+        key, sep, value = lines[at].lstrip("#").partition(":")
+        if sep:
+            fields[key.strip()] = value.strip()
+        at += 1
+    params, rule = _parse_header(fields, _int)
+    if at == len(lines):
+        raise LabelingFormatError("missing column header row")
+    names = lines[at].split(",")
+    # the width first: k comes from the header and may be huge
+    if len(names) != params.k:
+        raise LabelingFormatError(
+            f"bad column header: expected {params.k} columns, got {len(names)}", at + 1
+        )
+    want = [f"v{i}" for i in range(1, params.k)] + ["color"]
+    if names != want:
+        raise LabelingFormatError(f"bad column header: expected {','.join(want)}", at + 1)
+    rows = []
+    for lineno, line in enumerate(lines[at + 1:], start=at + 2):
         if not line.strip():
             continue
         if line.startswith("#"):
-            if data_starts is not None:
-                raise LabelingFormatError("comment after data rows", lineno)
-            key, sep, value = line.lstrip("#").partition(":")
-            if sep:
-                header_fields[key.strip()] = value.strip()
-            continue
-        try:
-            cells = next(csv.reader([line]))
-        except csv.Error as exc:
-            raise LabelingFormatError(f"malformed row: {exc}", lineno) from None
-        if data_starts is None:
-            params, rule = _parse_header(header_fields)
-            # the width first: k comes from the header and may be huge
-            if len(cells) != params.k:
-                raise LabelingFormatError(
-                    f"bad column header: expected {params.k} columns, got {len(cells)}",
-                    lineno,
-                )
-            want = [f"v{i}" for i in range(1, params.k)] + ["color"]
-            if cells != want:
-                raise LabelingFormatError(
-                    f"bad column header: expected {','.join(want)}", lineno
-                )
-            data_starts = lineno
-            continue
+            raise LabelingFormatError("comment after data rows", lineno)
+        cells = line.split(",")
         if len(cells) != params.k:
             raise LabelingFormatError(
-                f"malformed row: expected {params.k} columns, got {len(cells)}",
-                lineno,
+                f"malformed row: expected {params.k} columns, got {len(cells)}", lineno
             )
-        try:
-            numbers = [int(x) for x in cells]
-        except ValueError:
-            numbers = None
-        # int() also takes spaces, signs, "_" and non-ASCII digits; only the
-        # writer's own spelling of an int is an entry
-        if numbers is None or list(map(str, numbers)) != cells:
-            raise LabelingFormatError(
-                f"malformed row: non-integer entry in {cells}", lineno
-            )
+        numbers = list(map(_int, cells))
+        if None in numbers:
+            raise LabelingFormatError(f"malformed row: non-integer entry in {cells}", lineno)
         rows.append((tuple(numbers[:-1]), numbers[-1], lineno))
-    if data_starts is None:
-        params, rule = _parse_header(header_fields)
-        raise LabelingFormatError("missing column header row")
     colors = _check_rows(rows, params, len(lines) + 1)
     return Labeling(params, colors, rule)
 
@@ -284,7 +281,7 @@ def report_to_dict(report: VerificationReport, max_violations: int = 100) -> dic
 
 
 def write_report(report: VerificationReport, max_violations: int = 100) -> bytes:
-    return (json.dumps(report_to_dict(report, max_violations), indent=2) + "\n").encode()
+    return _json_bytes(report_to_dict(report, max_violations))
 
 
 def oracle_result_to_dict(result: OracleResult) -> dict:
@@ -302,7 +299,7 @@ def oracle_result_to_dict(result: OracleResult) -> dict:
 
 
 def write_oracle_result(result: OracleResult) -> bytes:
-    return (json.dumps(oracle_result_to_dict(result), indent=2) + "\n").encode()
+    return _json_bytes(oracle_result_to_dict(result))
 
 
 def render_svg(labeling: Labeling) -> bytes:

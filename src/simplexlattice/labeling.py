@@ -15,7 +15,7 @@ scan order, and that is where the permutation variants differ:
 The selected-index reading is the one with the guarantee (its color always
 satisfies the admissibility constraint ``v_c > v_{c-1}``).  The position
 reading is kept only so the verifier can demonstrate that it breaks
-admissibility; see :mod:`simplexlattice.oracle`.
+admissibility; see :func:`simplexlattice.verify.compare_pi_readings`.
 
 Whenever ``q >= k`` the rules are total.  For ``q < k`` some points attain
 their deficiency only at index ``k``, where no color exists; those raise
@@ -35,6 +35,7 @@ from .lattice import (
     Params,
     Perm,
     Point,
+    _check_permutation,
     _instance_index,
     coordinate,
     is_permutation,
@@ -71,10 +72,11 @@ class Labeling:
             raise ValueError(
                 f"expected {self.params.num_vertices} colors, got {len(self.colors)}"
             )
-        k = self.params.k
-        if not 1 <= min(self.colors) <= max(self.colors) <= k:
-            bad = next(c for c in self.colors if not 1 <= c <= k)
-            raise ValueError(f"color {bad} outside [1, {k}]")
+        k, colors = self.params.k, self.colors
+        # exact ints: bool subclasses int, and no writer spells True or 1.0 as a color
+        if set(map(type, colors)) != {int} or not 1 <= min(colors) <= max(colors) <= k:
+            bad = next(c for c in colors if type(c) is not int or not 1 <= c <= k)
+            raise ValueError(f"color {bad!r} outside [1, {k}]")
 
     def color_of(self, v: Point) -> int:
         return self.colors[vertex_rank(v, self.params)]
@@ -125,6 +127,11 @@ def selected_index_pi(v: Point, pi: Perm, params: Params) -> int:
     return _scan(v, pi, params)[1]
 
 
+def _check_reading(reading: str) -> None:
+    if reading not in READINGS:
+        raise ValueError(f"unknown reading {reading!r}; expected one of {READINGS}")
+
+
 def label_pi(v: Point, pi: Perm, params: Params, reading: str = READING_SELECTED) -> int:
     """The permutation-rule color.
 
@@ -132,8 +139,7 @@ def label_pi(v: Point, pi: Perm, params: Params, reading: str = READING_SELECTED
     holds for the returned color, same argument as for :func:`label`.  The
     position reading does not carry that guarantee.
     """
-    if reading not in READINGS:
-        raise ValueError(f"unknown reading {reading!r}; expected one of {READINGS}")
+    _check_reading(reading)
     t, idx = _scan(v, pi, params)
     if idx == params.k:
         # both readings run out of colors in the same situation: the scan
@@ -221,13 +227,11 @@ def label_all(params: Params, pi: Perm | None = None,
     the tie-break of the scan order is worked out per rule: once per
     distinct attaining set, then looked up for every vertex.
     """
+    _check_reading(reading)
     if pi is None:
         order = tuple(range(params.k + 1))
     else:
-        if not is_permutation(pi, params):
-            raise ValueError(f"not a permutation image over 1..{params.k - 1}: {pi!r}")
-        if reading not in READINGS:
-            raise ValueError(f"unknown reading {reading!r}; expected one of {READINGS}")
+        _check_permutation(pi, params)
         order = (0, *pi, params.k)
     masks = _attaining_masks(params)
     table = {}

@@ -43,6 +43,8 @@ class Params:
     q: int
 
     def __post_init__(self) -> None:
+        if type(self.k) is not int or type(self.q) is not int:  # exact: bool subclasses int
+            raise ValueError(f"k and q must be ints, got {self.k!r} and {self.q!r}")
         if self.k < 3:
             raise ValueError(f"k must be >= 3, got {self.k}")
         if self.q < 0:
@@ -99,6 +101,11 @@ def is_lattice_point(v: Point, params: Params) -> bool:
 def is_permutation(pi: Perm, params: Params) -> bool:
     """True iff ``pi`` is a bijection on {1, ..., k-1} in image notation."""
     return len(pi) == params.k - 1 and sorted(pi) == list(range(1, params.k))
+
+
+def _check_permutation(pi: Perm, params: Params) -> None:
+    if not is_permutation(pi, params):
+        raise ValueError(f"not a permutation image over 1..{params.k - 1}: {pi!r}")
 
 
 def identity_permutation(params: Params) -> Perm:
@@ -182,8 +189,7 @@ def pi_hyperedge(v: Point, pi: Perm, params: Params) -> Hyperedge:
         raise ValueError(
             f"base point must lie in the ({params.k},{params.q - 1}) lattice: {v!r}"
         )
-    if not is_permutation(pi, params):
-        raise ValueError(f"not a permutation image over 1..{params.k - 1}: {pi!r}")
+    _check_permutation(pi, params)
     if not is_consistent(pi, v):
         raise InconsistentPair(f"permutation {pi} is not consistent with {v}")
     return _build_cell(v, pi, params)
@@ -276,8 +282,8 @@ class _InstanceIndex:
         params = self.params
         if pi is None:
             pi = identity_permutation(params)
-        elif not is_permutation(pi, params):
-            raise ValueError(f"not a permutation image over 1..{params.k - 1}: {pi!r}")
+        else:
+            _check_permutation(pi, params)
         ranks, ties, offsets = self._rank_steps
         forbidden = _inverse_descent_mask(pi)
         keep = [not t & forbidden for t in ties]

@@ -21,9 +21,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .labeling import Labeling, label_all
+from .labeling import Labeling
 from .lattice import Params, Perm, Point, _instance_index, coordinate
-from .verify import VerificationReport, _edge_rule_descriptor, full_report
+from .verify import _edge_rule_descriptor
 
 
 @dataclass
@@ -167,21 +167,4 @@ def min_max_colors(params: Params, pi: Perm | None = None,
         witness=witness,
         nodes_explored=nodes_total,
         exhausted=exhausted,
-    )
-
-
-def compare_pi_readings(params: Params, pi: Perm,
-                        threshold: int = 2) -> tuple[VerificationReport, VerificationReport]:
-    """Side-by-side verification of the two readings of the permutation rule.
-
-    Returns (selected-index report, position report), both against the
-    permutation's own edge set.  For the identity permutation the two
-    labelings coincide pointwise; for others the position reading is
-    expected to lose admissibility, and the reports show where.
-    """
-    selected = label_all(params, pi, "selected-index")
-    position = label_all(params, pi, "position")
-    return (
-        full_report(selected, pi, threshold),
-        full_report(position, pi, threshold),
     )

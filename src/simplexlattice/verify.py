@@ -13,7 +13,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 
-from .labeling import Labeling, label_all, parse_rule
+from .labeling import READINGS, Labeling, label_all, parse_rule
 from .lattice import (
     Hyperedge,
     Params,
@@ -191,3 +191,16 @@ def check_all_pi(params: Params, threshold: int = 2, reading: str = "selected-in
         labeling = label_all(params, pi, reading)
         reports.append(full_report(labeling, pi, threshold, include_inconsistent))
     return reports
+
+
+def compare_pi_readings(params: Params, pi: Perm,
+                        threshold: int = 2) -> tuple[VerificationReport, VerificationReport]:
+    """Side-by-side verification of the two readings of the permutation rule.
+
+    Returns (selected-index report, position report), both against the
+    permutation's own edge set.  For the identity permutation the two
+    labelings coincide pointwise; for others the position reading is
+    expected to lose admissibility, and the reports show where.
+    """
+    return tuple(full_report(label_all(params, pi, reading), pi, threshold)
+                 for reading in READINGS)

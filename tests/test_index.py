@@ -23,6 +23,8 @@ from collections import Counter
 from functools import lru_cache
 from math import comb
 
+import pytest
+
 from simplexlattice import (
     READINGS,
     LabelUndefined,
@@ -166,6 +168,9 @@ def test_rank_cells_match_pi_hyperedge():
             want = [tuple(rank[u] for u in vertices)
                     for _, vertices in reference_edges(params, pi)]
             assert index.cells(pi) == want, (params, pi)
+    # the message pi_hyperedge and label_all give for the same image
+    with pytest.raises(ValueError, match=r"^not a permutation image over 1\.\.2: \(1, 1\)$"):
+        _instance_index(Params(3, 4)).columns((1, 1))
 
 
 def rainbow_cells(params, colors):

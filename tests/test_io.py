@@ -2,7 +2,7 @@ import json
 from math import comb
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from simplexlattice import (
@@ -146,6 +146,10 @@ def test_json_errors():
         _mangled_json(lambda d: d["labels"][0].update(v=[True, 0])),
         "malformed row", row=1,
     )
+    # k and q are JSON integers and the rule a JSON string, nothing that
+    # str() or int() would turn into one
+    for field in ({"k": "3"}, {"q": True}, {"q": 4.0}, {"rule": None}, {"rule": 5}):
+        expect_error(_mangled_json(lambda d: d.update(field)), "bad header")
 
 
 def _mangled_csv(mutate):
@@ -170,6 +174,18 @@ def test_csv_errors():
         for row in (f"{entry},0,3", f"0,{entry},3", f"0,0,{entry}"):
             expect_error(_mangled_csv(set_line(6, row)),
                          "malformed row: non-integer entry", row=7)
+    # CSV has no quoting: a quote is part of the entry
+    for row in ('"0",0,3', '0,0,"3"', '0,0,"3'):
+        expect_error(_mangled_csv(set_line(6, row)), "malformed row: non-integer entry", row=7)
+    # bounded by int()'s digit limit, not by a field size limit of a CSV parser
+    expect_error(_mangled_csv(set_line(6, "0,0," + "3" * 10**6)),
+                 "malformed row: non-integer entry", row=7)
+    expect_error(_mangled_csv(set_line(5, '"v1","v2","color"')), "bad column header", row=6)
+    # header values follow the rule of the rows
+    for value in ("+3", "0_3", "03", "\u0663", "3.0", "x"):
+        expect_error(_mangled_csv(set_line(2, f"# k: {value}")), "bad header")
+    for value in ("+4", "\u0664"):
+        expect_error(_mangled_csv(set_line(3, f"# q: {value}")), "bad header")
     expect_error(_mangled_csv(set_line(7, "0,0,2")), "duplicate vertex", row=8)
     expect_error(_mangled_csv(set_line(5, "v1,color")), "bad column header", row=6)
     expect_error(_mangled_csv(lambda lines: lines.pop()), "wrong row count")
@@ -205,14 +221,19 @@ def test_header_sizes_are_checked_before_enumerating():
 
 
 SMALL_FILES = [write_labeling(label_all(Params(3, 3)), fmt) for fmt in ("json", "csv")]
+# a quote, sign, digit or separator that a CSV parser or int() reads past
+SPELLINGS = [b'"', b'""', b"+", b"0", b" ", b"_", "\u0663".encode()]
 
 
 @st.composite
-def mutated_files(draw):
-    data = draw(st.sampled_from(SMALL_FILES))
-    start = draw(st.integers(0, len(data)))
+def mutated_files(draw, files=SMALL_FILES):
+    data = draw(st.sampled_from(files))
+    # cut anywhere, or where a line or an entry starts
+    starts = [0, *(i + 1 for i, byte in enumerate(data) if byte in b",\n")]
+    start = draw(st.integers(0, len(data)) | st.sampled_from(starts))
     end = draw(st.integers(start, min(len(data), start + 8)))
-    return data[:start] + draw(st.binary(max_size=8)) + data[end:]
+    insert = draw(st.binary(max_size=8) | st.sampled_from(SPELLINGS))
+    return data[:start] + insert + data[end:]
 
 
 @given(st.one_of(st.binary(max_size=256), mutated_files()))
@@ -222,6 +243,22 @@ def test_any_bytes_give_a_labeling_or_a_format_error(data):
     except LabelingFormatError:
         return
     assert isinstance(labeling, Labeling)
+
+
+def _data_rows(data: bytes) -> list[str]:
+    # the lines after the column header, split as the reader splits them
+    return [line for line in data.decode().splitlines()
+            if line.strip() and not line.startswith("#")][1:]
+
+
+@settings(max_examples=500)  # enough to land a quote where a CSV parser would drop it
+@given(mutated_files(SMALL_FILES[1:]))
+def test_accepted_csv_rows_are_spelled_as_written(data):
+    try:
+        labeling = read_labeling(data)
+    except LabelingFormatError:
+        return
+    assert _data_rows(data) == _data_rows(write_labeling(labeling, "csv"))
 
 
 def test_error_row_is_exposed():

@@ -115,8 +115,15 @@ def test_label_pi_readings_differ():
     p = Params(3, 4)
     assert label_pi((0, 0), (2, 1), p, READING_SELECTED) == 3
     assert label_pi((0, 0), (2, 1), p, READING_POSITION) == 2
-    with pytest.raises(ValueError):
+    # one check, one message: label_all checks the reading before it
+    # branches on pi, so the identity labeling is no answer to a bad reading
+    with pytest.raises(ValueError, match="^unknown reading 'literal'"):
         label_pi((0, 0), (2, 1), p, "literal")
+    for pi in (None, (2, 1)):
+        with pytest.raises(ValueError, match="^unknown reading 'literal'"):
+            label_all(p, pi, "literal")
+    with pytest.raises(ValueError, match=r"^not a permutation image over 1\.\.2: \(1, 1\)$"):
+        label_all(p, (1, 1))
 
 
 @given(st.integers(3, 5), st.integers(1, 8), st.data())
@@ -164,6 +171,15 @@ def test_labeling_validation():
     # the first bad color in rank order is the one named
     with pytest.raises(ValueError, match=r"^color 5 outside \[1, 3\]$"):
         Labeling(p, (5, 0, 1), "external")
+    # exact ints: bool subclasses int, and the CSV writer would emit "True"
+    with pytest.raises(ValueError, match=r"^color True outside \[1, 3\]$"):
+        Labeling(p, (3, 2, True), "external")
+    with pytest.raises(ValueError, match=r"^color 1\.0 outside \[1, 3\]$"):
+        Labeling(p, (3, 2, 1.0), "external")
+    with pytest.raises(ValueError, match=r"^color '2' outside \[1, 3\]$"):
+        Labeling(p, (3, "2", 9), "external")
+    with pytest.raises(ValueError, match=r"^color 9 outside \[1, 3\]$"):
+        Labeling(p, (9, True, 1), "external")
     with pytest.raises(ValueError):
         lab.color_of((1, 0))
 

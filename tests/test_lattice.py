@@ -31,6 +31,10 @@ def test_params_validation():
         Params(2, 4)
     with pytest.raises(ValueError):
         Params(3, -1)
+    # exact ints: bool subclasses int, so Params(3, True) would pass for q = 1
+    for k, q in ((3, True), (True, 3), (3.0, 4), (3, 4.0), ("3", 4)):
+        with pytest.raises(ValueError, match="^k and q must be ints"):
+            Params(k, q)
     assert Params(3, 4).num_vertices == 15
     assert Params(3, 4).base() == Params(3, 3)
     with pytest.raises(ValueError):
@@ -138,8 +142,8 @@ def test_pi_hyperedge_examples():
         pi_hyperedge((0, 0), (2, 1), p)
     with pytest.raises(ValueError):
         pi_hyperedge((0, 4), (1, 2), p)  # base outside V_{k,q-1}
-    with pytest.raises(ValueError):
-        pi_hyperedge((0, 1), (1, 1), p)  # not a permutation
+    with pytest.raises(ValueError, match=r"^not a permutation image over 1\.\.2: \(1, 1\)$"):
+        pi_hyperedge((0, 1), (1, 1), p)
 
 
 def test_hyperedge_value_semantics():
