@@ -1,0 +1,203 @@
+"""Value semantics of the package's record classes.
+
+Params, Hyperedge, Labeling and the instance index are frozen;
+VerificationReport and OracleResult are mutable and unhashable.  All of
+them construct by position and by keyword, compare by value (the index by
+identity), and print their fields by name.
+"""
+
+import functools
+
+import pytest
+
+from simplexlattice import (
+    Hyperedge,
+    Labeling,
+    OracleResult,
+    Params,
+    VerificationReport,
+    full_report,
+    hyperedge,
+    label_all,
+    min_max_colors,
+)
+from simplexlattice.lattice import _instance_index, _InstanceIndex
+
+
+def test_params():
+    p = Params(3, 1)
+    assert p == Params(k=3, q=1) == Params(3, q=1)
+    assert p != Params(3, 2) and p != Params(4, 1)
+    assert p != (3, 1) and p.__eq__((3, 1)) is NotImplemented
+    assert hash(p) == hash(Params(3, 1)) == hash((3, 1))
+    assert {p: 1}[Params(3, 1)] == 1
+    assert repr(p) == "Params(k=3, q=1)"
+    assert vars(p) == {"k": 3, "q": 1}
+    with pytest.raises(TypeError):
+        Params(3)
+    with pytest.raises(TypeError):
+        Params(3, 1, 2)
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((2, 4), "k must be >= 3, got 2"),
+        ((3, -1), "q must be >= 0, got -1"),
+        ((3.0, 4), "k and q must be ints, got 3.0 and 4"),
+        ((3, True), "k and q must be ints, got 3 and True"),
+        (("3", 4), "k and q must be ints, got '3' and 4"),
+    ],
+)
+def test_params_messages(args, message):
+    with pytest.raises(ValueError) as info:
+        Params(*args)
+    assert str(info.value) == message
+
+
+def test_hyperedge():
+    p = Params(3, 2)
+    e = hyperedge((0, 1), p)
+    assert e == Hyperedge((0, 1), (1, 2), ((0, 1), (0, 2), (1, 2)))
+    assert e == Hyperedge(base=(0, 1), perm=(1, 2), vertices=((0, 1), (0, 2), (1, 2)))
+    assert e != Hyperedge((0, 1), (1, 2), ())  # vertices take part in ==
+    assert hash(e) == hash(Hyperedge((0, 1), (1, 2), ((0, 1), (0, 2), (1, 2))))
+    assert len({e, hyperedge((0, 1), p)}) == 1
+    assert e != ((0, 1), (1, 2), ((0, 1), (0, 2), (1, 2)))
+    assert repr(e) == "Hyperedge(base=(0, 1), perm=(1, 2))"  # vertices left out
+    assert Hyperedge.__slots__ == ("base", "perm", "vertices")
+    assert not hasattr(e, "__dict__")
+    with pytest.raises(TypeError):
+        Hyperedge((0, 1), (1, 2))
+
+
+def test_labeling():
+    p = Params(3, 1)
+    lab = Labeling(p, (3, 2, 1), "identity")
+    assert lab == Labeling(params=p, colors=(3, 2, 1), rule="identity")
+    assert lab != Labeling(p, (3, 2, 1), "other")
+    assert lab != Labeling(p, (3, 1, 1), "identity")
+    assert hash(lab) == hash(Labeling(p, (3, 2, 1), "identity"))
+    assert hash(lab) == hash((p, (3, 2, 1), "identity"))
+    assert label_all(Params(3, 3)) == Labeling(
+        Params(3, 3), (3, 2, 2, 2, 3, 1, 1, 1, 1, 1), "identity"
+    )
+    assert repr(lab) == "Labeling(params=Params(k=3, q=1), colors=(3, 2, 1), rule='identity')"
+    with pytest.raises(TypeError):
+        Labeling(p, (3, 2, 1))
+
+
+@pytest.mark.parametrize(
+    "colors, message",
+    [
+        ((3, 2), "expected 3 colors, got 2"),
+        ((3, 2, 1, 1), "expected 3 colors, got 4"),
+        ((3, 2, 0), "color 0 outside [1, 3]"),
+        ((4, 2, 1), "color 4 outside [1, 3]"),
+        ((3, 2, True), "color True outside [1, 3]"),
+        ((3, 2.0, 1), "color 2.0 outside [1, 3]"),
+    ],
+)
+def test_labeling_messages(colors, message):
+    with pytest.raises(ValueError) as info:
+        Labeling(Params(3, 1), colors, "identity")
+    assert str(info.value) == message
+
+
+def test_instance_index():
+    p = Params(3, 1)
+    index = _instance_index(p)
+    assert index.params == p
+    assert index.vertices == ((0, 0), (0, 1), (1, 1))
+    assert index.bases == ((0, 2),)
+    assert repr(index) == (
+        "_InstanceIndex(params=Params(k=3, q=1), vertices=((0, 0), (0, 1), (1, 1)), "
+        "bases=((0, 2),))"
+    )
+    # compared and hashed by identity
+    twin = _InstanceIndex(p, index.vertices, index.bases)
+    assert twin == twin and twin != index
+    assert hash(twin) == object.__hash__(twin)
+    assert _InstanceIndex(params=p, vertices=index.vertices, bases=index.bases) != index
+    # the rank steps are built once per index
+    assert isinstance(_InstanceIndex.__dict__["_rank_steps"], functools.cached_property)
+    assert twin._rank_steps is twin._rank_steps
+    assert twin.cells(None) == index.cells(None) == [(0, 1, 2)]
+
+
+@pytest.mark.parametrize(
+    "make, field",
+    [
+        (lambda: Params(3, 1), "k"),
+        (lambda: Params(3, 1), "q"),
+        (lambda: hyperedge((0, 0), Params(3, 1)), "base"),
+        (lambda: hyperedge((0, 0), Params(3, 1)), "vertices"),
+        (lambda: Labeling(Params(3, 1), (3, 2, 1), "identity"), "colors"),
+        (lambda: label_all(Params(3, 3)), "rule"),
+        (lambda: _instance_index(Params(3, 1)), "vertices"),
+    ],
+)
+def test_frozen(make, field):
+    value = make()
+    before = getattr(value, field)
+    with pytest.raises(AttributeError):
+        setattr(value, field, before)
+    with pytest.raises(AttributeError):
+        delattr(value, field)
+    assert getattr(value, field) == before
+
+
+def test_verification_report():
+    p = Params(3, 3)
+    report = VerificationReport(p, "identity", "none")
+    assert report == VerificationReport(params=p, labeling_rule="identity", edge_rule="none")
+    assert (report.threshold, report.sperner_ok, report.edges_checked) == (None, None, None)
+    assert (report.sperner_violations, report.violating_edges) == ((), ())
+    assert report.histogram is None and report.inconsistent_histogram is None
+    assert report.passed
+    assert repr(report) == (
+        "VerificationReport(params=Params(k=3, q=3), labeling_rule='identity', "
+        "edge_rule='none', threshold=None, sperner_ok=None, sperner_violations=(), "
+        "edges_checked=None, max_colors_per_edge=None, histogram=None, violating_edges=(), "
+        "inconsistent_cells_checked=None, inconsistent_histogram=None, "
+        "inconsistent_max_colors=None)"
+    )
+    full = full_report(label_all(p))
+    assert full == full_report(label_all(p)) and full != report
+    assert repr(full) == (
+        "VerificationReport(params=Params(k=3, q=3), labeling_rule='identity', "
+        "edge_rule='identity', threshold=2, sperner_ok=True, sperner_violations=(), "
+        "edges_checked=6, max_colors_per_edge=2, histogram={1: 2, 2: 4}, violating_edges=(), "
+        "inconsistent_cells_checked=None, inconsistent_histogram=None, "
+        "inconsistent_max_colors=None)"
+    )
+    positional = VerificationReport(p, "identity", "identity", 2, True, (), 6, 2, {1: 2, 2: 4})
+    assert positional == full
+    with pytest.raises(TypeError):
+        hash(report)
+    report.sperner_ok = False  # mutable
+    assert not report.passed
+    assert report != VerificationReport(p, "identity", "none")
+    with pytest.raises(TypeError):
+        VerificationReport(p, "identity")
+
+
+def test_oracle_result():
+    p = Params(3, 1)
+    result = min_max_colors(p)
+    witness = Labeling(p, (3, 2, 1), "oracle-witness")
+    assert result == OracleResult(p, "identity", 3, witness, 6, True)
+    assert result == OracleResult(params=p, edge_rule="identity", min_max_colors=3,
+                                  witness=witness, nodes_explored=6, exhausted=True)
+    assert result != OracleResult(p, "identity", 3, None, 6, True)
+    assert repr(result) == (
+        "OracleResult(params=Params(k=3, q=1), edge_rule='identity', min_max_colors=3, "
+        "witness=Labeling(params=Params(k=3, q=1), colors=(3, 2, 1), rule='oracle-witness'), "
+        "nodes_explored=6, exhausted=True)"
+    )
+    with pytest.raises(TypeError):
+        hash(result)
+    result.exhausted = False  # mutable
+    assert result != min_max_colors(p)
+    with pytest.raises(TypeError):
+        OracleResult(p, "identity", 3, None, 6)
