@@ -12,6 +12,7 @@ import argparse
 import itertools
 import json
 import sys
+from math import comb, factorial
 from pathlib import Path
 
 from ._version import __version__
@@ -31,6 +32,11 @@ from .oracle import min_max_colors
 from .verify import full_report
 
 MAX_ALL_PI_K = 8  # (k-1)! sweeps; 7! = 5040 is the most that stays interactive
+# The most one command builds, checked from closed forms by _check_size: k
+# entries per vertex row (k - 1 coordinates and a color), or the (base,
+# permutation) pairs that listing facets tests.  Peak memory was measured at
+# up to 1.3 kB per vertex for k <= 10 (render at k = 3), about 0.5 GB here.
+MAX_SIZE = 1_000_000
 
 
 class CliError(Exception):
@@ -42,6 +48,27 @@ def _params(args: argparse.Namespace) -> Params:
         return Params(args.k, args.q)
     except ValueError as exc:
         raise CliError(f"--k/--q: {exc}") from None
+
+
+def _check_size(params: Params, facets: bool = False) -> Params:
+    """Refuse an instance too large to build, from closed forms alone.
+
+    Commands that build the vertex list hold |V| * k entries.  Listing
+    facets tests each of the (k-1)! permutations at each base point of
+    V_{k,q-1}.  A huge instance is settled by a floor before any large
+    binomial or factorial is formed: |V| >= 2**min(k-1, q), and
+    n! >= 2**n for n >= 4.
+    """
+    k, q, bits = params.k, params.q, MAX_SIZE.bit_length()
+    if facets:
+        ok = q == 0 or (k - 1 < bits and comb(q + k - 2, k - 1) * factorial(k - 1) <= MAX_SIZE)
+        what = "listing facets tests (k-1)! permutations at C(q+k-2, k-1) base points"
+    else:
+        ok = min(k - 1, q) < bits and params.num_vertices * k <= MAX_SIZE
+        what = "C(q+k-1, k-1) vertex rows of k entries"
+    if not ok:
+        raise CliError(f"--k/--q: k={k}, q={q} is too large: {what}, over {MAX_SIZE:,}")
+    return params
 
 
 def _parse_pi(text: str, params: Params) -> Perm:
@@ -91,7 +118,7 @@ def _label(params: Params, pi: Perm | None, reading: str) -> Labeling:
 
 
 def _cmd_label(args: argparse.Namespace) -> int:
-    params = _params(args)
+    params = _check_size(_params(args))
     pi = _parse_pi(args.pi, params) if args.pi else None
     labeling = _label(params, pi, args.reading)
     _emit(write_labeling(labeling, args.format), args.out)
@@ -99,7 +126,7 @@ def _cmd_label(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    params = _params(args)
+    params = _check_size(_params(args))
     if args.threshold < 1:
         raise CliError(f"--threshold: must be >= 1, got {args.threshold}")
     if params.q < 1:
@@ -135,6 +162,7 @@ def _cmd_facets(args: argparse.Namespace) -> int:
         # the facets tile the q-dilated simplex: q**(k-1) of them, 0 at q = 0
         print(params.q ** (params.k - 1))
         return 0
+    _check_size(params, facets=True)
     facets = enumerate_facets(params) if params.q >= 1 else []
     for v, pi in facets:
         base = ",".join(map(str, v))
@@ -144,7 +172,7 @@ def _cmd_facets(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
-    params = _params(args)
+    params = _check_size(_params(args))
     if params.q < 1:
         raise CliError("--q: the oracle needs q >= 1 (no hyperedges otherwise)")
     if args.budget < 0:
@@ -155,7 +183,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def _cmd_render(args: argparse.Namespace) -> int:
-    labeling = _label(_params(args), None, READING_SELECTED)
+    labeling = _label(_check_size(_params(args)), None, READING_SELECTED)
     try:
         svg = render_svg(labeling)
     except UnsupportedDimension as exc:

@@ -56,24 +56,48 @@ def _json_bytes(obj) -> bytes:
     return (json.dumps(obj, indent=2) + "\n").encode()
 
 
+def _labeling_json(labeling: Labeling, indent: int = 0) -> str:
+    """``json.dumps(_labeling_dict(labeling), indent=2)``, each line after
+    the first shifted right by ``indent`` spaces, as it reads nested in an
+    object at that depth.  The rows come from one ``%d`` template, the
+    same text as ``json.dumps`` gives the exact ints a Labeling holds,
+    without the pure-Python encoder that ``indent`` selects."""
+    params, pad = labeling.params, " " * indent
+    coords = f",\n{pad}        ".join(["%d"] * (params.k - 1))
+    row = (f'{pad}    {{\n{pad}      "v": [\n{pad}        {coords}\n{pad}      ],\n'
+           f'{pad}      "color": %d\n{pad}    }}')
+    rows = ",\n".join([row % (*v, c) for v, c in
+                       zip(_instance_index(params).vertices, labeling.colors)])
+    return (
+        f'{{\n{pad}  "k": {params.k},\n{pad}  "q": {params.q},\n'
+        f'{pad}  "rule": {json.dumps(labeling.rule)},\n'
+        f'{pad}  "version": {json.dumps(TOOL_VERSION)},\n'
+        f'{pad}  "labels": [\n{rows}\n{pad}  ]\n{pad}}}'
+    )
+
+
 def write_labeling(labeling: Labeling, format: str = "json") -> bytes:
     """Serialize a labeling, rows in vertex-rank order.
 
     JSON is one object with the header fields inline; CSV carries the
-    header as ``# key: value`` comment lines above the column row.
+    header as ``# key: value`` comment lines above the column row.  A rule
+    that a CSV header line cannot carry (a line break, or whitespace at
+    either end, which the reader strips) raises ValueError.
     """
     if format not in FORMATS:
         raise ValueError(f"unknown format {format!r}; expected one of {FORMATS}")
     if format == "json":
-        return _json_bytes(_labeling_dict(labeling))
+        return (_labeling_json(labeling) + "\n").encode()
 
-    params = labeling.params
+    params, rule = labeling.params, labeling.rule
+    if rule != rule.strip() or len(f"{rule}.".splitlines()) > 1:
+        raise ValueError(f"rule {rule!r} does not fit a CSV header line; write JSON")
     lines = [
         "# simplexlattice labeling",
         f"# version: {TOOL_VERSION}",
         f"# k: {params.k}",
         f"# q: {params.q}",
-        f"# rule: {labeling.rule}",
+        f"# rule: {rule}",
         ",".join([f"v{i}" for i in range(1, params.k)] + ["color"]),
     ]
     row = ",".join(["%d"] * params.k)  # str(n) for the exact ints Labeling holds
@@ -284,7 +308,8 @@ def write_report(report: VerificationReport, max_violations: int = 100) -> bytes
     return _json_bytes(report_to_dict(report, max_violations))
 
 
-def oracle_result_to_dict(result: OracleResult) -> dict:
+def _oracle_head(result: OracleResult) -> dict:
+    # every field but the witness, which comes last
     return {
         "k": result.params.k,
         "q": result.params.q,
@@ -292,14 +317,21 @@ def oracle_result_to_dict(result: OracleResult) -> dict:
         "min_max_colors": result.min_max_colors,
         "exhausted": result.exhausted,
         "nodes_explored": result.nodes_explored,
-        "witness": (
-            None if result.witness is None else _labeling_dict(result.witness)
-        ),
     }
 
 
+def oracle_result_to_dict(result: OracleResult) -> dict:
+    witness = result.witness
+    return {**_oracle_head(result),
+            "witness": None if witness is None else _labeling_dict(witness)}
+
+
 def write_oracle_result(result: OracleResult) -> bytes:
-    return _json_bytes(oracle_result_to_dict(result))
+    """The bytes of ``json.dumps(oracle_result_to_dict(result), indent=2)``
+    and a newline, the witness written by :func:`_labeling_json`."""
+    head = json.dumps(_oracle_head(result), indent=2)[:-2]  # without "\n}"
+    witness = "null" if result.witness is None else _labeling_json(result.witness, 2)
+    return f'{head},\n  "witness": {witness}\n}}\n'.encode()
 
 
 def render_svg(labeling: Labeling) -> bytes:

@@ -28,7 +28,6 @@ integer tuples that fall outside the lattice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .lattice import (
@@ -36,6 +35,7 @@ from .lattice import (
     Perm,
     Point,
     _check_permutation,
+    _Frozen,
     _instance_index,
     coordinate,
     is_permutation,
@@ -59,24 +59,22 @@ class LabelUndefined(ValueError):
         )
 
 
-@dataclass(frozen=True)
-class Labeling:
+class Labeling(_Frozen):
     """A total color assignment, one color per vertex in rank order."""
 
-    params: Params
-    colors: tuple[int, ...]
-    rule: str
+    _fields = ("params", "colors", "rule")
 
-    def __post_init__(self) -> None:
-        if len(self.colors) != self.params.num_vertices:
-            raise ValueError(
-                f"expected {self.params.num_vertices} colors, got {len(self.colors)}"
-            )
-        k, colors = self.params.k, self.colors
+    def __init__(self, params: Params, colors: tuple[int, ...], rule: str) -> None:
+        if len(colors) != params.num_vertices:
+            raise ValueError(f"expected {params.num_vertices} colors, got {len(colors)}")
+        k = params.k
         # exact ints: bool subclasses int, and no writer spells True or 1.0 as a color
         if set(map(type, colors)) != {int} or not 1 <= min(colors) <= max(colors) <= k:
             bad = next(c for c in colors if type(c) is not int or not 1 <= c <= k)
             raise ValueError(f"color {bad!r} outside [1, {k}]")
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "colors", colors)
+        object.__setattr__(self, "rule", rule)
 
     def color_of(self, v: Point) -> int:
         return self.colors[vertex_rank(v, self.params)]

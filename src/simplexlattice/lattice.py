@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from math import comb
 
@@ -31,24 +30,65 @@ class InconsistentPair(ValueError):
     """A (point, permutation) pair that is not a cell of the subdivision."""
 
 
-@dataclass(frozen=True)
-class Params:
+class _Record:
+    """A record of named fields: ``==`` between instances of one class
+    compares the fields in ``_fields`` order, and ``repr`` lists those in
+    ``_shown`` by name.  Mutable records are unhashable."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+    _shown: tuple[str, ...] | None = None  # None shows every field
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        shown = self._fields if self._shown is None else self._shown
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in shown])
+        return f"{type(self).__qualname__}({fields})"
+
+
+class _Frozen(_Record):
+    """A record whose fields are set once, by ``__init__`` through
+    ``object.__setattr__``; it hashes by its fields."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Params(_Frozen):
     """Instance size: ``k`` coordinates/colors and dilation factor ``q``.
 
     ``q = 0`` is allowed so that the degenerate single-point lattice exists;
     it is what hyperedge base points of a ``q = 1`` instance live in.
     """
 
-    k: int
-    q: int
+    _fields = ("k", "q")
 
-    def __post_init__(self) -> None:
-        if type(self.k) is not int or type(self.q) is not int:  # exact: bool subclasses int
-            raise ValueError(f"k and q must be ints, got {self.k!r} and {self.q!r}")
-        if self.k < 3:
-            raise ValueError(f"k must be >= 3, got {self.k}")
-        if self.q < 0:
-            raise ValueError(f"q must be >= 0, got {self.q}")
+    def __init__(self, k: int, q: int) -> None:
+        if type(k) is not int or type(q) is not int:  # exact: bool subclasses int
+            raise ValueError(f"k and q must be ints, got {k!r} and {q!r}")
+        if k < 3:
+            raise ValueError(f"k must be >= 3, got {k}")
+        if q < 0:
+            raise ValueError(f"q must be >= 0, got {q}")
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "q", q)
 
     @property
     def num_vertices(self) -> int:
@@ -61,8 +101,7 @@ class Params:
         return Params(self.k, self.q - 1)
 
 
-@dataclass(frozen=True, slots=True)
-class Hyperedge:
+class Hyperedge(_Frozen):
     """An ordered k-vertex cell of the subdivision.
 
     ``vertices[0]`` is the base point; ``vertices[j]`` adds the unit vectors
@@ -70,9 +109,13 @@ class Hyperedge:
     by value.
     """
 
-    base: Point
-    perm: Perm
-    vertices: tuple[Point, ...] = field(repr=False)
+    __slots__ = _fields = ("base", "perm", "vertices")
+    _shown = ("base", "perm")
+
+    def __init__(self, base: Point, perm: Perm, vertices: tuple[Point, ...]) -> None:
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "perm", perm)
+        object.__setattr__(self, "vertices", vertices)
 
 
 def coordinate(v: Point, t: int, params: Params) -> int:
@@ -235,8 +278,7 @@ def _inverse_descent_mask(pi: Perm) -> int:
     return sum(1 << i for i in range(1, len(pi)) if position[i] > position[i + 1])
 
 
-@dataclass(frozen=True, eq=False)
-class _InstanceIndex:
+class _InstanceIndex(_Frozen):
     """The geometry of one instance that every module reads, built once.
 
     ``vertices`` is the lexicographic enumeration.  ``bases`` pairs the rank
@@ -256,11 +298,19 @@ class _InstanceIndex:
     coordinate exactly once, from its base's value, so the offset of step
     ``j`` is fixed per base; ``_rank_steps`` holds one list of them per
     coordinate over ``bases``.
+
+    Indexes compare and hash by identity.
     """
 
-    params: Params
-    vertices: tuple[Point, ...]
-    bases: tuple[tuple[int, int], ...]
+    _fields = ("params", "vertices", "bases")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, params: Params, vertices: tuple[Point, ...],
+                 bases: tuple[tuple[int, int], ...]) -> None:
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "bases", bases)
 
     @cached_property
     def _rank_steps(self) -> tuple[tuple[int, ...], tuple[int, ...], list[list[int]]]:

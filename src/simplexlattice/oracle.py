@@ -19,15 +19,12 @@ spends the default budget of a million nodes without finishing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .labeling import Labeling
-from .lattice import Params, Perm, Point, _instance_index, coordinate
+from .lattice import Params, Perm, Point, _instance_index, _Record, coordinate
 from .verify import _edge_rule_descriptor
 
 
-@dataclass
-class OracleResult:
+class OracleResult(_Record):
     """Outcome of one exact search.
 
     When ``exhausted`` is True, ``min_max_colors`` is exact: the search
@@ -36,12 +33,17 @@ class OracleResult:
     ran out.
     """
 
-    params: Params
-    edge_rule: str
-    min_max_colors: int
-    witness: Labeling | None
-    nodes_explored: int
-    exhausted: bool
+    _fields = ("params", "edge_rule", "min_max_colors", "witness", "nodes_explored",
+               "exhausted")
+
+    def __init__(self, params: Params, edge_rule: str, min_max_colors: int,
+                 witness: Labeling | None, nodes_explored: int, exhausted: bool) -> None:
+        self.params = params
+        self.edge_rule = edge_rule
+        self.min_max_colors = min_max_colors
+        self.witness = witness
+        self.nodes_explored = nodes_explored
+        self.exhausted = exhausted
 
 
 def admissible_colors(v: Point, params: Params) -> frozenset[int]:

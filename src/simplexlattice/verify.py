@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
 
 from .labeling import READINGS, Labeling, label_all, parse_rule
 from .lattice import (
@@ -21,6 +20,7 @@ from .lattice import (
     Point,
     _build_cell,
     _instance_index,
+    _Record,
     _inverse_descent_mask,
     identity_permutation,
 )
@@ -30,8 +30,7 @@ from .lattice import (
 #   edge:    (base, perm, sorted color tuple)
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(_Record):
     """Outcome of checking one labeling against one edge set.
 
     ``sperner_*`` fields are None when only the color check ran, and the
@@ -40,19 +39,42 @@ class VerificationReport:
     and never influence :attr:`passed`.
     """
 
-    params: Params
-    labeling_rule: str
-    edge_rule: str
-    threshold: int | None = None
-    sperner_ok: bool | None = None
-    sperner_violations: tuple[tuple[Point, int], ...] = ()
-    edges_checked: int | None = None
-    max_colors_per_edge: int | None = None
-    histogram: dict[int, int] | None = None
-    violating_edges: tuple[tuple[Point, Perm, tuple[int, ...]], ...] = ()
-    inconsistent_cells_checked: int | None = None
-    inconsistent_histogram: dict[int, int] | None = None
-    inconsistent_max_colors: int | None = None
+    _fields = (
+        "params", "labeling_rule", "edge_rule", "threshold", "sperner_ok",
+        "sperner_violations", "edges_checked", "max_colors_per_edge", "histogram",
+        "violating_edges", "inconsistent_cells_checked", "inconsistent_histogram",
+        "inconsistent_max_colors",
+    )
+
+    def __init__(
+        self,
+        params: Params,
+        labeling_rule: str,
+        edge_rule: str,
+        threshold: int | None = None,
+        sperner_ok: bool | None = None,
+        sperner_violations: tuple[tuple[Point, int], ...] = (),
+        edges_checked: int | None = None,
+        max_colors_per_edge: int | None = None,
+        histogram: dict[int, int] | None = None,
+        violating_edges: tuple[tuple[Point, Perm, tuple[int, ...]], ...] = (),
+        inconsistent_cells_checked: int | None = None,
+        inconsistent_histogram: dict[int, int] | None = None,
+        inconsistent_max_colors: int | None = None,
+    ) -> None:
+        self.params = params
+        self.labeling_rule = labeling_rule
+        self.edge_rule = edge_rule
+        self.threshold = threshold
+        self.sperner_ok = sperner_ok
+        self.sperner_violations = sperner_violations
+        self.edges_checked = edges_checked
+        self.max_colors_per_edge = max_colors_per_edge
+        self.histogram = histogram
+        self.violating_edges = violating_edges
+        self.inconsistent_cells_checked = inconsistent_cells_checked
+        self.inconsistent_histogram = inconsistent_histogram
+        self.inconsistent_max_colors = inconsistent_max_colors
 
     @property
     def passed(self) -> bool:

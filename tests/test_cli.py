@@ -3,12 +3,13 @@ import os
 import shutil
 import subprocess
 import sys
+from math import comb, factorial
 from pathlib import Path
 
 import pytest
 
 import simplexlattice
-from simplexlattice import Params, cli, read_labeling
+from simplexlattice import Params, cli, lattice, read_labeling
 from simplexlattice.cli import main
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -167,6 +168,72 @@ def test_facets_count_only_is_closed_form(capsys, monkeypatch):
     # 9! orderings for each of the C(48, 9) base points, were they enumerated
     assert run(capsys, "facets", "--k", "10", "--q", "40", "--count-only")[:2] == \
         (0, f"{40 ** 9}\n")
+
+
+def test_size_guard_refuses_before_enumerating(tmp_path, capsys, monkeypatch):
+    def refuse(params):
+        raise AssertionError(f"enumerated an instance over the size limit: {params}")
+
+    monkeypatch.setattr(lattice, "enumerate_vertices", refuse)
+    monkeypatch.setattr(cli, "enumerate_facets", refuse)
+    out = str(tmp_path / "out")
+    for argv in (
+        ["label", "--k", "40", "--q", "40", "--out", out],  # |V| = C(79, 39), about 5e22
+        ["label", "--k", "3", "--q", str(10 ** 30), "--format", "csv", "--out", out],
+        ["verify", "--k", "3", "--q", "100000"],
+        ["verify", "--k", "8", "--q", "30", "--all-pi"],
+        ["verify", "--k", "6", "--q", "60", "--labels", out],
+        ["render", "--k", "3", "--q", "1000", "--out", out],
+        ["oracle", "--k", "1000000", "--q", "1"],
+        ["oracle", "--k", "10" + "0" * 40, "--q", "10" + "0" * 40],
+        ["facets", "--k", "30", "--q", "1"],  # one facet, but 29! orderings to test
+        ["facets", "--k", "3", "--q", "2000"],
+    ):
+        code, stdout, err = run(capsys, *argv)
+        assert (code, stdout) == (2, ""), argv
+        assert err.startswith("error: --k/--q: ") and "too large" in err, argv
+    assert not (tmp_path / "out").exists()
+
+
+def test_size_guard_limit():
+    # closed forms only: no instance at the limit is built here
+    def fits(k, q, facets=False):
+        try:
+            cli._check_size(Params(k, q), facets)
+        except cli.CliError:
+            return False
+        return True
+
+    limit = cli.MAX_SIZE
+    for k in range(3, 12):
+        q = 0
+        while comb(q + k, k - 1) * k <= limit:
+            q += 1
+        assert comb(q + k - 1, k - 1) * k <= limit < comb(q + k, k - 1) * k
+        assert fits(k, q) and not fits(k, q + 1)
+    for k in range(3, 11):
+        q = 1  # the (base, permutation) pairs listing facets tests
+        while comb(q + k - 2, k - 1) * factorial(k - 1) <= limit:
+            q += 1
+        assert fits(k, q - 1, facets=True) and not fits(k, q, facets=True)
+    assert fits(3, 0, facets=True) and fits(40, 0, facets=True)  # q = 0 lists nothing
+    assert not fits(11, 1, facets=True)  # one base point, 10! orderings
+    # every instance the tests, the demos and the benchmark run
+    for k, q in [(3, 50), (4, 30), (5, 10), (6, 10), (6, 8), (7, 5), (8, 8), (9, 10)]:
+        assert fits(k, q)
+    assert fits(4, 3, facets=True) and fits(8, 3, facets=True)
+
+
+def test_import_leaves_out_dataclasses_and_inspect():
+    # each CLI run pays for its imports; these two cost about 10 ms
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys, simplexlattice.cli; "
+         "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
+        capture_output=True, text=True, env=CHILD_ENV,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_oracle_exit_codes(capsys):

@@ -6,12 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from simplexlattice import (
+    READINGS,
     Labeling,
     LabelingFormatError,
+    OracleResult,
     Params,
     UnsupportedDimension,
+    __version__,
     check_sperner,
     enumerate_facets,
+    enumerate_vertices,
     full_report,
     label_all,
     min_max_colors,
@@ -62,6 +66,72 @@ def test_round_trips():
             Labeling(Params(3, 0), (2,), "external"),
         ):
             assert roundtrip(labeling, fmt) == labeling
+
+
+@pytest.mark.parametrize("rule", ["a\nb", "a\x0cb", "a\r\nb", "a\u2028b", " x ", "x\n", "\tx"])
+def test_csv_refuses_a_rule_its_header_cannot_carry(rule):
+    lab = Labeling(Params(3, 0), (1,), rule)
+    with pytest.raises(ValueError) as err:
+        write_labeling(lab, "csv")
+    assert repr(rule) in str(err.value)
+    assert roundtrip(lab, "json") == lab
+
+
+@given(st.text())
+def test_any_rule_reads_back_or_the_csv_writer_raises(rule):
+    lab = Labeling(Params(3, 0), (2,), rule)
+    assert roundtrip(lab, "json") == lab
+    try:
+        data = write_labeling(lab, "csv")
+    except ValueError as err:
+        assert repr(rule) in str(err)
+        return
+    assert read_labeling(data) == lab
+
+
+def _json_reference(labeling: Labeling) -> dict:
+    # built without the package's writer: vertices in enumeration order
+    return {
+        "k": labeling.params.k,
+        "q": labeling.params.q,
+        "rule": labeling.rule,
+        "version": __version__,
+        "labels": [{"v": list(v), "color": c}
+                   for v, c in zip(enumerate_vertices(labeling.params), labeling.colors)],
+    }
+
+
+def _dumps(obj) -> bytes:
+    return (json.dumps(obj, indent=2) + "\n").encode()
+
+
+# a quote, a backslash, control characters, non-ASCII and U+2028
+ESCAPED_RULES = ['say "hi"', "back\\slash", "\x00\t\n\r\x1f\x7f", "é ∆ 😀", "a\u2028b", ""]
+
+
+def test_json_writer_matches_json_dumps():
+    labelings = [label_all(Params(k, k + 1)) for k in range(3, 8)]
+    labelings += [label_all(Params(8, 8)), label_all(Params(3, 50))]
+    labelings += [Labeling(Params(k, 0), (k - 1,), "external") for k in range(3, 9)]
+    for k, q in [(4, 6), (6, 7)]:
+        reversed_pi = tuple(range(k - 1, 0, -1))
+        labelings += [label_all(Params(k, q), reversed_pi, reading) for reading in READINGS]
+    labelings += [Labeling(Params(4, 2), (4,) * 10, rule) for rule in ESCAPED_RULES]
+    for labeling in labelings:
+        assert write_labeling(labeling) == _dumps(_json_reference(labeling))
+
+
+def test_oracle_witness_json_matches_json_dumps():
+    results = [min_max_colors(Params(k, q)) for k, q in [(3, 1), (3, 4), (4, 3), (5, 3)]]
+    results.append(min_max_colors(Params(3, 4), budget=5))  # no witness
+    results += [OracleResult(Params(4, 1), "identity", 3,
+                             Labeling(Params(4, 1), (4, 3, 2, 1), rule), 9, True)
+                for rule in ESCAPED_RULES]
+    for result in results:
+        expected = oracle_result_to_dict(result)
+        if result.witness is not None:
+            assert expected["witness"] == _json_reference(result.witness)
+        assert write_oracle_result(result) == _dumps(expected)
 
 
 def test_single_row_for_q_zero():
