@@ -52,10 +52,6 @@ def _labeling_dict(labeling: Labeling) -> dict:
     }
 
 
-def _json_bytes(obj) -> bytes:
-    return (json.dumps(obj, indent=2) + "\n").encode()
-
-
 def _labeling_json(labeling: Labeling, indent: int = 0) -> str:
     """``json.dumps(_labeling_dict(labeling), indent=2)``, each line after
     the first shifted right by ``indent`` spaces, as it reads nested in an
@@ -305,7 +301,7 @@ def report_to_dict(report: VerificationReport, max_violations: int = 100) -> dic
 
 
 def write_report(report: VerificationReport, max_violations: int = 100) -> bytes:
-    return _json_bytes(report_to_dict(report, max_violations))
+    return (json.dumps(report_to_dict(report, max_violations), indent=2) + "\n").encode()
 
 
 def _oracle_head(result: OracleResult) -> dict:
