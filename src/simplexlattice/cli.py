@@ -26,8 +26,8 @@ from .io import (
     write_oracle_result,
     write_report,
 )
-from .labeling import READING_SELECTED, READINGS, Labeling, LabelUndefined, label_all
-from .lattice import Params, Perm, enumerate_facets, is_permutation
+from .labeling import READING_SELECTED, READINGS, Labeling, LabelUndefined, _parse_image, label_all
+from .lattice import Params, Perm, enumerate_facets
 from .oracle import min_max_colors
 from .verify import full_report
 
@@ -37,6 +37,7 @@ MAX_ALL_PI_K = 8  # (k-1)! sweeps; 7! = 5040 is the most that stays interactive
 # permutation) pairs that listing facets tests.  Peak memory was measured at
 # up to 1.3 kB per vertex for k <= 10 (render at k = 3), about 0.5 GB here.
 MAX_SIZE = 1_000_000
+MAX_COUNT_DIGITS = 4300  # the most int -> str writes by default, for facets --count-only
 
 
 class CliError(Exception):
@@ -71,18 +72,13 @@ def _check_size(params: Params, facets: bool = False) -> Params:
     return params
 
 
-def _parse_pi(text: str, params: Params) -> Perm:
+def _parse_pi(text: str | None, params: Params) -> Perm | None:
+    if text is None:
+        return None  # the identity rule and cells
     try:
-        image = tuple(int(part) for part in text.split(","))
-    except ValueError:
-        raise CliError(
-            f"--pi: expected a comma-separated image like 2,1,3; got {text!r}"
-        ) from None
-    if not is_permutation(image, params):
-        raise CliError(
-            f"--pi: {text!r} is not a permutation of 1..{params.k - 1}"
-        )
-    return image
+        return _parse_image(text, params)
+    except ValueError as exc:
+        raise CliError(f"--pi: {exc}") from None
 
 
 def _emit(data: bytes, out: str | None) -> None:
@@ -119,7 +115,7 @@ def _label(params: Params, pi: Perm | None, reading: str) -> Labeling:
 
 def _cmd_label(args: argparse.Namespace) -> int:
     params = _check_size(_params(args))
-    pi = _parse_pi(args.pi, params) if args.pi else None
+    pi = _parse_pi(args.pi, params)
     labeling = _label(params, pi, args.reading)
     _emit(write_labeling(labeling, args.format), args.out)
     return 0
@@ -141,7 +137,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             )
         perms = list(itertools.permutations(range(1, params.k)))
     else:
-        perms = [_parse_pi(args.pi, params) if args.pi else None]
+        perms = [_parse_pi(args.pi, params)]
 
     reports = []
     for pi in perms:
@@ -159,8 +155,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_facets(args: argparse.Namespace) -> int:
     params = _params(args)
     if args.count_only:
-        # the facets tile the q-dilated simplex: q**(k-1) of them, 0 at q = 0
-        print(params.q ** (params.k - 1))
+        # the facets tile the q-dilated simplex: q**(k-1) of them, 0 at q = 0; the
+        # floor q**(k-1) >= 2**((k-1) * (bits(q) - 1)) refuses a huge count unformed
+        k, q, limit = params.k, params.q, 10 ** MAX_COUNT_DIGITS
+        if (k - 1) * (q.bit_length() - 1) >= limit.bit_length() or q ** (k - 1) >= limit:
+            raise CliError(f"--k/--q: k={k}, q={q} is too large: the facet count "
+                           f"q**(k-1) has more than {MAX_COUNT_DIGITS} digits")
+        print(q ** (k - 1))
         return 0
     _check_size(params, facets=True)
     facets = enumerate_facets(params) if params.q >= 1 else []

@@ -37,27 +37,13 @@ class UnsupportedDimension(ValueError):
     pass
 
 
-def _labeling_dict(labeling: Labeling) -> dict:
-    params = labeling.params
-    rows = [
-        {"v": list(v), "color": c}
-        for v, c in zip(_instance_index(params).vertices, labeling.colors)
-    ]
-    return {
-        "k": params.k,
-        "q": params.q,
-        "rule": labeling.rule,
-        "version": TOOL_VERSION,
-        "labels": rows,
-    }
-
-
 def _labeling_json(labeling: Labeling, indent: int = 0) -> str:
-    """``json.dumps(_labeling_dict(labeling), indent=2)``, each line after
-    the first shifted right by ``indent`` spaces, as it reads nested in an
-    object at that depth.  The rows come from one ``%d`` template, the
-    same text as ``json.dumps`` gives the exact ints a Labeling holds,
-    without the pure-Python encoder that ``indent`` selects."""
+    """A labeling's JSON object (``k``, ``q``, ``rule``, ``version``, then
+    ``labels``: ``{"v": [...], "color": c}`` per vertex in rank order) as
+    ``json.dumps(indent=2)`` lays it out, each line after the first shifted
+    right by ``indent`` spaces, as it reads nested at that depth.  The rows
+    come from one ``%d`` template, the text ``json.dumps`` gives the exact
+    ints a Labeling holds, without the pure-Python encoder ``indent`` picks."""
     params, pad = labeling.params, " " * indent
     coords = f",\n{pad}        ".join(["%d"] * (params.k - 1))
     row = (f'{pad}    {{\n{pad}      "v": [\n{pad}        {coords}\n{pad}      ],\n'
@@ -70,6 +56,10 @@ def _labeling_json(labeling: Labeling, indent: int = 0) -> str:
         f'{pad}  "version": {json.dumps(TOOL_VERSION)},\n'
         f'{pad}  "labels": [\n{rows}\n{pad}  ]\n{pad}}}'
     )
+
+
+def _column_row(k: int) -> str:
+    return ",".join([f"v{i}" for i in range(1, k)] + ["color"])
 
 
 def write_labeling(labeling: Labeling, format: str = "json") -> bytes:
@@ -94,7 +84,7 @@ def write_labeling(labeling: Labeling, format: str = "json") -> bytes:
         f"# k: {params.k}",
         f"# q: {params.q}",
         f"# rule: {rule}",
-        ",".join([f"v{i}" for i in range(1, params.k)] + ["color"]),
+        _column_row(params.k),
     ]
     row = ",".join(["%d"] * params.k)  # str(n) for the exact ints Labeling holds
     lines += [row % (*v, c) for v, c in zip(_instance_index(params).vertices, labeling.colors)]
@@ -212,15 +202,15 @@ def _read_csv(text: str) -> Labeling:
     params, rule = _parse_header(fields, _int)
     if at == len(lines):
         raise LabelingFormatError("missing column header row")
-    names = lines[at].split(",")
+    width = lines[at].count(",") + 1
     # the width first: k comes from the header and may be huge
-    if len(names) != params.k:
+    if width != params.k:
         raise LabelingFormatError(
-            f"bad column header: expected {params.k} columns, got {len(names)}", at + 1
+            f"bad column header: expected {params.k} columns, got {width}", at + 1
         )
-    want = [f"v{i}" for i in range(1, params.k)] + ["color"]
-    if names != want:
-        raise LabelingFormatError(f"bad column header: expected {','.join(want)}", at + 1)
+    want = _column_row(params.k)
+    if lines[at] != want:
+        raise LabelingFormatError(f"bad column header: expected {want}", at + 1)
     rows = []
     for lineno, line in enumerate(lines[at + 1:], start=at + 2):
         if not line.strip():
@@ -300,34 +290,25 @@ def report_to_dict(report: VerificationReport, max_violations: int = 100) -> dic
     return out
 
 
-def write_report(report: VerificationReport, max_violations: int = 100) -> bytes:
-    return (json.dumps(report_to_dict(report, max_violations), indent=2) + "\n").encode()
-
-
-def _oracle_head(result: OracleResult) -> dict:
-    # every field but the witness, which comes last
-    return {
-        "k": result.params.k,
-        "q": result.params.q,
-        "edge_rule": result.edge_rule,
-        "min_max_colors": result.min_max_colors,
-        "exhausted": result.exhausted,
-        "nodes_explored": result.nodes_explored,
-    }
-
-
-def oracle_result_to_dict(result: OracleResult) -> dict:
-    witness = result.witness
-    return {**_oracle_head(result),
-            "witness": None if witness is None else _labeling_dict(witness)}
+def write_report(report: VerificationReport) -> bytes:
+    return (json.dumps(report_to_dict(report), indent=2) + "\n").encode()
 
 
 def write_oracle_result(result: OracleResult) -> bytes:
-    """The bytes of ``json.dumps(oracle_result_to_dict(result), indent=2)``
-    and a newline, the witness written by :func:`_labeling_json`."""
-    head = json.dumps(_oracle_head(result), indent=2)[:-2]  # without "\n}"
+    """The result as one JSON object, laid out as ``json.dumps(indent=2)``
+    lays it out, and a newline; the witness, last, is written by
+    :func:`_labeling_json`."""
+    params = result.params
+    head = json.dumps(dict(k=params.k, q=params.q, edge_rule=result.edge_rule,
+                           min_max_colors=result.min_max_colors, exhausted=result.exhausted,
+                           nodes_explored=result.nodes_explored), indent=2)[:-2]  # without "\n}"
     witness = "null" if result.witness is None else _labeling_json(result.witness, 2)
     return f'{head},\n  "witness": {witness}\n}}\n'.encode()
+
+
+def oracle_result_to_dict(result: OracleResult) -> dict:
+    """The object :func:`write_oracle_result` writes, as a dict."""
+    return json.loads(write_oracle_result(result))
 
 
 def render_svg(labeling: Labeling) -> bytes:

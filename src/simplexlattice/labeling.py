@@ -146,6 +146,12 @@ def label_pi(v: Point, pi: Perm, params: Params, reading: str = READING_SELECTED
     return idx + 1 if reading == READING_SELECTED else t + 1
 
 
+def _pi_descriptor(pi: Perm | None) -> str:
+    # "identity", or "pi:" and the image, spelled out even for the identity
+    # image: reports and oracle results name the cells they checked by it
+    return "identity" if pi is None else "pi:" + ",".join(map(str, pi))
+
+
 def rule_descriptor(pi: Perm | None, reading: str = READING_SELECTED) -> str:
     """Canonical rule string stored in labelings and files.
 
@@ -155,10 +161,20 @@ def rule_descriptor(pi: Perm | None, reading: str = READING_SELECTED) -> str:
     """
     if pi is None or pi == tuple(range(1, len(pi) + 1)):
         return "identity"
-    text = "pi:" + ",".join(str(x) for x in pi)
-    if reading == READING_POSITION:
-        text += ":position"
-    return text
+    text = _pi_descriptor(pi)
+    return text + ":position" if reading == READING_POSITION else text
+
+
+def _parse_image(text: str, params: Params) -> Perm:
+    """The permutation that ``a,b,...`` spells, ``int`` per entry.  The
+    ValueError for any other text leaves the caller to say where it was."""
+    try:
+        image = tuple(int(part) for part in text.split(","))
+    except ValueError:
+        raise ValueError(f"expected a comma-separated image like 2,1,3; got {text!r}") from None
+    if not is_permutation(image, params):
+        raise ValueError(f"{text!r} is not a permutation of 1..{params.k - 1}")
+    return image
 
 
 def parse_rule(rule: str, params: Params):
@@ -172,13 +188,9 @@ def parse_rule(rule: str, params: Params):
     if rule.startswith("pi:"):
         parts = rule.split(":")
         try:
-            pi = tuple(int(x) for x in parts[1].split(","))
-        except ValueError:
-            raise ValueError(
-                f"rule {rule!r} names no permutation image: expected integers like pi:2,1,3"
-            ) from None
-        if not is_permutation(pi, params):
-            raise ValueError(f"rule {rule!r} names an invalid permutation")
+            pi = _parse_image(parts[1], params)
+        except ValueError as exc:
+            raise ValueError(f"rule {rule!r}: {exc}") from None
         reading = READING_SELECTED
         if len(parts) == 3:
             if parts[2] != "position":

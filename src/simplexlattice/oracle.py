@@ -19,9 +19,8 @@ spends the default budget of a million nodes without finishing.
 
 from __future__ import annotations
 
-from .labeling import Labeling
+from .labeling import Labeling, _pi_descriptor
 from .lattice import Params, Perm, Point, _instance_index, _Record, coordinate
-from .verify import _edge_rule_descriptor
 
 
 class OracleResult(_Record):
@@ -164,7 +163,7 @@ def min_max_colors(params: Params, pi: Perm | None = None,
     )
     return OracleResult(
         params=params,
-        edge_rule=_edge_rule_descriptor(pi),
+        edge_rule=_pi_descriptor(pi),
         min_max_colors=best,
         witness=witness,
         nodes_explored=nodes_total,

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 
-from .labeling import READINGS, Labeling, label_all, parse_rule
+from .labeling import READINGS, Labeling, _pi_descriptor, label_all, parse_rule
 from .lattice import (
     Hyperedge,
     Params,
@@ -115,10 +115,6 @@ def check_sperner(labeling: Labeling) -> VerificationReport:
     )
 
 
-def _edge_rule_descriptor(pi: Perm | None) -> str:
-    return "identity" if pi is None else "pi:" + ",".join(str(x) for x in pi)
-
-
 def _color_scan(labeling: Labeling, pi: Perm | None, threshold: int):
     index = _instance_index(labeling.params)
     columns = index.columns(pi)
@@ -157,7 +153,7 @@ def check_colors(labeling: Labeling, pi: Perm | None = None, threshold: int = 2,
     report = VerificationReport(
         params=params,
         labeling_rule=labeling.rule,
-        edge_rule=_edge_rule_descriptor(pi),
+        edge_rule=_pi_descriptor(pi),
         threshold=threshold,
         edges_checked=sum(histogram.values()),
         max_colors_per_edge=max_colors,

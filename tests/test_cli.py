@@ -11,6 +11,7 @@ import pytest
 import simplexlattice
 from simplexlattice import Params, cli, lattice, read_labeling
 from simplexlattice.cli import main
+from simplexlattice.labeling import parse_rule
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 # Child interpreters import the same simplexlattice package as this test run.
@@ -64,6 +65,23 @@ def test_label_rejects_bad_pi(tmp_path, capsys):
     assert code == 2 and "--pi" in err
     code, _, err = run(capsys, "label", "--k", "3", "--q", "4", "--pi", "a,b", "--out", out)
     assert code == 2 and "--pi" in err
+
+
+@pytest.mark.parametrize("text, ok", [
+    ("2,1,3", True), ("3,2,1", True), (" 2,1,3", True), ("2,2,1", False),
+    ("1,2", False), ("2,1,3,4", False), ("a,b,c", False), ("", False),
+])
+def test_pi_flag_and_rule_descriptor_parse_alike(capsys, text, ok):
+    params, rule = Params(4, 5), "pi:" + text
+    code, _, err = run(capsys, "verify", "--k", "4", "--q", "5", "--pi", text)
+    assert code == (0 if ok else 2)
+    assert err.startswith("error: --pi: ") != ok
+    if ok:
+        assert parse_rule(rule, params) is not None
+    else:
+        with pytest.raises(ValueError) as refused:
+            parse_rule(rule, params)
+        assert str(refused.value).startswith(f"rule {rule!r}: ")
 
 
 def test_verify_exit_codes(capsys):
@@ -168,6 +186,14 @@ def test_facets_count_only_is_closed_form(capsys, monkeypatch):
     # 9! orderings for each of the C(48, 9) base points, were they enumerated
     assert run(capsys, "facets", "--k", "10", "--q", "40", "--count-only")[:2] == \
         (0, f"{40 ** 9}\n")
+    # int -> str writes at most 4300 digits: 10**4299 is the longest count printed
+    assert run(capsys, "facets", "--k", "4300", "--q", "10", "--count-only")[:2] == \
+        (0, f"{10 ** 4299}\n")
+    # refused from k and q alone: 2**(10**30 - 1) is never formed
+    for k, q in [(4301, 10), (10 ** 30, 2)]:
+        code, out, err = run(capsys, "facets", "--k", str(k), "--q", str(q), "--count-only")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: --k/--q: ") and "too large" in err
 
 
 def test_size_guard_refuses_before_enumerating(tmp_path, capsys, monkeypatch):

@@ -128,10 +128,18 @@ def test_oracle_witness_json_matches_json_dumps():
                              Labeling(Params(4, 1), (4, 3, 2, 1), rule), 9, True)
                 for rule in ESCAPED_RULES]
     for result in results:
-        expected = oracle_result_to_dict(result)
-        if result.witness is not None:
-            assert expected["witness"] == _json_reference(result.witness)
+        witness = result.witness
+        expected = {
+            "k": result.params.k,
+            "q": result.params.q,
+            "edge_rule": result.edge_rule,
+            "min_max_colors": result.min_max_colors,
+            "exhausted": result.exhausted,
+            "nodes_explored": result.nodes_explored,
+            "witness": None if witness is None else _json_reference(witness),
+        }
         assert write_oracle_result(result) == _dumps(expected)
+        assert list(oracle_result_to_dict(result).items()) == list(expected.items())
 
 
 def test_single_row_for_q_zero():

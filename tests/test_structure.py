@@ -1,0 +1,56 @@
+"""Which package modules each module imports, pinned to one table.
+
+Every import between the modules of ``simplexlattice`` is listed here, so a
+new dependency between them shows up as a change to this file.
+"""
+
+import ast
+from pathlib import Path
+
+import simplexlattice
+
+PACKAGE = Path(simplexlattice.__file__).resolve().parent
+
+IMPORTS = {
+    "__init__": {"_version", "io", "labeling", "lattice", "oracle", "verify"},
+    "_version": set(),
+    "cli": {"_version", "io", "labeling", "lattice", "oracle", "verify"},
+    "io": {"_version", "labeling", "lattice", "oracle", "verify"},
+    "labeling": {"lattice"},
+    "lattice": set(),
+    "oracle": {"labeling", "lattice"},
+    "verify": {"labeling", "lattice"},
+}
+
+
+def package_imports(path: Path) -> set[str]:
+    """The package modules that ``path`` imports, anywhere in its body;
+    ``from simplexlattice import name`` counts as ``__init__``."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level:
+            names = ["simplexlattice." + (node.module or alias.name) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module]
+        else:
+            continue
+        for name in names:
+            top, _, rest = name.partition(".")
+            if top == "simplexlattice":
+                found.add(rest.partition(".")[0] or "__init__")
+    return found
+
+
+def test_imports_between_modules_match_the_table():
+    modules = {path.stem: package_imports(path) for path in PACKAGE.glob("*.py")}
+    assert modules == IMPORTS
+
+
+def test_absolute_and_relative_imports_are_both_seen(tmp_path):
+    path = tmp_path / "probe.py"
+    path.write_text("import json\nfrom . import io\nfrom .lattice import Params\n"
+                    "import simplexlattice.verify\nfrom simplexlattice import cli\n"
+                    "def f():\n    from .oracle import x\n")
+    assert package_imports(path) == {"io", "lattice", "verify", "__init__", "oracle"}
