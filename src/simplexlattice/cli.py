@@ -9,7 +9,6 @@ written on exit 1.  All output is deterministic for identical invocations.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import sys
 from math import comb, factorial
@@ -17,8 +16,10 @@ from pathlib import Path
 
 from ._version import __version__
 from .io import (
+    FORMATS,
     LabelingFormatError,
     UnsupportedDimension,
+    _check_renderable,
     read_labeling,
     render_svg,
     report_to_dict,
@@ -27,7 +28,7 @@ from .io import (
     write_report,
 )
 from .labeling import READING_SELECTED, READINGS, Labeling, LabelUndefined, _parse_image, label_all
-from .lattice import Params, Perm, enumerate_facets
+from .lattice import Params, Perm, _permutations, enumerate_facets
 from .oracle import min_max_colors
 from .verify import full_report
 
@@ -135,21 +136,23 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                 f"--all-pi: k={params.k} means {params.k - 1}! permutation sweeps; "
                 f"limited to k <= {MAX_ALL_PI_K}, use --pi for single subdivisions"
             )
-        perms = list(itertools.permutations(range(1, params.k)))
+        perms = _permutations(params)
     else:
         perms = [_parse_pi(args.pi, params)]
 
-    reports = []
+    outputs, passed = [], True
     for pi in perms:
         labeling = _label(params, pi, args.reading) if external is None else external
-        reports.append(full_report(labeling, pi, args.threshold))
+        report = full_report(labeling, pi, args.threshold)
+        passed = passed and report.passed
+        # all-pi holds the capped view of each report, not the full violation lists
+        outputs.append(report_to_dict(report) if args.all_pi else report)
 
     if args.all_pi:
-        payload = json.dumps([report_to_dict(r) for r in reports], indent=2) + "\n"
-        _emit(payload.encode(), args.out)
+        _emit((json.dumps(outputs, indent=2) + "\n").encode(), args.out)
     else:
-        _emit(write_report(reports[0]), args.out)
-    return 0 if all(r.passed for r in reports) else 1
+        _emit(write_report(outputs[0]), args.out)
+    return 0 if passed else 1
 
 
 def _cmd_facets(args: argparse.Namespace) -> int:
@@ -184,12 +187,12 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def _cmd_render(args: argparse.Namespace) -> int:
-    labeling = _label(_check_size(_params(args)), None, READING_SELECTED)
+    params = _check_size(_params(args))
     try:
-        svg = render_svg(labeling)
+        _check_renderable(params)  # before labeling, which may fail at small q
     except UnsupportedDimension as exc:
         raise CliError(f"--k: {exc}") from None
-    _emit(svg, args.out)
+    _emit(render_svg(_label(params, None, READING_SELECTED)), args.out)
     return 0
 
 
@@ -211,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pi", help="permutation image, e.g. 2,1,3 (default: identity rule)")
     p.add_argument("--reading", choices=READINGS, default=READING_SELECTED)
     p.add_argument("--out", required=True, help="output path")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
+    p.add_argument("--format", choices=FORMATS, default="json")
     p.set_defaults(handler=_cmd_label)
 
     p = sub.add_parser("verify", help="check Sperner-admissibility and edge colors")

@@ -13,8 +13,6 @@ import json
 from ._version import __version__ as TOOL_VERSION
 from .labeling import Labeling
 from .lattice import Params, Point, _instance_index, vertex_rank
-from .oracle import OracleResult
-from .verify import VerificationReport
 
 FORMATS = ("json", "csv")
 
@@ -35,6 +33,11 @@ class LabelingFormatError(ValueError):
 
 class UnsupportedDimension(ValueError):
     pass
+
+
+def _check_renderable(params: Params) -> None:
+    if params.k != 3:
+        raise UnsupportedDimension(f"rendering needs k=3, got k={params.k}")
 
 
 def _labeling_json(labeling: Labeling, indent: int = 0) -> str:
@@ -247,9 +250,9 @@ def read_labeling(data: bytes) -> Labeling:
     return _read_csv(text)
 
 
-def report_to_dict(report: VerificationReport, max_violations: int = 100) -> dict:
-    """JSON-ready view of a report.  Violation lists are truncated to
-    ``max_violations`` entries; the ``*_count`` fields stay exact."""
+def report_to_dict(report, max_violations: int = 100) -> dict:
+    """JSON-ready view of a ``VerificationReport``.  Violation lists are cut
+    to ``max_violations`` entries; the ``*_count`` fields stay exact."""
     out = {
         "k": report.params.k,
         "q": report.params.q,
@@ -290,14 +293,15 @@ def report_to_dict(report: VerificationReport, max_violations: int = 100) -> dic
     return out
 
 
-def write_report(report: VerificationReport) -> bytes:
+def write_report(report) -> bytes:
+    """A ``VerificationReport`` as :func:`report_to_dict`'s JSON and a newline."""
     return (json.dumps(report_to_dict(report), indent=2) + "\n").encode()
 
 
-def write_oracle_result(result: OracleResult) -> bytes:
-    """The result as one JSON object, laid out as ``json.dumps(indent=2)``
-    lays it out, and a newline; the witness, last, is written by
-    :func:`_labeling_json`."""
+def write_oracle_result(result) -> bytes:
+    """An ``OracleResult`` as one JSON object, laid out as
+    ``json.dumps(indent=2)`` lays it out, and a newline; the witness, last,
+    is written by :func:`_labeling_json`."""
     params = result.params
     head = json.dumps(dict(k=params.k, q=params.q, edge_rule=result.edge_rule,
                            min_max_colors=result.min_max_colors, exhausted=result.exhausted,
@@ -306,7 +310,7 @@ def write_oracle_result(result: OracleResult) -> bytes:
     return f'{head},\n  "witness": {witness}\n}}\n'.encode()
 
 
-def oracle_result_to_dict(result: OracleResult) -> dict:
+def oracle_result_to_dict(result) -> dict:
     """The object :func:`write_oracle_result` writes, as a dict."""
     return json.loads(write_oracle_result(result))
 
@@ -319,9 +323,7 @@ def render_svg(labeling: Labeling) -> bytes:
     become outlined triangles, vertices circles filled by PALETTE.
     """
     params = labeling.params
-    if params.k != 3:
-        raise UnsupportedDimension(f"rendering needs k=3, got k={params.k}")
-
+    _check_renderable(params)
     size, margin = 480.0, 40.0
     scale = (size - 2 * margin) / max(params.q, 1)
 

@@ -38,6 +38,7 @@ from .lattice import (
     _Frozen,
     _instance_index,
     coordinate,
+    identity_permutation,
     is_permutation,
     vertex_rank,
 )
@@ -87,13 +88,7 @@ def deficiency(v: Point, params: Params) -> int:
 
 def argmin_index(v: Point, params: Params) -> int:
     """Smallest index attaining the deficiency; 0 exactly when it is 0."""
-    best = 0
-    best_t = 0
-    for t in range(1, params.k + 1):
-        value = t - coordinate(v, t, params)
-        if value > best:
-            best, best_t = value, t
-    return best_t
+    return selected_index_pi(v, identity_permutation(params), params)
 
 
 def label(v: Point, params: Params) -> int:
@@ -103,10 +98,7 @@ def label(v: Point, params: Params) -> int:
     attaining the maximum of ``t - v_t`` has a strictly larger successor
     coordinate, otherwise the successor would exceed the maximum.
     """
-    i = argmin_index(v, params)
-    if i == params.k:
-        raise LabelUndefined(v, params)
-    return i + 1
+    return label_pi(v, identity_permutation(params), params)
 
 
 def _scan(v: Point, pi: Perm, params: Params) -> tuple[int, int]:

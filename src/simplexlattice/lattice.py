@@ -155,6 +155,12 @@ def identity_permutation(params: Params) -> Perm:
     return tuple(range(1, params.k))
 
 
+def _permutations(params: Params) -> list[Perm]:
+    """Every permutation image over 1..k-1 in lexicographic order, the order
+    of every sweep over all of them (facets, all-pi reports)."""
+    return list(itertools.permutations(range(1, params.k)))
+
+
 def enumerate_vertices(params: Params) -> list[Point]:
     """All lattice points, in lexicographic order.
 
@@ -267,7 +273,7 @@ def enumerate_facets(params: Params) -> list[tuple[Point, Perm]]:
     this very enumeration.
     """
     base_points = enumerate_vertices(params.base())
-    perms = list(itertools.permutations(range(1, params.k)))
+    perms = _permutations(params)
     return [(v, pi) for v in base_points for pi in perms if is_consistent(pi, v)]
 
 

@@ -9,7 +9,6 @@ lie).
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 
 from .labeling import READINGS, Labeling, _pi_descriptor, label_all, parse_rule
@@ -22,6 +21,7 @@ from .lattice import (
     _instance_index,
     _Record,
     _inverse_descent_mask,
+    _permutations,
     identity_permutation,
 )
 
@@ -196,19 +196,14 @@ def full_report(labeling: Labeling, pi: Perm | None = None, threshold: int = 2,
     return report
 
 
-def check_all_pi(params: Params, threshold: int = 2, reading: str = "selected-index",
-                 include_inconsistent: bool = False) -> list[VerificationReport]:
+def check_all_pi(params: Params, threshold: int = 2) -> list[VerificationReport]:
     """Build and check the permutation-rule labeling for every permutation.
 
     Reports come back in lexicographic permutation-image order.  For
     ``q < k`` the rule is partial and this propagates
     :class:`~simplexlattice.labeling.LabelUndefined`.
     """
-    reports = []
-    for pi in itertools.permutations(range(1, params.k)):
-        labeling = label_all(params, pi, reading)
-        reports.append(full_report(labeling, pi, threshold, include_inconsistent))
-    return reports
+    return [full_report(label_all(params, pi), pi, threshold) for pi in _permutations(params)]
 
 
 def compare_pi_readings(params: Params, pi: Perm,

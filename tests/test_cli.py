@@ -3,6 +3,7 @@ import os
 import shutil
 import subprocess
 import sys
+import weakref
 from math import comb, factorial
 from pathlib import Path
 
@@ -106,6 +107,31 @@ def test_verify_pi_and_all_pi(capsys):
     reports = json.loads(out)
     assert [r["edge_rule"] for r in reports] == ["pi:1,2", "pi:2,1"]
     assert all(r["passed"] for r in reports)
+
+    code, out, _ = run(capsys, "verify", "--k", "4", "--q", "5", "--all-pi")
+    assert code == 0
+    reports = json.loads(out)
+    assert [r["edge_rule"] for r in reports] == ["pi:1,2,3", "pi:1,3,2", "pi:2,1,3",
+                                                 "pi:2,3,1", "pi:3,1,2", "pi:3,2,1"]
+    assert all(r["passed"] for r in reports)
+
+
+def test_all_pi_holds_one_full_report_at_a_time(monkeypatch, capsys):
+    # the output keeps a capped view of each report, so no full report (with
+    # every violation) needs to outlive the next one being built
+    full_report, returned, alive = cli.full_report, [], []
+
+    def recording(*args):
+        alive.append(sum(ref() is not None for ref in returned))
+        report = full_report(*args)
+        returned.append(weakref.ref(report))
+        return report
+
+    monkeypatch.setattr(cli, "full_report", recording)
+    code, out, _ = run(capsys, "verify", "--k", "4", "--q", "4", "--all-pi", "--threshold", "1")
+    assert code == 1
+    assert len(json.loads(out)) == len(alive) == 6
+    assert max(alive) <= 1
 
 
 def test_verify_position_reading(capsys):
@@ -290,6 +316,11 @@ def test_render(tmp_path, capsys):
     code, _, err = run(capsys, "render", "--k", "3", "--q", "2",
                        "--out", str(tmp_path / "no.svg"))
     assert code == 2 and "--q" in err
+
+    # k != 3 is refused before labeling, even where the rule is undefined
+    code, _, err = run(capsys, "render", "--k", "4", "--q", "2",
+                       "--out", str(tmp_path / "no.svg"))
+    assert code == 2 and err == "error: --k: rendering needs k=3, got k=4\n"
 
 
 def test_out_flag_redirects_report(tmp_path, capsys):

@@ -8,14 +8,16 @@ import ast
 from pathlib import Path
 
 import simplexlattice
+from simplexlattice import cli, lattice
 
 PACKAGE = Path(simplexlattice.__file__).resolve().parent
+TRACED_PASS = Path(__file__).resolve().parents[1] / "bench" / "traced_pass.py"
 
 IMPORTS = {
     "__init__": {"_version", "io", "labeling", "lattice", "oracle", "verify"},
     "_version": set(),
     "cli": {"_version", "io", "labeling", "lattice", "oracle", "verify"},
-    "io": {"_version", "labeling", "lattice", "oracle", "verify"},
+    "io": {"_version", "labeling", "lattice"},
     "labeling": {"lattice"},
     "lattice": set(),
     "oracle": {"labeling", "lattice"},
@@ -54,3 +56,27 @@ def test_absolute_and_relative_imports_are_both_seen(tmp_path):
                     "import simplexlattice.verify\nfrom simplexlattice import cli\n"
                     "def f():\n    from .oracle import x\n")
     assert package_imports(path) == {"io", "lattice", "verify", "__init__", "oracle"}
+
+
+def names_used_from_package(path: Path) -> dict[str, set[str]]:
+    """The attributes ``path`` reads or replaces on the names ``cli`` and
+    ``lattice``, and the names it imports from ``simplexlattice``."""
+    used = {"cli": set(), "lattice": set(), "simplexlattice": set()}
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in used:
+            used[node.value.id].add(node.attr)
+        elif isinstance(node, ast.ImportFrom) and node.module == "simplexlattice":
+            used["simplexlattice"].update(alias.name for alias in node.names)
+    return used
+
+
+def test_benchmark_tracer_finds_every_name_it_wraps_or_probes():
+    # the traced benchmark pass wraps names in cli and lattice and probes the
+    # package's public names; a missing one breaks only that pass
+    used = names_used_from_package(TRACED_PASS)
+    assert {"label_all", "full_report", "report_to_dict", "main"} <= used["cli"]
+    assert "enumerate_facets" in used["lattice"]
+    assert {"check_all_pi", "pi_hyperedge", "Params"} <= used["simplexlattice"]
+    for module, names in ((cli, used["cli"]), (lattice, used["lattice"]),
+                          (simplexlattice, used["simplexlattice"])):
+        assert [name for name in sorted(names) if not hasattr(module, name)] == []

@@ -127,7 +127,10 @@ def test_check_all_pi_small():
     assert reports[0].labeling_rule == "identity"
     assert reports[1].labeling_rule == "pi:2,1"
 
-    assert all(r.passed for r in check_all_pi(Params(4, 5), 2))
+    reports = check_all_pi(Params(4, 5), 2)
+    assert [r.edge_rule for r in reports] == ["pi:1,2,3", "pi:1,3,2", "pi:2,1,3",
+                                              "pi:2,3,1", "pi:3,1,2", "pi:3,2,1"]
+    assert all(r.passed for r in reports)
 
 
 def test_check_all_pi_probe_at_q_equals_k():
