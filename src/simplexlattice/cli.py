@@ -9,7 +9,6 @@ written on exit 1.  All output is deterministic for identical invocations.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from math import comb, factorial
 from pathlib import Path
@@ -20,6 +19,7 @@ from .io import (
     LabelingFormatError,
     UnsupportedDimension,
     _check_renderable,
+    _report_json,
     read_labeling,
     render_svg,
     report_to_dict,
@@ -145,11 +145,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         labeling = _label(params, pi, args.reading) if external is None else external
         report = full_report(labeling, pi, args.threshold)
         passed = passed and report.passed
-        # all-pi holds the capped view of each report, not the full violation lists
-        outputs.append(report_to_dict(report) if args.all_pi else report)
+        # all-pi holds the bytes of each report's capped view, not the report
+        outputs.append(_report_json(report_to_dict(report), 2).encode() if args.all_pi
+                       else report)
 
     if args.all_pi:
-        _emit((json.dumps(outputs, indent=2) + "\n").encode(), args.out)
+        # json.dumps(views, indent=2): each view two spaces in, one per line
+        _emit(b"[\n  " + b",\n  ".join(outputs) + b"\n]\n", args.out)
     else:
         _emit(write_report(outputs[0]), args.out)
     return 0 if passed else 1

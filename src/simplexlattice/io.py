@@ -236,16 +236,19 @@ def _read_csv(text: str) -> Labeling:
 def read_labeling(data: bytes) -> Labeling:
     """Parse a labeling file written by :func:`write_labeling`.
 
-    The format is sniffed: JSON when the first byte is ``{``, CSV
-    otherwise.  Raises LabelingFormatError with the offending row number
-    for malformed rows, wrong row counts, out-of-range colors, and
-    duplicate vertices; any other undecodable input raises it too.
+    The format is sniffed: JSON when the first character after any
+    leading whitespace is ``{``, ``[`` or a byte order mark, CSV otherwise,
+    so that a JSON file of the wrong shape, or one behind a byte order
+    mark, is refused as JSON.  Raises LabelingFormatError with the
+    offending row number for malformed rows, wrong row counts, out-of-range
+    colors, and duplicate vertices; any other undecodable input raises it
+    too.
     """
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise LabelingFormatError(f"not UTF-8 text: {exc}") from None
-    if text.lstrip()[:1] == "{":
+    if text.lstrip()[:1] in ("{", "[", "\ufeff"):
         return _read_json(text)
     return _read_csv(text)
 
@@ -293,9 +296,17 @@ def report_to_dict(report, max_violations: int = 100) -> dict:
     return out
 
 
+def _report_json(view: dict, indent: int = 0) -> str:
+    """A :func:`report_to_dict` view as ``json.dumps(indent=2)`` lays it out,
+    each line after the first shifted right by ``indent`` spaces, as it
+    reads nested at that depth (the text holds no line break of its own:
+    ``json.dumps`` escapes those in strings)."""
+    return json.dumps(view, indent=2).replace("\n", "\n" + " " * indent)
+
+
 def write_report(report) -> bytes:
     """A ``VerificationReport`` as :func:`report_to_dict`'s JSON and a newline."""
-    return (json.dumps(report_to_dict(report), indent=2) + "\n").encode()
+    return (_report_json(report_to_dict(report)) + "\n").encode()
 
 
 def write_oracle_result(result) -> bytes:

@@ -10,17 +10,26 @@ through :mod:`simplexlattice.verify`.
 
 The point is auditability, not speed.  The search is a deterministic
 depth-first backtracking over vertices in rank order with ascending colors,
-so repeated runs explore identical node sequences.  Its cost is the number
-of nodes, not the number of vertices: some instances with hundreds or
-thousands of vertices finish in a few thousand nodes (``(6, 6)``, 462
-vertices; ``(3, 50)``, 1326 vertices), while ``(6, 4)`` with 126 vertices
-spends the default budget of a million nodes without finishing.
+so repeated runs explore identical node sequences.  A node is one color
+tried at one vertex, whether it fits or is rejected; the budget counts
+nodes.  Its cost is the number of nodes, not the number of vertices: some
+instances with hundreds or thousands of vertices finish in a few thousand
+nodes (``(6, 6)``, 462 vertices; ``(3, 50)``, 1326 vertices), while
+``(6, 4)`` with 126 vertices spends the default budget of a million nodes
+without finishing.
+
+The search keeps each cell's colors as a bit set, which decides all of a
+vertex's colors with one AND instead of trying them one by one, and counts
+the nodes that trying them would have taken (see :func:`_search`).  The
+plainly auditable spelling, a color-by-color loop over Python sets, is kept
+in ``tests/test_oracle.py`` as the reference this search must replay node
+for node.
 """
 
 from __future__ import annotations
 
 from .labeling import Labeling, _pi_descriptor
-from .lattice import Params, Perm, Point, _instance_index, _Record, coordinate
+from .lattice import Params, Perm, Point, _instance_index, _Record
 
 
 class OracleResult(_Record):
@@ -48,65 +57,104 @@ class OracleResult(_Record):
 def admissible_colors(v: Point, params: Params) -> frozenset[int]:
     """Colors ``c`` with ``v_c > v_{c-1}``; nonempty whenever ``q >= 1``
     because the virtual coordinates rise from 0 to q overall."""
-    return frozenset(
-        c for c in range(1, params.k + 1)
-        if coordinate(v, c, params) > coordinate(v, c - 1, params)
-    )
+    padded = (0, *v, params.q)  # v_0 = 0 and v_k = q, as coordinate() reads them
+    return frozenset(c for c in range(1, params.k + 1) if padded[c] > padded[c - 1])
 
 
-def _search(domains, incidence, num_edges, threshold, node_budget):
-    """First admissible assignment with every edge at <= threshold colors.
+def _search_tables(params: Params, pi: Perm | None):
+    """What every threshold stage of the search reads, built once per instance.
 
-    Depth-first over vertices in rank order, colors ascending, with an
+    ``domains[r]`` holds vertex ``r``'s admissible colors as a bit set, bit
+    ``c`` for color ``c``.  A cell lists its vertices in rising rank, so it
+    is empty when its first vertex is colored and nothing reads it after its
+    last: ``reads[r]`` holds the cells of ``r`` that ``r`` does not start,
+    ``writes[r]`` those that ``r`` does not end.
+    """
+    index = _instance_index(params)
+    cells = index.cells(pi)
+    reads: list[list[int]] = [[] for _ in index.vertices]
+    writes: list[list[int]] = [[] for _ in index.vertices]
+    for e, cell in enumerate(cells):
+        for r in cell[1:]:
+            reads[r].append(e)
+        for r in cell[:-1]:
+            writes[r].append(e)
+    domains = [sum(1 << c for c in admissible_colors(v, params)) for v in index.vertices]
+    return domains, reads, writes, len(cells)
+
+
+def _search(domains, reads, writes, num_cells, threshold, node_budget):
+    """First admissible assignment with every cell at <= threshold colors.
+
+    Depth-first over vertices in rank order, colors ascending, on an
     explicit stack so that depth is not bounded by the interpreter's
-    recursion limit.  Returns (assignment or None, nodes used, completed
-    flag); completed is False when the node budget ran out before the
-    search finished.
+    recursion limit.  A node is one color tried at one vertex, whether it
+    fits or not.  Returns (assignment or None, nodes used, completed flag);
+    completed is False when the node budget ran out before the search
+    finished.
+
+    Each cell's colors are one bit set, and ``limit[e]`` is that set once
+    cell ``e`` holds ``threshold`` colors (-1 before): a color fits iff
+    every cell the vertex reads has room or holds it already.  Those cells
+    do not change while one depth's colors are tried, so one AND on entering
+    the depth leaves exactly the colors that trying each in turn would
+    accept.  The lowest is taken, and each untried color below it counts as
+    the node that would have been tried and rejected first; a depth with
+    none left counts all its untried colors and backtracks.  A step that
+    would pass the budget stops the search at the budget, where trying one
+    color at a time stops too.  That color-by-color loop, which this
+    replays node for node, is the reference in ``tests/test_oracle.py``.
     """
     n = len(domains)
     if n == 0:
         return [], 0, True
-    assignment = [0] * n
-    edge_sets: list[set[int]] = [set() for _ in range(num_edges)]
-    colors_left: list = [None] * n  # at each depth, the colors not yet tried
-    entered_at: list = [None] * n  # edges the color at each depth entered
+    colors = [0] * num_cells
+    limit = [-1] * num_cells
+    # Per depth: the allowed colors above the one taken, that color, and the
+    # cells it entered, packed as e + 1 in `width` bits each.  Ints only, so
+    # a deep search leaves no containers for the garbage collector to scan.
+    rest, chosen, entered_at = [0] * n, [0] * n, [0] * n
+    width = num_cells.bit_length()
+    mask = (1 << width) - 1
     nodes = 0
     i = 0
-    colors, edges = iter(domains[0]), incidence[0]
+    untried = allowed = domains[0]
     while True:
-        for c in colors:
-            if nodes >= node_budget:
-                return None, nodes, False
-            nodes += 1
-            entered = []
-            for e in edges:
-                present = edge_sets[e]
-                if c in present:
-                    continue
-                if len(present) >= threshold:
-                    break
-                present.add(c)
-                entered.append(e)
-            else:
-                break  # feasible: descend
-            for e in entered:
-                edge_sets[e].remove(c)
+        if allowed:
+            c = allowed & -allowed
+            nodes += (untried & (c - 1)).bit_count() + 1
+            if nodes > node_budget:
+                return None, node_budget, False
+            entered = 0
+            for e in writes[i]:
+                s = colors[e]
+                if not s & c:
+                    colors[e] = s = s | c
+                    entered = entered << width | e + 1
+                    if s.bit_count() == threshold:
+                        limit[e] = s
+            rest[i], chosen[i], entered_at[i] = allowed & (allowed - 1), c, entered
+            i += 1
+            if i == n:
+                return [c.bit_length() - 1 for c in chosen], nodes, True
+            untried = allowed = domains[i]
+            for e in reads[i]:
+                allowed &= limit[e]
         else:
-            # out of colors at depth i: take back the color one level up and
-            # resume that level's scan where it stopped
+            # out of colors at depth i: take back the color one level up
+            nodes += untried.bit_count()
+            if nodes > node_budget:
+                return None, node_budget, False
             i -= 1
             if i < 0:
                 return None, nodes, True
-            c, colors, edges = assignment[i], colors_left[i], incidence[i]
-            for e in entered_at[i]:
-                edge_sets[e].remove(c)
-            continue
-        assignment[i], colors_left[i], entered_at[i] = c, colors, entered
-        i += 1
-        if i == n:
-            return list(assignment), nodes, True
-        colors, edges = iter(domains[i]), incidence[i]
-
+            allowed, c, entered = rest[i], chosen[i], entered_at[i]
+            untried = domains[i] & -(c << 1)
+            while entered:
+                e = (entered & mask) - 1
+                entered >>= width
+                colors[e] ^= c
+                limit[e] = -1
 
 def min_max_colors(params: Params, pi: Perm | None = None,
                    budget: int = 1_000_000) -> OracleResult:
@@ -126,13 +174,7 @@ def min_max_colors(params: Params, pi: Perm | None = None,
     if budget < 0:
         raise ValueError("budget must be nonnegative")
 
-    index = _instance_index(params)
-    cells = index.cells(pi)
-    incidence: list[list[int]] = [[] for _ in index.vertices]
-    for e_index, cell in enumerate(cells):
-        for r in cell:
-            incidence[r].append(e_index)
-    domains = [sorted(admissible_colors(v, params)) for v in index.vertices]
+    tables = _search_tables(params, pi)
 
     nodes_total = 0
     best = params.k  # k-uniform cells never exceed k colors
@@ -141,9 +183,7 @@ def min_max_colors(params: Params, pi: Perm | None = None,
 
     threshold = params.k
     while threshold >= 1:
-        solution, nodes, completed = _search(
-            domains, incidence, len(cells), threshold, budget - nodes_total
-        )
+        solution, nodes, completed = _search(*tables, threshold, budget - nodes_total)
         nodes_total += nodes
         if not completed:
             break

@@ -3,6 +3,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from math import comb, factorial
 from pathlib import Path
@@ -10,7 +11,8 @@ from pathlib import Path
 import pytest
 
 import simplexlattice
-from simplexlattice import Params, cli, lattice, read_labeling
+from simplexlattice import (Params, check_all_pi, cli, full_report, label_all, lattice,
+                            read_labeling, report_to_dict, write_labeling)
 from simplexlattice.cli import main
 from simplexlattice.labeling import parse_rule
 
@@ -132,6 +134,45 @@ def test_all_pi_holds_one_full_report_at_a_time(monkeypatch, capsys):
     assert code == 1
     assert len(json.loads(out)) == len(alive) == 6
     assert max(alive) <= 1
+
+
+def test_all_pi_payload_is_json_dumps_of_the_views(tmp_path):
+    def payload(*argv):
+        out = tmp_path / "all.json"
+        main(["verify", *argv, "--all-pi", "--out", str(out)])
+        return out.read_bytes()
+
+    def dumped(views):
+        return (json.dumps(views, indent=2) + "\n").encode()
+
+    # threshold 1: every view lists violating cells, some up to the cap of 100
+    for k, q in [(3, 4), (4, 4), (5, 7)]:
+        views = [report_to_dict(report) for report in check_all_pi(Params(k, q), 1)]
+        assert any(len(view["violating_edges"]) == 100 for view in views) == (k == 5)
+        assert payload("--k", str(k), "--q", str(q), "--threshold", "1") == dumped(views)
+    # a labeling file checked against the cells of every permutation
+    params, labels = Params(4, 5), tmp_path / "labels.csv"
+    labeling = label_all(params, (3, 1, 2))
+    labels.write_bytes(write_labeling(labeling, "csv"))
+    views = [report_to_dict(full_report(labeling, pi, 2))
+             for pi in lattice._permutations(params)]
+    assert not all(view["passed"] for view in views)
+    assert payload("--k", "4", "--q", "5", "--labels", str(labels)) == dumped(views)
+
+
+def test_all_pi_peak_memory_stays_near_the_output_size(tmp_path):
+    # the views' text is made one permutation at a time, not by one dump of
+    # every view at the end
+    out = tmp_path / "all.json"
+    argv = ["verify", "--k", "5", "--q", "7", "--all-pi", "--threshold", "1", "--out", str(out)]
+    main(argv)  # builds the instance caches outside the measurement
+    tracemalloc.start()
+    try:
+        assert main(argv) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * out.stat().st_size
 
 
 def test_verify_position_reading(capsys):

@@ -230,6 +230,16 @@ def test_json_errors():
         expect_error(_mangled_json(lambda d: d.update(field)), "bad header")
 
 
+def test_json_that_does_not_open_an_object_is_refused_as_json():
+    written = write_labeling(label_all(Params(3, 4)))
+    # an array of rows, and the writer's own file behind a UTF-8 byte order
+    # mark, were read as CSV and refused for a header line
+    expect_error(json.dumps(json.loads(written)["labels"]).encode(),
+                 "expected an object with a 'labels' array")
+    expect_error(b"  [1, 2]", "expected an object with a 'labels' array")
+    expect_error(b"\xef\xbb\xbf" + written, "invalid JSON: Unexpected UTF-8 BOM")
+
+
 def _mangled_csv(mutate):
     lines = write_labeling(label_all(Params(3, 4)), "csv").decode().splitlines()
     mutate(lines)

@@ -15,6 +15,8 @@ from simplexlattice import (
     min_max_colors,
 )
 from simplexlattice.labeling import LabelUndefined
+from simplexlattice.lattice import _instance_index, coordinate
+from simplexlattice.oracle import _search, _search_tables
 
 
 def brute_force_min_max(params):
@@ -34,6 +36,114 @@ def brute_force_min_max(params):
         worst = max(len({colors[i] for i in edge}) for edge in edges)
         best = min(best, worst)
     return best
+
+
+# The search as it was written before its state became bit sets, kept
+# verbatim as the auditable spelling of the node sequence: one node per color
+# tried, each checked against every cell of the vertex in turn.
+def reference_search(domains, incidence, num_edges, threshold, node_budget):
+    """First admissible assignment with every edge at <= threshold colors.
+
+    Depth-first over vertices in rank order, colors ascending, with an
+    explicit stack so that depth is not bounded by the interpreter's
+    recursion limit.  Returns (assignment or None, nodes used, completed
+    flag); completed is False when the node budget ran out before the
+    search finished.
+    """
+    n = len(domains)
+    if n == 0:
+        return [], 0, True
+    assignment = [0] * n
+    edge_sets: list[set[int]] = [set() for _ in range(num_edges)]
+    colors_left: list = [None] * n  # at each depth, the colors not yet tried
+    entered_at: list = [None] * n  # edges the color at each depth entered
+    nodes = 0
+    i = 0
+    colors, edges = iter(domains[0]), incidence[0]
+    while True:
+        for c in colors:
+            if nodes >= node_budget:
+                return None, nodes, False
+            nodes += 1
+            entered = []
+            for e in edges:
+                present = edge_sets[e]
+                if c in present:
+                    continue
+                if len(present) >= threshold:
+                    break
+                present.add(c)
+                entered.append(e)
+            else:
+                break  # feasible: descend
+            for e in entered:
+                edge_sets[e].remove(c)
+        else:
+            # out of colors at depth i: take back the color one level up and
+            # resume that level's scan where it stopped
+            i -= 1
+            if i < 0:
+                return None, nodes, True
+            c, colors, edges = assignment[i], colors_left[i], incidence[i]
+            for e in entered_at[i]:
+                edge_sets[e].remove(c)
+            continue
+        assignment[i], colors_left[i], entered_at[i] = c, colors, entered
+        i += 1
+        if i == n:
+            return list(assignment), nodes, True
+        colors, edges = iter(domains[i]), incidence[i]
+
+
+def reference_tables(params, pi):
+    """The cell incidence lists and sorted domains ``reference_search`` takes."""
+    cells = _instance_index(params).cells(pi)
+    incidence = [[] for _ in range(params.num_vertices)]
+    for e_index, cell in enumerate(cells):
+        for r in cell:
+            incidence[r].append(e_index)
+    domains = [sorted(admissible_colors(v, params)) for v in enumerate_vertices(params)]
+    return domains, incidence, len(cells)
+
+
+def three_pis(k):
+    """The identity, the reversed image and a rotation of ``1..k-1``."""
+    return [None, tuple(range(k - 1, 0, -1)), (*range(2, k), 1)]
+
+
+def test_search_replays_the_reference_node_sequence():
+    budgets = [*range(40), 997, 20_000]
+    # every kind of stage: solved, proved infeasible, and out of budget
+    for k, q in [(3, 1), (3, 2), (3, 3), (3, 8), (4, 1), (4, 2), (4, 3), (4, 4), (5, 1),
+                 (5, 2), (5, 3), (5, 4), (6, 1), (6, 2), (6, 3), (7, 1), (7, 2), (7, 3)]:
+        params = Params(k, q)
+        for pi in three_pis(k):
+            # reads and writes rest on each cell rising in rank
+            assert all(list(cell) == sorted(set(cell))
+                       for cell in _instance_index(params).cells(pi))
+            reference, tables = reference_tables(params, pi), _search_tables(params, pi)
+            for threshold in range(1, k + 1):
+                for budget in budgets:
+                    assert _search(*tables, threshold, budget) == \
+                        reference_search(*reference, threshold, budget), \
+                        (k, q, pi, threshold, budget)
+
+
+def test_search_replays_the_reference_on_budget_bound_instances():
+    for k, q in [(6, 4), (7, 5)]:
+        params = Params(k, q)
+        expected = reference_search(*reference_tables(params, None), 2, 50_000)
+        assert expected[1:] == (50_000, False)
+        assert _search(*_search_tables(params, None), 2, 50_000) == expected
+
+
+def test_admissible_colors_match_the_coordinate_definition():
+    for params in [Params(3, 4), Params(4, 5), Params(6, 3), Params(8, 2)]:
+        for v in enumerate_vertices(params):
+            assert admissible_colors(v, params) == {
+                c for c in range(1, params.k + 1)
+                if coordinate(v, c, params) > coordinate(v, c - 1, params)
+            }, (params, v)
 
 
 def test_admissible_colors_examples():

@@ -5,10 +5,14 @@ new dependency between them shows up as a change to this file.
 """
 
 import ast
+import json
 from pathlib import Path
 
+import pytest
+
 import simplexlattice
-from simplexlattice import cli, lattice
+from simplexlattice import Params, cli, lattice
+from simplexlattice.labeling import READING_SELECTED, LabelUndefined
 
 PACKAGE = Path(simplexlattice.__file__).resolve().parent
 TRACED_PASS = Path(__file__).resolve().parents[1] / "bench" / "traced_pass.py"
@@ -80,3 +84,30 @@ def test_benchmark_tracer_finds_every_name_it_wraps_or_probes():
     for module, names in ((cli, used["cli"]), (lattice, used["lattice"]),
                           (simplexlattice, used["simplexlattice"])):
         assert [name for name in sorted(names) if not hasattr(module, name)] == []
+
+
+def test_benchmark_tracer_call_shapes_reach_the_package():
+    # the traced pass calls each name it wraps with these argument shapes
+    # (positional budget included); a changed signature breaks only that pass
+    for k, q in [(3, 2), (3, 4)]:
+        params = Params(k, q)
+        result = cli.min_max_colors(params, None, 1_000_000)
+        assert result.exhausted and result.min_max_colors == 2
+        assert json.loads(cli.write_oracle_result(result))["nodes_explored"] == \
+            result.nodes_explored
+        labelings = [result.witness]
+        for pi in (None, (2, 1)):
+            if q < k:  # the rule is partial here; the CLI reports it as a usage error
+                with pytest.raises(LabelUndefined):
+                    cli.label_all(params, pi)
+            else:
+                labelings += [cli.label_all(params, pi),
+                              cli.label_all(params, pi, READING_SELECTED)]
+        for labeling in labelings:
+            for fmt in ("json", "csv"):
+                assert cli.read_labeling(cli.write_labeling(labeling, fmt)) == labeling
+            for pi in (None, (2, 1)):
+                report = cli.full_report(labeling, pi, 2)
+                assert json.loads(cli.write_report(report)) == cli.report_to_dict(report)
+            assert cli.render_svg(labeling).startswith(b"<?xml")
+        assert len(lattice.enumerate_facets(params)) == q ** (k - 1)
