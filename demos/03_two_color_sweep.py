@@ -9,7 +9,8 @@ the same on each subdivision H^pi_{k,q}.  Nothing here is sampled: every
 vertex and every cell in range is checked.
 """
 
-from simplexlattice import Params, check_all_pi, full_report, label_all
+from simplexlattice import (Params, check_all_pi, enumerate_vertices, full_report,
+                            is_consistent, label_all, label_pi)
 
 print("plain rule, identity cells:")
 print(f"{'k':>2} {'q':>2} {'cells':>6} {'histogram':>16} {'max':>4}  verdict")
@@ -42,9 +43,15 @@ print(f"  k=3, q=4 at threshold 1: {len(report.violating_edges)} violating cells
       f"first is base {report.violating_edges[0][0]} "
       f"with colors {report.violating_edges[0][2]}")
 
-# strict mode: what happens on the non-cells of a subdivision?
-lab = label_all(Params(3, 4), (2, 1))
-strict = full_report(lab, (2, 1), 2, include_inconsistent=True)
-print(f"\ninformational: pi=(2,1) has {strict.inconsistent_cells_checked} "
-      f"inconsistent bases; color histogram there {strict.inconsistent_histogram} "
-      f"(no claim attaches to these)")
+# the non-cells: where pi breaks a tie v_1 = v_2 the wrong way, stepping the
+# coordinates leaves the lattice, so no cell is based there
+params, pi = Params(3, 4), (2, 1)
+print(f"\nbases of V_(3,3) inconsistent with pi={pi}, stepped anyway "
+      f"(no claim attaches to these):")
+for v in enumerate_vertices(params.base()):
+    if not is_consistent(pi, v):
+        steps = [v]
+        for i in reversed(pi):  # e_pi(k-1) first, as a cell steps
+            steps.append(tuple(x + (j == i) for j, x in enumerate(steps[-1], 1)))
+        colors = sorted({label_pi(u, pi, params) for u in steps})
+        print(f"  {v} -> {' -> '.join(map(str, steps[1:]))}: colors {colors}")

@@ -9,6 +9,7 @@ written on exit 1.  All output is deterministic for identical invocations.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from math import comb, factorial
 from pathlib import Path
@@ -84,7 +85,8 @@ def _parse_pi(text: str | None, params: Params) -> Perm | None:
 
 def _emit(data: bytes, out: str | None) -> None:
     if out is None:
-        sys.stdout.write(data.decode())
+        sys.stdout.flush()  # anything printed before goes first
+        sys.stdout.buffer.write(data)
         return
     try:
         Path(out).write_bytes(data)
@@ -259,9 +261,17 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # a closed pipe is seen here, not at interpreter exit
+        return code
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except BrokenPipeError as exc:
+        # the reader closed stdout; what is still buffered goes to devnull, so
+        # the flush at interpreter exit cannot raise a second time
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: stdout: {exc}", file=sys.stderr)
         return 2
 
 

@@ -256,7 +256,7 @@ def read_labeling(data: bytes) -> Labeling:
 def report_to_dict(report, max_violations: int = 100) -> dict:
     """JSON-ready view of a ``VerificationReport``.  Violation lists are cut
     to ``max_violations`` entries; the ``*_count`` fields stay exact."""
-    out = {
+    return {
         "k": report.params.k,
         "q": report.params.q,
         "labeling_rule": report.labeling_rule,
@@ -286,14 +286,6 @@ def report_to_dict(report, max_violations: int = 100) -> dict:
         ],
         "passed": report.passed,
     }
-    if report.inconsistent_cells_checked is not None:
-        out["inconsistent_cells_checked"] = report.inconsistent_cells_checked
-        out["inconsistent_histogram"] = {
-            str(n): count
-            for n, count in sorted(report.inconsistent_histogram.items())
-        }
-        out["inconsistent_max_colors"] = report.inconsistent_max_colors
-    return out
 
 
 def _report_json(view: dict, indent: int = 0) -> str:

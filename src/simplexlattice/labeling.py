@@ -20,10 +20,6 @@ admissibility; see :func:`simplexlattice.verify.compare_pi_readings`.
 Whenever ``q >= k`` the rules are total.  For ``q < k`` some points attain
 their deficiency only at index ``k``, where no color exists; those raise
 :class:`LabelUndefined`.
-
-The arithmetic here never requires its input to be weakly increasing, and
-that is deliberate: the verifier's strict mode evaluates the rules on raw
-integer tuples that fall outside the lattice.
 """
 
 from __future__ import annotations
@@ -167,31 +163,6 @@ def _parse_image(text: str, params: Params) -> Perm:
     if not is_permutation(image, params):
         raise ValueError(f"{text!r} is not a permutation of 1..{params.k - 1}")
     return image
-
-
-def parse_rule(rule: str, params: Params):
-    """Return the point -> color function a descriptor names, or None.
-
-    Unknown descriptors (external files, oracle witnesses) yield None: their
-    colors are data, not something this package can recompute.
-    """
-    if rule == "identity":
-        return lambda v: label(v, params)
-    if rule.startswith("pi:"):
-        parts = rule.split(":")
-        try:
-            pi = _parse_image(parts[1], params)
-        except ValueError as exc:
-            raise ValueError(f"rule {rule!r}: {exc}") from None
-        reading = READING_SELECTED
-        if len(parts) == 3:
-            if parts[2] != "position":
-                raise ValueError(f"unknown rule modifier in {rule!r}")
-            reading = READING_POSITION
-        elif len(parts) > 3:
-            raise ValueError(f"malformed rule descriptor {rule!r}")
-        return lambda v: label_pi(v, pi, params, reading)
-    return None
 
 
 @lru_cache(maxsize=4)

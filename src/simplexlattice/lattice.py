@@ -241,12 +241,6 @@ def pi_hyperedge(v: Point, pi: Perm, params: Params) -> Hyperedge:
     _check_permutation(pi, params)
     if not is_consistent(pi, v):
         raise InconsistentPair(f"permutation {pi} is not consistent with {v}")
-    return _build_cell(v, pi, params)
-
-
-def _build_cell(v: Point, pi: Perm, params: Params) -> Hyperedge:
-    # No consistency check here; verify's informational strict mode uses this
-    # to look at non-cells as well.
     current = list(v)
     vertices = [tuple(current)]
     for t in range(params.k - 1, 0, -1):

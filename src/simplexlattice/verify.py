@@ -11,16 +11,14 @@ from __future__ import annotations
 
 from collections import Counter
 
-from .labeling import READINGS, Labeling, _pi_descriptor, label_all, parse_rule
+from .labeling import READINGS, Labeling, _pi_descriptor, label_all
 from .lattice import (
     Hyperedge,
     Params,
     Perm,
     Point,
-    _build_cell,
     _instance_index,
     _Record,
-    _inverse_descent_mask,
     _permutations,
     identity_permutation,
 )
@@ -34,16 +32,13 @@ class VerificationReport(_Record):
     """Outcome of checking one labeling against one edge set.
 
     ``sperner_*`` fields are None when only the color check ran, and the
-    color-side fields are None when only the admissibility check ran.  The
-    informational ``inconsistent_*`` fields are filled only by strict mode
-    and never influence :attr:`passed`.
+    color-side fields are None when only the admissibility check ran.
     """
 
     _fields = (
         "params", "labeling_rule", "edge_rule", "threshold", "sperner_ok",
         "sperner_violations", "edges_checked", "max_colors_per_edge", "histogram",
-        "violating_edges", "inconsistent_cells_checked", "inconsistent_histogram",
-        "inconsistent_max_colors",
+        "violating_edges",
     )
 
     def __init__(
@@ -58,9 +53,6 @@ class VerificationReport(_Record):
         max_colors_per_edge: int | None = None,
         histogram: dict[int, int] | None = None,
         violating_edges: tuple[tuple[Point, Perm, tuple[int, ...]], ...] = (),
-        inconsistent_cells_checked: int | None = None,
-        inconsistent_histogram: dict[int, int] | None = None,
-        inconsistent_max_colors: int | None = None,
     ) -> None:
         self.params = params
         self.labeling_rule = labeling_rule
@@ -72,9 +64,6 @@ class VerificationReport(_Record):
         self.max_colors_per_edge = max_colors_per_edge
         self.histogram = histogram
         self.violating_edges = violating_edges
-        self.inconsistent_cells_checked = inconsistent_cells_checked
-        self.inconsistent_histogram = inconsistent_histogram
-        self.inconsistent_max_colors = inconsistent_max_colors
 
     @property
     def passed(self) -> bool:
@@ -133,16 +122,12 @@ def _color_scan(labeling: Labeling, pi: Perm | None, threshold: int):
     return dict(sorted(histogram.items())), max_colors, violating
 
 
-def check_colors(labeling: Labeling, pi: Perm | None = None, threshold: int = 2,
-                 include_inconsistent: bool = False) -> VerificationReport:
+def check_colors(labeling: Labeling, pi: Perm | None = None,
+                 threshold: int = 2) -> VerificationReport:
     """Histogram the per-cell color counts and list cells above ``threshold``.
 
     ``pi=None`` checks the identity edge set; a permutation checks the
-    consistent cells of that permutation.  ``include_inconsistent``
-    additionally evaluates the labeling's rule on the non-cells ``F(v, pi)``
-    of inconsistent pairs, purely as information: those contain points
-    outside the lattice, so this needs a rule-backed labeling and makes no
-    pass/fail claim.
+    consistent cells of that permutation.
     """
     params = labeling.params
     if params.q < 1:
@@ -150,7 +135,7 @@ def check_colors(labeling: Labeling, pi: Perm | None = None, threshold: int = 2,
     if threshold < 1:
         raise ValueError(f"threshold must be >= 1, got {threshold}")
     histogram, max_colors, violating = _color_scan(labeling, pi, threshold)
-    report = VerificationReport(
+    return VerificationReport(
         params=params,
         labeling_rule=labeling.rule,
         edge_rule=_pi_descriptor(pi),
@@ -160,37 +145,13 @@ def check_colors(labeling: Labeling, pi: Perm | None = None, threshold: int = 2,
         histogram=histogram,
         violating_edges=violating,
     )
-    if include_inconsistent and pi is not None:
-        checked, hist, max_inc = _inconsistent_scan(labeling, pi)
-        report.inconsistent_cells_checked = checked
-        report.inconsistent_histogram = hist
-        report.inconsistent_max_colors = max_inc
-    return report
 
 
-def _inconsistent_scan(labeling: Labeling, pi: Perm):
-    params = labeling.params
-    rule_fn = parse_rule(labeling.rule, params)
-    if rule_fn is None:
-        raise ValueError(
-            f"strict mode needs a rule-backed labeling, got rule {labeling.rule!r}"
-        )
-    index = _instance_index(params)
-    forbidden = _inverse_descent_mask(pi)
-    histogram: Counter[int] = Counter()
-    for base, ties in index.bases:
-        if ties & forbidden:  # inconsistent: not a cell
-            cell = _build_cell(index.vertices[base], pi, params)
-            histogram[len({rule_fn(u) for u in cell.vertices})] += 1
-    max_colors = max(histogram) if histogram else 0
-    return sum(histogram.values()), dict(sorted(histogram.items())), max_colors
-
-
-def full_report(labeling: Labeling, pi: Perm | None = None, threshold: int = 2,
-                include_inconsistent: bool = False) -> VerificationReport:
+def full_report(labeling: Labeling, pi: Perm | None = None,
+                threshold: int = 2) -> VerificationReport:
     """Admissibility and color check in a single report."""
     ok, sperner_violations = _sperner_scan(labeling)
-    report = check_colors(labeling, pi, threshold, include_inconsistent)
+    report = check_colors(labeling, pi, threshold)
     report.sperner_ok = ok
     report.sperner_violations = sperner_violations
     return report

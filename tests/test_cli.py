@@ -14,7 +14,6 @@ import simplexlattice
 from simplexlattice import (Params, check_all_pi, cli, full_report, label_all, lattice,
                             read_labeling, report_to_dict, write_labeling)
 from simplexlattice.cli import main
-from simplexlattice.labeling import parse_rule
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 # Child interpreters import the same simplexlattice package as this test run.
@@ -75,16 +74,11 @@ def test_label_rejects_bad_pi(tmp_path, capsys):
     ("1,2", False), ("2,1,3,4", False), ("a,b,c", False), ("", False),
 ])
 def test_pi_flag_and_rule_descriptor_parse_alike(capsys, text, ok):
-    params, rule = Params(4, 5), "pi:" + text
-    code, _, err = run(capsys, "verify", "--k", "4", "--q", "5", "--pi", text)
+    code, out, err = run(capsys, "verify", "--k", "4", "--q", "5", "--pi", text)
     assert code == (0 if ok else 2)
     assert err.startswith("error: --pi: ") != ok
-    if ok:
-        assert parse_rule(rule, params) is not None
-    else:
-        with pytest.raises(ValueError) as refused:
-            parse_rule(rule, params)
-        assert str(refused.value).startswith(f"rule {rule!r}: ")
+    if ok:  # the report names its cells by the image the flag spells
+        assert json.loads(out)["edge_rule"] == "pi:" + text.strip()
 
 
 def test_verify_exit_codes(capsys):
@@ -173,6 +167,38 @@ def test_all_pi_peak_memory_stays_near_the_output_size(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 5 * out.stat().st_size
+
+
+# Runs cli.main on argv with --out the last argument and then without it,
+# each under tracemalloc after one untraced run that builds the caches, and
+# prints both peaks to stderr.
+MEASURE_STDOUT_PEAK = """\
+import sys, tracemalloc
+from simplexlattice.cli import main
+argv, out = sys.argv[1:-1], ["--out", sys.argv[-1]]
+main(argv + out)
+peaks = []
+for extra in (out, []):
+    tracemalloc.start()
+    main(argv + extra)
+    peaks.append(tracemalloc.get_traced_memory()[1])
+    tracemalloc.stop()
+print(*peaks, file=sys.stderr)
+"""
+
+
+def test_all_pi_to_stdout_holds_no_second_copy(tmp_path):
+    # stdout takes the report's bytes as they are; a str copy of them made
+    # the stdout run peak one output size above the --out run
+    out, stdout = tmp_path / "all.json", tmp_path / "stdout.json"
+    argv = ["verify", "--k", "5", "--q", "7", "--all-pi", "--threshold", "1"]
+    with stdout.open("wb") as sink:
+        proc = subprocess.run([sys.executable, "-c", MEASURE_STDOUT_PEAK, *argv, str(out)],
+                              stdout=sink, stderr=subprocess.PIPE, text=True, env=CHILD_ENV)
+    assert proc.returncode == 0, proc.stderr
+    assert stdout.read_bytes() == out.read_bytes()
+    to_out, to_stdout = map(int, proc.stderr.split())
+    assert to_stdout - to_out < out.stat().st_size // 2
 
 
 def test_verify_position_reading(capsys):
@@ -378,6 +404,22 @@ def test_unwritable_out_is_a_usage_error(tmp_path, capsys):
                  ["oracle", "--k", "3", "--q", "2"], ["render", "--k", "3", "--q", "4"]):
         code, _, err = run(capsys, *argv, "--out", out)
         assert code == 2 and "--out" in err, argv
+
+
+@pytest.mark.parametrize("argv", [
+    ["facets", "--k", "3", "--q", "2"],
+    ["facets", "--k", "6", "--q", "6"],
+    ["verify", "--k", "4", "--q", "5", "--all-pi"],
+], ids=" ".join)
+def test_closed_stdout_is_a_usage_error(argv):
+    # the reader is gone before the first byte is written, as after `| head`
+    proc = subprocess.Popen([sys.executable, "-m", "simplexlattice.cli", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=CHILD_ENV)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait() == 2
+    assert err.startswith("error: stdout: ") and "Traceback" not in err
 
 
 def test_usage_errors(capsys):

@@ -1,7 +1,7 @@
 """The shared instance index and the rule's attaining masks against the
 per-point reference functions.
 
-``full_report``, strict mode, io, ``render_svg`` and the oracle read one
+``full_report``, io, ``render_svg`` and the oracle read one
 cached index per instance, holding geometry only: vertices, base points
 with their tie masks, and the cells of each permutation as columns of
 vertex ranks, stepped from each base by closed-form rank offsets.
@@ -210,29 +210,3 @@ def test_full_report_matches_reference_bytes():
                     want = reference_report(params, pi, reading, threshold)
                     assert serialized(got) == serialized(want), (params, pi, reading, threshold)
 
-
-def reference_inconsistent(params, pi):
-    """Strict mode's fields from the non-cells of inconsistent base points,
-    stepped by hand and colored by label_pi."""
-    histogram = Counter()
-    for v in enumerate_vertices(params.base()):
-        if is_consistent(pi, v):
-            continue
-        current = list(v)
-        colors = {label_pi(v, pi, params)}
-        for image in reversed(pi):
-            current[image - 1] += 1
-            colors.add(label_pi(tuple(current), pi, params))
-        histogram[len(colors)] += 1
-    return sum(histogram.values()), dict(sorted(histogram.items())), max(histogram, default=0)
-
-
-def test_strict_mode_matches_reference():
-    for k in range(3, 6):
-        for q in range(k, k + 3):
-            params = Params(k, q)
-            for pi in permutations(k):
-                report = check_colors(label_all(params, pi), pi, 2, include_inconsistent=True)
-                got = (report.inconsistent_cells_checked, report.inconsistent_histogram,
-                       report.inconsistent_max_colors)
-                assert got == reference_inconsistent(params, pi), (params, pi)

@@ -383,14 +383,6 @@ def test_sperner_only_report_serializes_with_nulls():
     assert data["edges_checked"] is None
 
 
-def test_strict_report_serialization():
-    report = full_report(label_all(Params(3, 4), (2, 1)), (2, 1), 2,
-                         include_inconsistent=True)
-    data = report_to_dict(report)
-    assert data["inconsistent_cells_checked"] == 4
-    assert sum(data["inconsistent_histogram"].values()) == 4
-
-
 def test_oracle_result_serialization():
     result = min_max_colors(Params(3, 2))
     data = oracle_result_to_dict(result)

@@ -20,7 +20,7 @@ from simplexlattice import (
     selected_index_pi,
     vertex_rank,
 )
-from simplexlattice.labeling import READING_POSITION, READING_SELECTED, parse_rule
+from simplexlattice.labeling import READING_POSITION, READING_SELECTED
 
 # colors of V_{3,4} under the plain rule, vertex-rank order
 L34 = (3, 2, 2, 2, 2, 3, 1, 1, 1, 1, 1, 1, 1, 1, 1)
@@ -200,25 +200,6 @@ def test_rule_descriptor():
     assert rule_descriptor((1, 2), READING_POSITION) == "identity"
     assert rule_descriptor((2, 1)) == "pi:2,1"
     assert rule_descriptor((2, 1), READING_POSITION) == "pi:2,1:position"
-
-
-def test_parse_rule():
-    p = Params(3, 4)
-    ident = parse_rule("identity", p)
-    assert all(ident(v) == label(v, p) for v in enumerate_vertices(p))
-    swapped = parse_rule("pi:2,1", p)
-    assert all(swapped(v) == label_pi(v, (2, 1), p) for v in enumerate_vertices(p))
-    literal = parse_rule("pi:2,1:position", p)
-    assert literal((0, 0)) == 2
-    assert parse_rule("external", p) is None
-    assert parse_rule("oracle-witness", p) is None
-    with pytest.raises(ValueError):
-        parse_rule("pi:1,1", p)
-    with pytest.raises(ValueError):
-        parse_rule("pi:2,1:literal", p)
-    for rule in ("pi:a", "pi:", "pi:2,x:position"):
-        with pytest.raises(ValueError, match=f"rule '{rule}'"):
-            parse_rule(rule, p)
 
 
 def test_label_all_rank_alignment():

@@ -153,23 +153,19 @@ def test_verification_report():
     assert report == VerificationReport(params=p, labeling_rule="identity", edge_rule="none")
     assert (report.threshold, report.sperner_ok, report.edges_checked) == (None, None, None)
     assert (report.sperner_violations, report.violating_edges) == ((), ())
-    assert report.histogram is None and report.inconsistent_histogram is None
+    assert report.histogram is None
     assert report.passed
     assert repr(report) == (
         "VerificationReport(params=Params(k=3, q=3), labeling_rule='identity', "
         "edge_rule='none', threshold=None, sperner_ok=None, sperner_violations=(), "
-        "edges_checked=None, max_colors_per_edge=None, histogram=None, violating_edges=(), "
-        "inconsistent_cells_checked=None, inconsistent_histogram=None, "
-        "inconsistent_max_colors=None)"
+        "edges_checked=None, max_colors_per_edge=None, histogram=None, violating_edges=())"
     )
     full = full_report(label_all(p))
     assert full == full_report(label_all(p)) and full != report
     assert repr(full) == (
         "VerificationReport(params=Params(k=3, q=3), labeling_rule='identity', "
         "edge_rule='identity', threshold=2, sperner_ok=True, sperner_violations=(), "
-        "edges_checked=6, max_colors_per_edge=2, histogram={1: 2, 2: 4}, violating_edges=(), "
-        "inconsistent_cells_checked=None, inconsistent_histogram=None, "
-        "inconsistent_max_colors=None)"
+        "edges_checked=6, max_colors_per_edge=2, histogram={1: 2, 2: 4}, violating_edges=())"
     )
     positional = VerificationReport(p, "identity", "identity", 2, True, (), 6, 2, {1: 2, 2: 4})
     assert positional == full

@@ -142,27 +142,6 @@ def test_check_all_pi_probe_at_q_equals_k():
         assert sum(r.histogram.values()) == r.edges_checked
 
 
-def test_strict_mode_reports_inconsistent_cells():
-    p = Params(3, 4)
-    lab = label_all(p, (2, 1))
-    report = full_report(lab, (2, 1), 2, include_inconsistent=True)
-    # bases with v1 = v2 are exactly the ones (2,1) is inconsistent with
-    assert report.inconsistent_cells_checked == 4
-    assert sum(report.inconsistent_histogram.values()) == 4
-    assert report.inconsistent_max_colors >= 1
-    assert report.passed  # informational fields never affect the verdict
-
-    plain = full_report(lab, (2, 1), 2)
-    assert plain.inconsistent_cells_checked is None
-
-
-def test_strict_mode_needs_rule_backed_labeling():
-    p = Params(3, 4)
-    external = Labeling(p, label_all(p).colors, "external")
-    with pytest.raises(ValueError):
-        check_colors(external, (2, 1), 2, include_inconsistent=True)
-
-
 def test_reports_are_deterministic():
     a = full_report(label_all(Params(4, 6), (2, 1, 3)), (2, 1, 3), 2)
     b = full_report(label_all(Params(4, 6), (2, 1, 3)), (2, 1, 3), 2)
