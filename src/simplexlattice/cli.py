@@ -152,8 +152,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                        else report)
 
     if args.all_pi:
-        # json.dumps(views, indent=2): each view two spaces in, one per line
-        _emit(b"[\n  " + b",\n  ".join(outputs) + b"\n]\n", args.out)
+        # json.dumps(views, indent=2): each view two spaces in, one per line;
+        # the brackets go on the end views, so that the one join is the
+        # only copy of the payload beside the views
+        outputs[0] = b"[\n  " + outputs[0]
+        outputs[-1] += b"\n]\n"
+        _emit(b",\n  ".join(outputs), args.out)
     else:
         _emit(write_report(outputs[0]), args.out)
     return 0 if passed else 1

@@ -166,10 +166,11 @@ def _parse_image(text: str, params: Params) -> Perm:
 
 
 @lru_cache(maxsize=4)
-def _attaining_masks(params: Params) -> tuple[int, ...]:
+def _attaining_masks(params: Params) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Per vertex in rank order, bit ``t`` set iff index ``t`` attains the
-    deficiency ``max{t - v_t}``.  That set does not depend on any
-    permutation, only the tie-break among its members does."""
+    deficiency ``max{t - v_t}``; and the distinct masks, sorted.  That set
+    does not depend on any permutation, only the tie-break among its
+    members does."""
     k, q = params.k, params.q
     masks = []
     for v in _instance_index(params).vertices:
@@ -185,7 +186,7 @@ def _attaining_masks(params: Params) -> tuple[int, ...]:
         elif k - q == top:
             mask |= 1 << k
         masks.append(mask)
-    return tuple(masks)
+    return tuple(masks), tuple(sorted(set(masks)))
 
 
 def label_all(params: Params, pi: Perm | None = None,
@@ -197,8 +198,9 @@ def label_all(params: Params, pi: Perm | None = None,
 
     Equal pointwise to :func:`label` and :func:`label_pi`, but the set of
     deficiency-attaining indices is worked out once per instance, so only
-    the tie-break of the scan order is worked out per rule: once per
-    distinct attaining set, then looked up for every vertex.
+    the tie-break of the scan order is worked out per rule: one walk of
+    the scan order settles every distinct attaining set at the first index
+    it holds, then each vertex looks its set up.
     """
     _check_reading(reading)
     if pi is None:
@@ -206,15 +208,19 @@ def label_all(params: Params, pi: Perm | None = None,
     else:
         _check_permutation(pi, params)
         order = (0, *pi, params.k)
-    masks = _attaining_masks(params)
+    masks, pending = _attaining_masks(params)
     table = {}
-    for mask in set(masks):
-        t = next(t for t, idx in enumerate(order) if mask >> idx & 1)
-        if order[t] == params.k:
-            table[mask] = None  # no color: see label_pi
-        else:
-            # on the identity order t == order[t], so both readings agree
-            table[mask] = t + 1 if reading == READING_POSITION else order[t] + 1
+    for t, idx in enumerate(order):
+        # on the identity order t == idx, so both readings agree; index k
+        # has no color (see label_pi)
+        color = None if idx == params.k else (t if reading == READING_POSITION else idx) + 1
+        rest = []
+        for mask in pending:
+            if mask >> idx & 1:
+                table[mask] = color
+            else:
+                rest.append(mask)
+        pending = rest
     colors = tuple(map(table.__getitem__, masks))
     if None in table.values():
         raise LabelUndefined(_instance_index(params).vertices[colors.index(None)], params)

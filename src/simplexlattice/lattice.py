@@ -325,6 +325,19 @@ class _InstanceIndex(_Frozen):
         ]
         return ranks, ties, offsets
 
+    @cached_property
+    def _inadmissible(self) -> int:
+        # for k <= 8: byte r has bit c - 1 set iff color c is not admissible
+        # at vertex r, that is v_c == v_{c-1} with v_0 = 0 and v_k = q; one
+        # C-level comparison per pair of neighbouring coordinate columns
+        k, q, n = self.params.k, self.params.q, len(self.vertices)
+        coordinates = [(0,) * n, *zip(*self.vertices), (q,) * n]
+        bits = 0
+        for c in range(1, k + 1):
+            equal = bytes(map(operator.eq, coordinates[c], coordinates[c - 1]))
+            bits |= int.from_bytes(equal, "little") << c - 1
+        return bits
+
     def columns(self, pi: Perm | None) -> list[list[int]]:
         """The cells of ``pi`` (the identity for None) as ``k`` lists of
         vertex ranks: list ``t`` holds the ``t``-th vertex of every

@@ -5,10 +5,19 @@ the instance is visited, so a passing report at a given ``(k, q)`` is a
 machine check of the claim at that size, and the violation lists of a
 failing report are complete (serialization may cap them, the counts never
 lie).
+
+For ``k <= 8`` a vertex's color is one bit of a byte and so is a cell's
+set of colors, so both scans still read every vertex and every cell, but
+as bytes and ints in C: admissibility is one AND against the colors that
+are inadmissible at each vertex, and a cell's count is the popcount of the
+OR of its vertices' bytes.  Wider colors need more than a byte, so there
+the scans keep the loop over vertices and a set per cell, the way the
+tests' reference report is built from the per-point functions.
 """
 
 from __future__ import annotations
 
+import operator
 from collections import Counter
 
 from .labeling import READINGS, Labeling, _pi_descriptor, label_all
@@ -79,10 +88,21 @@ def edge_colors(edge: Hyperedge, labeling: Labeling) -> frozenset[int]:
     return frozenset(labeling.color_of(u) for u in edge.vertices)
 
 
+# for k <= 8: color c -> bit c - 1, and a byte of such bits -> how many
+_ONE_HOT = bytes([0, *(1 << c for c in range(8))]).ljust(256, b"\0")
+_POPCOUNT = bytes(bin(b).count("1") for b in range(256))
+
+
 def _sperner_scan(labeling: Labeling) -> tuple[bool, tuple[tuple[Point, int], ...]]:
     k, q = labeling.params.k, labeling.params.q
+    index = _instance_index(labeling.params)
+    # k <= 8 fits a vertex's color in one byte, so one AND settles a passing
+    # labeling; the loop lists violations in rank order and checks wider colors
+    if k <= 8 and not index._inadmissible & int.from_bytes(
+            bytes(labeling.colors).translate(_ONE_HOT), "little"):
+        return True, ()
     violations = []
-    for v, c in zip(_instance_index(labeling.params).vertices, labeling.colors):
+    for v, c in zip(index.vertices, labeling.colors):
         # v_c > v_{c-1} with the virtual coordinates v_0 = 0 and v_k = q
         if (v[c - 1] if c < k else q) <= (v[c - 2] if c > 1 else 0):
             violations.append((v, c))
@@ -108,7 +128,19 @@ def _color_scan(labeling: Labeling, pi: Perm | None, threshold: int):
     index = _instance_index(labeling.params)
     columns = index.columns(pi)
     color = labeling.colors.__getitem__
-    counts = list(map(len, map(set, zip(*[map(color, column) for column in columns]))))
+    cells = len(columns[0])
+    if labeling.params.k <= 8 and cells > 1:
+        # k <= 8: a cell's color set is one byte, the OR of its vertices'
+        # one-hot colors, and its size is that byte's popcount
+        one_hot = bytes(labeling.colors).translate(_ONE_HOT)
+        union = 0
+        for column in columns:
+            union |= int.from_bytes(bytes(operator.itemgetter(*column)(one_hot)), "little")
+        counts = union.to_bytes(cells, "little").translate(_POPCOUNT)
+    else:
+        # wider colors need sets, and so do 0 or 1 cells: itemgetter of no
+        # rank fails and of one rank gives no tuple
+        counts = list(map(len, map(set, zip(*[map(color, column) for column in columns]))))
     histogram = Counter(counts)
     max_colors = max(histogram) if histogram else 0
     violating = ()

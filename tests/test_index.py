@@ -1,16 +1,23 @@
-"""The shared instance index and the rule's attaining masks against the
-per-point reference functions.
+"""The shared instance index, the rule's attaining masks and the verifier's
+scans against the per-point reference functions.
 
 ``full_report``, io, ``render_svg`` and the oracle read one
 cached index per instance, holding geometry only: vertices, base points
-with their tie masks, and the cells of each permutation as columns of
-vertex ranks, stepped from each base by closed-form rank offsets.
-``label_all`` reads the deficiency masks that labeling keeps beside it.
-The public per-point functions (``label``, ``label_pi``, ``pi_hyperedge``,
-``is_consistent``, ``vertex_rank``) use neither, so they serve as the
-reference here, over every permutation of every ``k <= 6`` and ``q`` from
-0 (a single point) to ``k + 1``, which takes in the ``q < k`` range where
-the rule is partial; the cells are also compared at ``k = 7`` and ``8``.
+with their tie masks, the colors inadmissible at each vertex as bytes, and
+the cells of each permutation as columns of vertex ranks, stepped from
+each base by closed-form rank offsets.  ``label_all`` reads the deficiency
+masks that labeling keeps beside it, walking the scan order once over the
+distinct ones.  The public per-point functions (``label``, ``label_pi``,
+``pi_hyperedge``, ``is_consistent``, ``vertex_rank``, ``coordinate``,
+``admissible_colors``) use neither, so they serve as the reference here,
+over every permutation of every ``k <= 6`` and ``q`` from 0 (a single
+point) to ``k + 1``, which takes in the ``q < k`` range where the rule is
+partial; the cells are also compared at ``k = 7`` and ``8``.  Reports are
+compared byte for byte, violation lists included, with the rule's
+labelings and with external ones, random and partly inadmissible, at
+``k = 3..9``: ``k <= 8`` takes the verifier's byte scans and ``k = 9`` its
+loop and sets, over every threshold from 1 to ``k`` and subdivisions of
+0, 1 and more cells.
 Sperner's lemma gives a second check of the cells that shares no code
 with them: the cells of all permutations tile the simplex, so every
 admissible labeling has an odd number of rainbow cells among them.
@@ -27,6 +34,7 @@ import pytest
 
 from simplexlattice import (
     READINGS,
+    Labeling,
     LabelUndefined,
     Params,
     VerificationReport,
@@ -51,6 +59,9 @@ from simplexlattice.lattice import _instance_index
 INSTANCES = [Params(k, q) for k in range(3, 7) for q in range(0, k + 2)]
 # cells only: k! permutations make the label and report sweeps too slow here
 LARGE_INSTANCES = [Params(7, q) for q in range(0, 5)] + [Params(8, q) for q in range(0, 4)]
+# external labelings: every pi for k <= 5 and a seeded sample above
+EXTERNAL_INSTANCES = [Params(k, q) for k in range(3, 10) for q in (1, 2, 3)] + \
+    [Params(3, 8), Params(4, 6), Params(5, 5)]
 
 
 def permutations(k):
@@ -86,9 +97,10 @@ def reference_edges(params, pi):
             for v in enumerate_vertices(params.base()) if is_consistent(pi, v)]
 
 
-def reference_report(params, pi, reading, threshold):
-    """A full report built from label_pi, coordinate and pi_hyperedge."""
-    colors = dict(zip(enumerate_vertices(params), reference_colors(params, pi, reading)))
+def reference_report(params, colors, rule, pi, threshold):
+    """A full report of ``colors`` (in rank order, made by ``rule``) built
+    from coordinate, pi_hyperedge and Python sets."""
+    colors = dict(zip(enumerate_vertices(params), colors))
     sperner = tuple(
         (v, c) for v, c in colors.items()
         if coordinate(v, c, params) <= coordinate(v, c - 1, params)
@@ -103,13 +115,13 @@ def reference_report(params, pi, reading, threshold):
             violating.append((base, perm, tuple(sorted(seen))))
     return VerificationReport(
         params=params,
-        labeling_rule=rule_descriptor(pi, reading),
+        labeling_rule=rule,
         edge_rule="identity" if pi is None else "pi:" + ",".join(map(str, pi)),
         threshold=threshold,
         sperner_ok=not sperner,
         sperner_violations=sperner,
         edges_checked=sum(histogram.values()),
-        max_colors_per_edge=max(histogram),
+        max_colors_per_edge=max(histogram, default=0),
         histogram=dict(sorted(histogram.items())),
         violating_edges=tuple(violating),
     )
@@ -207,6 +219,47 @@ def test_full_report_matches_reference_bytes():
                 labeling = label_all(params, pi, reading)
                 for threshold in (1, 2):
                     got = full_report(labeling, pi, threshold)
-                    want = reference_report(params, pi, reading, threshold)
+                    want = reference_report(params, reference_colors(params, pi, reading),
+                                            rule_descriptor(pi, reading), pi, threshold)
                     assert serialized(got) == serialized(want), (params, pi, reading, threshold)
+
+
+def test_inadmissible_bytes_match_admissible_colors():
+    for k in range(3, 9):
+        for q in range(0, 5):
+            params = Params(k, q)
+            inadmissible = _instance_index(params)._inadmissible
+            for r, v in enumerate(enumerate_vertices(params)):
+                want = sum(1 << c - 1 for c in range(1, k + 1)
+                           if c not in admissible_colors(v, params))
+                assert inadmissible >> 8 * r & 0xFF == want, (params, v)
+
+
+def test_external_labelings_match_reference_bytes():
+    # Labelings the rule does not make, so that the byte scans (k <= 8) and
+    # the set scan (k = 9) meet Sperner violations and every color count:
+    # random admissible colors, the same with one vertex given its lowest or
+    # its highest inadmissible color (the virtual coordinates decide those),
+    # and colors uniform over 1..k.  At q = 1 the identity has one cell and
+    # every other pi none; at q = 2 each pi with one inverse descent has one.
+    rng = random.Random(20261018)
+    seen = set()
+    for params in EXTERNAL_INSTANCES:
+        k = params.k
+        perms = permutations(k) if k <= 5 else rng.sample(permutations(k), 4)
+        domains = [sorted(admissible_colors(v, params)) for v in enumerate_vertices(params)]
+        labelings = [tuple(map(rng.choice, domains)) for _ in range(2)]
+        r = rng.choice([r for r, domain in enumerate(domains) if len(domain) < k])
+        wrong = sorted(set(range(1, k + 1)).difference(domains[r]))
+        labelings += [labelings[0][:r] + (c,) + labelings[0][r + 1:] for c in (wrong[0], wrong[-1])]
+        labelings += [tuple(rng.choices(range(1, k + 1), k=len(domains))) for _ in range(2)]
+        for colors in labelings:
+            labeling = Labeling(params, colors, "external")
+            for pi in [None, *perms]:
+                for threshold in range(1, k + 1):
+                    got = full_report(labeling, pi, threshold)
+                    want = reference_report(params, colors, "external", pi, threshold)
+                    assert serialized(got) == serialized(want), (params, pi, colors, threshold)
+                    seen.add((got.sperner_ok, min(got.edges_checked, 2)))
+    assert seen == {(ok, cells) for ok in (True, False) for cells in (0, 1, 2)}
 
