@@ -73,6 +73,13 @@ class Labeling(_Frozen):
         object.__setattr__(self, "colors", colors)
         object.__setattr__(self, "rule", rule)
 
+    @classmethod
+    def _unchecked(cls, params: Params, colors: tuple[int, ...], rule: str) -> "Labeling":
+        # for colors known to be exact ints in 1..k, as label_all's table makes them
+        self = object.__new__(cls)
+        self.__dict__.update(params=params, colors=colors, rule=rule)
+        return self
+
     def color_of(self, v: Point) -> int:
         return self.colors[vertex_rank(v, self.params)]
 
@@ -166,11 +173,15 @@ def _parse_image(text: str, params: Params) -> Perm:
 
 
 @lru_cache(maxsize=4)
-def _attaining_masks(params: Params) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Per vertex in rank order, bit ``t`` set iff index ``t`` attains the
-    deficiency ``max{t - v_t}``; and the distinct masks, sorted.  That set
-    does not depend on any permutation, only the tie-break among its
-    members does."""
+def _attaining_masks(params: Params) -> tuple[bytes | tuple[int, ...], tuple[int, ...],
+                                               tuple[int, ...]]:
+    """Per vertex in rank order its class, and per class its mask (sorted)
+    and first rank: a mask has bit ``t`` set iff index ``t`` attains the
+    deficiency ``max{t - v_t}``.  That set does not depend on any
+    permutation, only the tie-break among its members does, so every
+    rule's labeling is constant on a class.  Bit ``k`` is set only for
+    ``q <= k``, and then bit 0 equals it (``q = k``) or is never set, so at
+    most ``k`` bits vary: for ``k <= 8`` a class is one byte per vertex."""
     k, q = params.k, params.q
     masks = []
     for v in _instance_index(params).vertices:
@@ -186,7 +197,12 @@ def _attaining_masks(params: Params) -> tuple[tuple[int, ...], tuple[int, ...]]:
         elif k - q == top:
             mask |= 1 << k
         masks.append(mask)
-    return tuple(masks), tuple(sorted(set(masks)))
+    # walked backwards, so the first rank of each mask is the one kept
+    first = dict(zip(reversed(masks), range(len(masks) - 1, -1, -1)))
+    distinct = sorted(first)
+    classes = list(map(dict(zip(distinct, range(len(distinct)))).__getitem__, masks))
+    return (bytes(classes) if k <= 8 else tuple(classes), tuple(distinct),
+            tuple(map(first.__getitem__, distinct)))
 
 
 def label_all(params: Params, pi: Perm | None = None,
@@ -196,11 +212,12 @@ def label_all(params: Params, pi: Perm | None = None,
     Total for ``q >= k``; below that, the first undefined vertex raises
     :class:`LabelUndefined` (the exception names it).
 
-    Equal pointwise to :func:`label` and :func:`label_pi`, but the set of
-    deficiency-attaining indices is worked out once per instance, so only
+    Equal pointwise to :func:`label` and :func:`label_pi`, but the classes
+    of :func:`_attaining_masks` are worked out once per instance, so only
     the tie-break of the scan order is worked out per rule: one walk of
-    the scan order settles every distinct attaining set at the first index
-    it holds, then each vertex looks its set up.
+    the scan order settles every class at the first index its mask holds,
+    then each vertex looks its class up.  For ``k <= 8`` that look-up is
+    one ``bytes.translate`` of the class bytes.
     """
     _check_reading(reading)
     if pi is None:
@@ -208,20 +225,23 @@ def label_all(params: Params, pi: Perm | None = None,
     else:
         _check_permutation(pi, params)
         order = (0, *pi, params.k)
-    masks, pending = _attaining_masks(params)
-    table = {}
+    classes, masks, firsts = _attaining_masks(params)
+    table = [0] * len(masks)  # color per class; 0 where only index k attains
+    pending = list(enumerate(masks))
     for t, idx in enumerate(order):
         # on the identity order t == idx, so both readings agree; index k
         # has no color (see label_pi)
-        color = None if idx == params.k else (t if reading == READING_POSITION else idx) + 1
+        color = 0 if idx == params.k else (t if reading == READING_POSITION else idx) + 1
         rest = []
-        for mask in pending:
+        for c, mask in pending:
             if mask >> idx & 1:
-                table[mask] = color
+                table[c] = color
             else:
-                rest.append(mask)
+                rest.append((c, mask))
         pending = rest
-    colors = tuple(map(table.__getitem__, masks))
-    if None in table.values():
-        raise LabelUndefined(_instance_index(params).vertices[colors.index(None)], params)
-    return Labeling(params, colors, rule_descriptor(pi, reading))
+    if 0 in table:
+        first = min(r for r, color in zip(firsts, table) if not color)
+        raise LabelUndefined(_instance_index(params).vertices[first], params)
+    colors = (classes.translate(bytes(table).ljust(256, b"\0")) if params.k <= 8
+              else map(table.__getitem__, classes))
+    return Labeling._unchecked(params, tuple(colors), rule_descriptor(pi, reading))

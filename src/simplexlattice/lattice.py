@@ -284,7 +284,8 @@ class _InstanceIndex(_Frozen):
     ``vertices`` is the lexicographic enumeration.  ``bases`` pairs the rank
     of each base point of ``V_{k,q-1}`` (the vertices below ``q``
     everywhere, already in lexicographic order) with its tie mask, bit ``i``
-    set iff ``v_i = v_{i+1}``.  Nothing here depends on a labeling rule.
+    set iff ``v_i = v_{i+1}``.  Nothing it computes depends on a labeling
+    rule.
 
     Cells come from rank arithmetic, not from a rank map.  With 0-based
     coordinates, whenever ``v + e_j`` is a lattice point,
@@ -311,19 +312,36 @@ class _InstanceIndex(_Frozen):
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "bases", bases)
+        # filled by the color scan for k <= 8: the rule's class bytes of
+        # b + e_S over the bases, by step set S (bit j for e_j)
+        object.__setattr__(self, "_rows", {})
 
     @cached_property
-    def _rank_steps(self) -> tuple[tuple[int, ...], tuple[int, ...], list[list[int]]]:
+    def _rank_steps(self) -> tuple[tuple[int, ...], bytes | tuple[int, ...], list[list[int]]]:
         # base ranks, tie masks and offsets per coordinate, in the order of
         # ``bases``; built on first use, so a process that only labels never
         # pays for it
         k, q = self.params.k, self.params.q
         ranks, ties = zip(*self.bases) if self.bases else ((), ())
+        ties = bytes(ties) if k <= 8 else ties  # bits 1..k-2: a byte each
+        # a base coordinate is below q, so one table of q offsets per
+        # coordinate, read through that coordinate's column
+        coordinates = list(zip(*map(self.vertices.__getitem__, ranks))) or [()] * (k - 1)
         offsets = [
-            [comb(q - self.vertices[base][j] + k - 3 - j, k - 2 - j) for base in ranks]
-            for j in range(k - 1)
+            list(map([comb(q - x + k - 3 - j, k - 2 - j) for x in range(q)].__getitem__, column))
+            for j, column in enumerate(coordinates)
         ]
         return ranks, ties, offsets
+
+    def _step_ranks(self, steps: int):
+        """Ranks of ``b + e_S`` over ``bases``, ``S`` the ``j`` with bit ``j``
+        of ``steps`` set.  Where ``b + e_S`` is no lattice point the number is
+        still a rank, at most that of ``b + e_{1..k-1}``: offsets are positive."""
+        ranks, _, offsets = self._rank_steps
+        for j, offset in enumerate(offsets, 1):
+            if steps >> j & 1:
+                ranks = map(operator.add, ranks, offset)
+        return ranks
 
     @cached_property
     def _inadmissible(self) -> int:

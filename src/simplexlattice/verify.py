@@ -10,23 +10,34 @@ For ``k <= 8`` a vertex's color is one bit of a byte and so is a cell's
 set of colors, so both scans still read every vertex and every cell, but
 as bytes and ints in C: admissibility is one AND against the colors that
 are inadmissible at each vertex, and a cell's count is the popcount of the
-OR of its vertices' bytes.  Wider colors need more than a byte, so there
-the scans keep the loop over vertices and a set per cell, the way the
-tests' reference report is built from the per-point functions.
+OR of its vertices' bytes.  Every rule's labeling is constant on the
+classes of ``labeling._attaining_masks``, and the ``t``-th vertex of the
+cell of ``pi`` at base ``b`` is ``b + e_S``, ``S`` the last ``t`` images of
+``pi``.  So the class bytes of each ``S`` over all bases are built once per
+instance, and each ``pi`` ORs ``k`` of them, translated to one-hot colors
+and masked to its consistent bases.  That is exact for any labeling whose
+colors are its classes' colors translated back, the test the scan makes
+first, so labeling files the rule wrote take this path too; other
+labelings gather their cells' bytes by rank.  Wider colors need more than
+a byte, so there the scans keep the loop over vertices and a set per cell,
+the way the tests' reference report is built from the per-point functions.
 """
 
 from __future__ import annotations
 
+import itertools
 import operator
-from collections import Counter
 
-from .labeling import READINGS, Labeling, _pi_descriptor, label_all
+from .labeling import READINGS, Labeling, _attaining_masks, _pi_descriptor, label_all
 from .lattice import (
     Hyperedge,
     Params,
     Perm,
     Point,
+    _check_permutation,
     _instance_index,
+    _InstanceIndex,
+    _inverse_descent_mask,
     _Record,
     _permutations,
     identity_permutation,
@@ -91,6 +102,7 @@ def edge_colors(edge: Hyperedge, labeling: Labeling) -> frozenset[int]:
 # for k <= 8: color c -> bit c - 1, and a byte of such bits -> how many
 _ONE_HOT = bytes([0, *(1 << c for c in range(8))]).ljust(256, b"\0")
 _POPCOUNT = bytes(bin(b).count("1") for b in range(256))
+_KEEP = b"\xff".ljust(256, b"\0")
 
 
 def _sperner_scan(labeling: Labeling) -> tuple[bool, tuple[tuple[Point, int], ...]]:
@@ -124,34 +136,62 @@ def check_sperner(labeling: Labeling) -> VerificationReport:
     )
 
 
+def _class_counts(labeling: Labeling, index: _InstanceIndex, perm: Perm) -> bytes | None:
+    # k <= 8 and a labeling constant on the rule's classes: each cell's
+    # color count, in lexicographic base order; None for any other labeling
+    classes, _, firsts = _attaining_masks(labeling.params)
+    one_hot = bytes(labeling.colors).translate(_ONE_HOT)
+    class_one_hot = bytes(map(one_hot.__getitem__, firsts)).ljust(256, b"\0")
+    if classes.translate(class_one_hot) != one_hot:
+        return None
+    # the t-th vertex of a cell at base b is b + e_S, S the last t images of
+    # pi; its class bytes over every base are cached by S alone
+    rows, union = index._rows, 0
+    for steps in itertools.accumulate([1 << j for j in reversed(perm)], operator.or_, initial=0):
+        row = rows.get(steps)
+        if row is None:
+            row = rows[steps] = bytes(map(classes.__getitem__, index._step_ranks(steps)))
+        union |= int.from_bytes(row.translate(class_one_hot), "little")
+    # 0xFF at the bases consistent with pi, whose ties pi does not forbid
+    forbidden = bytes(map(_inverse_descent_mask(perm).__and__, range(256)))
+    keep = index._rank_steps[1].translate(forbidden).translate(_KEEP)
+    # every cell shows a color, so the zero bytes are the bases pi leaves out
+    union &= int.from_bytes(keep, "little")
+    return union.to_bytes(len(keep), "little").translate(_POPCOUNT, b"\0")
+
+
 def _color_scan(labeling: Labeling, pi: Perm | None, threshold: int):
-    index = _instance_index(labeling.params)
-    columns = index.columns(pi)
+    params = labeling.params
+    index = _instance_index(params)
+    perm = identity_permutation(params) if pi is None else pi
+    _check_permutation(perm, params)
+    columns, counts = None, _class_counts(labeling, index, perm) if params.k <= 8 else None
     color = labeling.colors.__getitem__
-    cells = len(columns[0])
-    if labeling.params.k <= 8 and cells > 1:
-        # k <= 8: a cell's color set is one byte, the OR of its vertices'
-        # one-hot colors, and its size is that byte's popcount
-        one_hot = bytes(labeling.colors).translate(_ONE_HOT)
-        union = 0
-        for column in columns:
-            union |= int.from_bytes(bytes(operator.itemgetter(*column)(one_hot)), "little")
-        counts = union.to_bytes(cells, "little").translate(_POPCOUNT)
-    else:
-        # wider colors need sets, and so do 0 or 1 cells: itemgetter of no
-        # rank fails and of one rank gives no tuple
-        counts = list(map(len, map(set, zip(*[map(color, column) for column in columns]))))
-    histogram = Counter(counts)
-    max_colors = max(histogram) if histogram else 0
+    if counts is None:
+        columns = index.columns(pi)
+        cells = len(columns[0])
+        if params.k <= 8 and cells > 1:
+            # a cell's color set is one byte, the OR of its vertices' one-hot
+            # colors, and its size is that byte's popcount
+            one_hot = bytes(labeling.colors).translate(_ONE_HOT)
+            union = 0
+            for column in columns:
+                union |= int.from_bytes(bytes(operator.itemgetter(*column)(one_hot)), "little")
+            counts = union.to_bytes(cells, "little").translate(_POPCOUNT)
+        else:
+            # wider colors need sets, and so do 0 or 1 cells: itemgetter of no
+            # rank fails and of one rank gives no tuple
+            counts = list(map(len, map(set, zip(*[map(color, column) for column in columns]))))
+    histogram = {n: count for n in range(1, params.k + 1) if (count := counts.count(n))}
+    max_colors = max(histogram, default=0)
     violating = ()
     if max_colors > threshold:
-        perm = identity_permutation(labeling.params) if pi is None else pi
         violating = tuple(
             (index.vertices[cell[0]], perm, tuple(sorted(set(map(color, cell)))))
-            for cell, n in zip(zip(*columns), counts)
+            for cell, n in zip(zip(*(columns or index.columns(pi))), counts)
             if n > threshold
         )
-    return dict(sorted(histogram.items())), max_colors, violating
+    return histogram, max_colors, violating
 
 
 def check_colors(labeling: Labeling, pi: Perm | None = None,

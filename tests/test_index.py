@@ -17,7 +17,12 @@ compared byte for byte, violation lists included, with the rule's
 labelings and with external ones, random and partly inadmissible, at
 ``k = 3..9``: ``k <= 8`` takes the verifier's byte scans and ``k = 9`` its
 loop and sets, over every threshold from 1 to ``k`` and subdivisions of
-0, 1 and more cells.
+0, 1 and more cells.  For ``k <= 8`` the color scan counts a labeling
+constant on the rule's classes from class bytes cached per step set; the
+tests say which labelings take that path from the definition, and compare
+rule labelings on every step set at ``k = 7`` and ``8``, files read back,
+random colorings of the classes with and without one changed vertex,
+oracle witnesses and random admissible colors.
 Sperner's lemma gives a second check of the cells that shares no code
 with them: the cells of all permutations tile the simplex, so every
 admissible labeling has an odd number of rainbow cells among them.
@@ -39,8 +44,10 @@ from simplexlattice import (
     Params,
     VerificationReport,
     admissible_colors,
+    check_all_pi,
     check_colors,
     coordinate,
+    deficiency,
     enumerate_hyperedges,
     enumerate_vertices,
     full_report,
@@ -49,12 +56,17 @@ from simplexlattice import (
     label,
     label_all,
     label_pi,
+    min_max_colors,
     pi_hyperedge,
+    read_labeling,
     report_to_dict,
     rule_descriptor,
     vertex_rank,
+    write_labeling,
 )
+from simplexlattice.labeling import _attaining_masks
 from simplexlattice.lattice import _instance_index
+from simplexlattice.verify import _class_counts
 
 INSTANCES = [Params(k, q) for k in range(3, 7) for q in range(0, k + 2)]
 # cells only: k! permutations make the label and report sweeps too slow here
@@ -263,3 +275,213 @@ def test_external_labelings_match_reference_bytes():
                     seen.add((got.sperner_ok, min(got.edges_checked, 2)))
     assert seen == {(ok, cells) for ok in (True, False) for cells in (0, 1, 2)}
 
+
+
+def test_label_all_builds_what_the_checking_constructor_builds():
+    # label_all skips Labeling's checks; its colors must pass them anyway
+    for params in INSTANCES + [Params(7, 7), Params(8, 8), Params(9, 9)]:
+        if params.q < params.k:
+            continue
+        for pi in [None, *permutations(params.k)[:24]]:
+            for reading in READINGS:
+                labeling = label_all(params, pi, reading)
+                assert labeling == Labeling(params, labeling.colors, labeling.rule)
+                assert set(map(type, labeling.colors)) == {int}
+
+
+def test_rank_step_offsets_match_the_per_base_formula():
+    for k in range(3, 9):
+        for q in range(0, 6):
+            index = _instance_index(Params(k, q))
+            ranks, ties, offsets = index._rank_steps
+            assert list(ranks) == [r for r, _ in index.bases]
+            assert list(ties) == [t for _, t in index.bases]
+            assert offsets == [
+                [comb(q - index.vertices[r][j] + k - 3 - j, k - 2 - j) for r in ranks]
+                for j in range(k - 1)
+            ], (k, q)
+
+
+def test_step_ranks_are_ranks_of_stepped_bases():
+    # every step set S: the rank of b + e_S where that is a lattice point,
+    # and a rank in range where it is not
+    for k in range(3, 8):
+        for q in range(1, 4):
+            params = Params(k, q)
+            index = _instance_index(params)
+            for steps in range(0, 1 << k, 2):
+                got = list(index._step_ranks(steps))
+                assert len(got) == len(index.bases)
+                for r, (base, _) in zip(got, index.bases):
+                    v = tuple(x + (steps >> j & 1) for j, x in enumerate(index.vertices[base], 1))
+                    if is_lattice_point(v, params):
+                        assert r == vertex_rank(v, params), (params, steps, v)
+                    assert 0 <= r < params.num_vertices
+
+
+def attaining_sets(params):
+    return [frozenset(t for t in range(params.k + 1)
+                      if t - coordinate(v, t, params) == deficiency(v, params))
+            for v in enumerate_vertices(params)]
+
+
+def takes_class_path(labeling):
+    """Whether the color scan counts by classes, checked against the
+    definition: k <= 8 and one color on each set of attaining indices."""
+    params = labeling.params
+    sets = attaining_sets(params)
+    constant = len(set(zip(sets, labeling.colors))) == len(set(sets))
+    got = _class_counts(labeling, _instance_index(params), tuple(range(1, params.k))) is not None
+    assert got == (constant and params.k <= 8), (params, labeling.colors)
+    return got
+
+
+def cells_check(labeling, pi, threshold):
+    """histogram, max colors and violations of check_colors, from the
+    index's cells and Python sets"""
+    params, colors = labeling.params, labeling.colors
+    vertices = _instance_index(params).vertices
+    perm = tuple(range(1, params.k)) if pi is None else pi
+    histogram, violating = Counter(), []
+    for cell in _instance_index(params).cells(pi):
+        seen = {colors[r] for r in cell}
+        histogram[len(seen)] += 1
+        if len(seen) > threshold:
+            violating.append((vertices[cell[0]], perm, tuple(sorted(seen))))
+    return dict(sorted(histogram.items())), max(histogram, default=0), tuple(violating)
+
+
+def step_set_cover(k):
+    """Permutations whose cells between them step by every set of
+    coordinates: greedily, the one covering the most sets not yet seen."""
+    seen, chosen = set(), []
+    perms = permutations(k)
+    chains = [{frozenset(pi[k - 1 - t:]) for t in range(k)} for pi in perms]
+    while len(seen) < 1 << k - 1:
+        best = max(range(len(perms)), key=lambda i: len(chains[i] - seen))
+        seen |= chains[best]
+        chosen.append(perms[best])
+    return chosen
+
+
+def test_rule_labelings_take_the_class_path_on_every_step_set():
+    # k = 7 over every pi; both readings and two thresholds over pis whose
+    # cells between them step by every set of coordinates, at k = 7 and 8
+    cases = [(Params(7, 7), pi, READINGS[0], 2) for pi in permutations(7)]
+    for params in (Params(7, 7), Params(8, 8)):
+        cases += [(params, pi, reading, threshold) for pi in step_set_cover(params.k)
+                  for reading in READINGS for threshold in (1, 2)]
+    for params, pi, reading, threshold in cases:
+        labeling = label_all(params, pi, reading)
+        got = check_colors(labeling, pi, threshold)
+        assert (got.histogram, got.max_colors_per_edge, got.violating_edges) == \
+            cells_check(labeling, pi, threshold), (params, pi, reading, threshold)
+    assert takes_class_path(label_all(Params(8, 8), (7, 1, 6, 2, 5, 3, 4), READINGS[1]))
+
+
+def test_rule_labelings_match_reference_bytes_at_k7_k8():
+    rng = random.Random(20261019)
+    for params in (Params(7, 7), Params(8, 8)):
+        for pi in [None, *rng.sample(permutations(params.k), 3)]:
+            for reading in READINGS if pi is not None else READINGS[:1]:
+                labeling = label_all(params, pi, reading)
+                for threshold in (1, 2):
+                    got = full_report(labeling, pi, threshold)
+                    want = reference_report(params, reference_colors(params, pi, reading),
+                                            rule_descriptor(pi, reading), pi, threshold)
+                    assert serialized(got) == serialized(want), (params, pi, reading, threshold)
+
+
+def test_class_colorings_match_reference_bytes():
+    # Colors constant on the rule's classes but otherwise random, so the
+    # class path meets Sperner violations, every color count and
+    # subdivisions of 0, 1 and more cells; then the same colors changed at
+    # one vertex of a class with others, at its first vertex and at a later
+    # one, which the class path must refuse.
+    rng = random.Random(20261020)
+    seen = set()
+    for params in EXTERNAL_INSTANCES:
+        k = params.k
+        if k > 8:
+            continue
+        classes, masks, firsts = _attaining_masks(params)
+        perms = permutations(k) if k <= 5 else rng.sample(permutations(k), 4)
+        shared = [c for c in range(len(masks)) if classes.count(c) > 1]
+        for _ in range(2):
+            table = [rng.randint(1, k) for _ in masks]
+            colors = tuple(table[c] for c in classes)
+            labelings = [colors]
+            if shared:
+                c = rng.choice(shared)
+                later = classes.index(c, firsts[c] + 1)
+                for r in (firsts[c], later):
+                    other = rng.choice([x for x in range(1, k + 1) if x != colors[r]])
+                    labelings.append(colors[:r] + (other,) + colors[r + 1:])
+            for i, colors in enumerate(labelings):
+                labeling = Labeling(params, colors, "external")
+                assert takes_class_path(labeling) == (i == 0)
+                for pi in [None, *perms]:
+                    for threshold in range(1, k + 1):
+                        got = full_report(labeling, pi, threshold)
+                        want = reference_report(params, colors, "external", pi, threshold)
+                        assert serialized(got) == serialized(want), (params, pi, colors, threshold)
+                        seen.add((i == 0, min(got.edges_checked, 2)))
+    assert seen == {(factors, cells) for factors in (True, False) for cells in (0, 1, 2)}
+
+
+def test_files_read_back_take_the_class_path():
+    for params in (Params(4, 5), Params(6, 7), Params(8, 8)):
+        for pi in (None, tuple(range(params.k - 1, 0, -1))):
+            labeling = label_all(params, pi)
+            for fmt in ("json", "csv"):
+                read = read_labeling(write_labeling(labeling, fmt))
+                assert takes_class_path(read)
+                for threshold in (1, 2):
+                    assert serialized(full_report(read, pi, threshold)) == \
+                        serialized(full_report(labeling, pi, threshold))
+    params = Params(4, 5)
+    read = read_labeling(write_labeling(label_all(params, (3, 1, 2)), "csv"))
+    for pi in permutations(4):
+        want = reference_report(params, read.colors, read.rule, pi, 1)
+        assert serialized(full_report(read, pi, 1)) == serialized(want)
+
+
+def test_witnesses_and_random_colors_match_reference_bytes():
+    # most oracle witnesses happen to be constant on the rule's classes, the
+    # one at (5,3) is not; random admissible colors are not
+    rng = random.Random(20261021)
+    labelings = [min_max_colors(Params(k, q)).witness for k, q in ((4, 3), (5, 3), (6, 5))]
+    for params in (Params(4, 4), Params(5, 5), Params(6, 6)):
+        domains = [sorted(admissible_colors(v, params)) for v in enumerate_vertices(params)]
+        labelings.append(Labeling(params, tuple(map(rng.choice, domains)), "external"))
+    assert list(map(takes_class_path, labelings)) == [True, False, True, False, False, False]
+    for labeling in labelings:
+        params = labeling.params
+        for pi in [None, *rng.sample(permutations(params.k), 2)]:
+            for threshold in (1, 2, 3):
+                got = full_report(labeling, pi, threshold)
+                want = reference_report(params, labeling.colors, labeling.rule, pi, threshold)
+                assert serialized(got) == serialized(want), (params, pi, threshold)
+
+
+def test_undefined_vertex_is_first_in_rank_order_at_k7_k8():
+    for params in (Params(7, 3), Params(7, 6), Params(8, 2), Params(8, 7)):
+        first = next(v for v in enumerate_vertices(params)
+                     if params.k - params.q > max(t - x for t, x in enumerate(v, 1)))
+        for pi in (None, *permutations(params.k)[::97]):
+            for reading in READINGS:
+                assert index_colors(params, pi, reading) == first
+
+
+def test_class_rows_are_bytes_one_per_step_set():
+    params = Params(6, 8)
+    index = _instance_index(params)
+    # one pi builds only the k rows its cells step by
+    index._rows.clear()
+    full_report(label_all(params, (2, 4, 1, 5, 3)), (2, 4, 1, 5, 3))
+    assert sorted(index._rows) == [0, 1 << 3, 1 << 3 | 1 << 5, 1 << 1 | 1 << 3 | 1 << 5,
+                                   1 << 1 | 1 << 3 | 1 << 4 | 1 << 5, 0b111110]
+    check_all_pi(params)
+    assert len(index._rows) <= 1 << params.k - 1
+    assert {type(row) for row in index._rows.values()} == {bytes}
+    assert {len(row) for row in index._rows.values()} == {len(index.bases)}
