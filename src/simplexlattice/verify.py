@@ -7,20 +7,20 @@ failing report are complete (serialization may cap them, the counts never
 lie).
 
 For ``k <= 8`` a vertex's color is one bit of a byte and so is a cell's
-set of colors, so both scans still read every vertex and every cell, but
-as bytes and ints in C: admissibility is one AND against the colors that
-are inadmissible at each vertex, and a cell's count is the popcount of the
-OR of its vertices' bytes.  Every rule's labeling is constant on the
-classes of ``labeling._attaining_masks``, and the ``t``-th vertex of the
-cell of ``pi`` at base ``b`` is ``b + e_S``, ``S`` the last ``t`` images of
-``pi``.  So the class bytes of each ``S`` over all bases are built once per
+set of colors, so the scans still read every vertex and every cell, but as
+bytes and ints in C: admissibility is one AND against the colors that are
+inadmissible at each vertex, and a cell's count is the popcount of the OR
+of its vertices' bytes.  Every rule's labeling is constant on the classes
+of ``labeling._attaining_masks``, and the ``t``-th vertex of the cell of
+``pi`` at base ``b`` is ``b + e_S``, ``S`` the last ``t`` images of ``pi``.
+So the class bytes of each ``S`` over all bases are built once per
 instance, and each ``pi`` ORs ``k`` of them, translated to one-hot colors
 and masked to its consistent bases.  That is exact for any labeling whose
-colors are its classes' colors translated back, the test the scan makes
-first, so labeling files the rule wrote take this path too; other
-labelings gather their cells' bytes by rank.  Wider colors need more than
-a byte, so there the scans keep the loop over vertices and a set per cell,
-the way the tests' reference report is built from the per-point functions.
+colors are its classes' colors translated back, the test the color scan
+makes first, so labeling files the rule wrote take this path too.  Other
+labelings, and wider colors, which need more than a byte, count a set per
+cell, the way the tests' reference report is built from the per-point
+functions; wider colors also keep the Sperner loop over vertices.
 """
 
 from __future__ import annotations
@@ -168,20 +168,9 @@ def _color_scan(labeling: Labeling, pi: Perm | None, threshold: int):
     columns, counts = None, _class_counts(labeling, index, perm) if params.k <= 8 else None
     color = labeling.colors.__getitem__
     if counts is None:
+        # any other labeling, and wider colors: a set per cell
         columns = index.columns(pi)
-        cells = len(columns[0])
-        if params.k <= 8 and cells > 1:
-            # a cell's color set is one byte, the OR of its vertices' one-hot
-            # colors, and its size is that byte's popcount
-            one_hot = bytes(labeling.colors).translate(_ONE_HOT)
-            union = 0
-            for column in columns:
-                union |= int.from_bytes(bytes(operator.itemgetter(*column)(one_hot)), "little")
-            counts = union.to_bytes(cells, "little").translate(_POPCOUNT)
-        else:
-            # wider colors need sets, and so do 0 or 1 cells: itemgetter of no
-            # rank fails and of one rank gives no tuple
-            counts = list(map(len, map(set, zip(*[map(color, column) for column in columns]))))
+        counts = list(map(len, map(set, zip(*[map(color, column) for column in columns]))))
     histogram = {n: count for n in range(1, params.k + 1) if (count := counts.count(n))}
     max_colors = max(histogram, default=0)
     violating = ()
