@@ -281,11 +281,12 @@ def _inverse_descent_mask(pi: Perm) -> int:
 class _InstanceIndex(_Frozen):
     """The geometry of one instance that every module reads, built once.
 
-    ``vertices`` is the lexicographic enumeration.  ``bases`` pairs the rank
-    of each base point of ``V_{k,q-1}`` (the vertices below ``q``
-    everywhere, already in lexicographic order) with its tie mask, bit ``i``
-    set iff ``v_i = v_{i+1}``.  Nothing it computes depends on a labeling
-    rule.
+    ``vertices`` is the lexicographic enumeration.  ``_ties`` holds per
+    vertex bit ``c - 1`` iff ``v_c = v_{c-1}`` (``v_0 = 0``, ``v_k = q``):
+    the colors inadmissible there.  The base points of ``V_{k,q-1}`` are
+    the vertices with bit ``k - 1`` clear, in lexicographic order, and
+    ``pi`` is consistent with a base unless its entry meets
+    :func:`_inverse_descent_mask`, which sets only bits ``1..k-2``.
 
     Cells come from rank arithmetic, not from a rank map.  With 0-based
     coordinates, whenever ``v + e_j`` is a lattice point,
@@ -298,32 +299,45 @@ class _InstanceIndex(_Frozen):
     ``-C(q - v_j + t - 1, t - 1)``, ``t = k - 2 - j``.  A cell steps each
     coordinate exactly once, from its base's value, so the offset of step
     ``j`` is fixed per base; ``_rank_steps`` holds one list of them per
-    coordinate over ``bases``.
+    coordinate over the bases.
+
+    ``_rows`` is the one entry that reads a labeling rule: the color scan
+    fills it for ``k <= 8`` with the rule's class bytes of ``b + e_S`` over
+    the bases, by step set ``S`` (bit ``j`` for ``e_j``).
 
     Indexes compare and hash by identity.
     """
 
-    _fields = ("params", "vertices", "bases")
+    _fields = ("params", "vertices")
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
-    def __init__(self, params: Params, vertices: tuple[Point, ...],
-                 bases: tuple[tuple[int, int], ...]) -> None:
+    def __init__(self, params: Params, vertices: tuple[Point, ...]) -> None:
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "bases", bases)
-        # filled by the color scan for k <= 8: the rule's class bytes of
-        # b + e_S over the bases, by step set S (bit j for e_j)
         object.__setattr__(self, "_rows", {})
 
     @cached_property
-    def _rank_steps(self) -> tuple[tuple[int, ...], bytes | tuple[int, ...], list[list[int]]]:
-        # base ranks, tie masks and offsets per coordinate, in the order of
-        # ``bases``; built on first use, so a process that only labels never
-        # pays for it
+    def _ties(self) -> bytes | tuple[int, ...]:
+        # one C-level comparison per pair of neighbouring coordinate columns;
+        # for k <= 8 color c's flags shift into bit c - 1 of a byte per vertex
+        k, q, n = self.params.k, self.params.q, len(self.vertices)
+        coordinates = [(0,) * n, *zip(*self.vertices), (q,) * n]
+        equal = [bytes(map(operator.eq, a, b)) for a, b in zip(coordinates[1:], coordinates)]
+        if k > 8:
+            return tuple(map(sum, zip(*[map((1 << c).__mul__, e) for c, e in enumerate(equal)])))
+        bits = sum(int.from_bytes(e, "little") << c for c, e in enumerate(equal))
+        return bits.to_bytes(n, "little")
+
+    @cached_property
+    def _rank_steps(self) -> tuple[list[int], bytes | tuple[int, ...], list[list[int]]]:
+        # base ranks, tie masks and offsets per coordinate; built on first
+        # use, so a process that only labels never pays for it
         k, q = self.params.k, self.params.q
-        ranks, ties = zip(*self.bases) if self.bases else ((), ())
-        ties = bytes(ties) if k <= 8 else ties  # bits 1..k-2: a byte each
+        ties = self._ties
+        below = list(map(operator.not_, map((1 << k - 1).__and__, ties)))  # v_{k-1} < q
+        ranks = list(itertools.compress(range(len(ties)), below))
+        ties = type(ties)(itertools.compress(ties, below))
         # a base coordinate is below q, so one table of q offsets per
         # coordinate, read through that coordinate's column
         coordinates = list(zip(*map(self.vertices.__getitem__, ranks))) or [()] * (k - 1)
@@ -334,7 +348,7 @@ class _InstanceIndex(_Frozen):
         return ranks, ties, offsets
 
     def _step_ranks(self, steps: int):
-        """Ranks of ``b + e_S`` over ``bases``, ``S`` the ``j`` with bit ``j``
+        """Ranks of ``b + e_S`` over the bases, ``S`` the ``j`` with bit ``j``
         of ``steps`` set.  Where ``b + e_S`` is no lattice point the number is
         still a rank, at most that of ``b + e_{1..k-1}``: offsets are positive."""
         ranks, _, offsets = self._rank_steps
@@ -343,18 +357,13 @@ class _InstanceIndex(_Frozen):
                 ranks = map(operator.add, ranks, offset)
         return ranks
 
-    @cached_property
-    def _inadmissible(self) -> int:
-        # for k <= 8: byte r has bit c - 1 set iff color c is not admissible
-        # at vertex r, that is v_c == v_{c-1} with v_0 = 0 and v_k = q; one
-        # C-level comparison per pair of neighbouring coordinate columns
-        k, q, n = self.params.k, self.params.q, len(self.vertices)
-        coordinates = [(0,) * n, *zip(*self.vertices), (q,) * n]
-        bits = 0
-        for c in range(1, k + 1):
-            equal = bytes(map(operator.eq, coordinates[c], coordinates[c - 1]))
-            bits |= int.from_bytes(equal, "little") << c - 1
-        return bits
+    def _consistent(self, pi: Perm) -> bytes | list[int]:
+        # per base 0xFF where pi orders none of its ties the wrong way, else
+        # 0; for k <= 8 the verdict on every byte value, then one translate
+        ties, forbidden = self._rank_steps[1], _inverse_descent_mask(pi)
+        as_bytes = self.params.k <= 8
+        keep = [0 if t & forbidden else 0xFF for t in (range(256) if as_bytes else ties)]
+        return ties.translate(bytes(keep)) if as_bytes else keep
 
     def columns(self, pi: Perm | None) -> list[list[int]]:
         """The cells of ``pi`` (the identity for None) as ``k`` lists of
@@ -365,9 +374,8 @@ class _InstanceIndex(_Frozen):
             pi = identity_permutation(params)
         else:
             _check_permutation(pi, params)
-        ranks, ties, offsets = self._rank_steps
-        forbidden = _inverse_descent_mask(pi)
-        keep = [not t & forbidden for t in ties]
+        ranks, _, offsets = self._rank_steps
+        keep = self._consistent(pi)
         column = list(itertools.compress(ranks, keep))
         columns = [column]
         for image in reversed(pi):
@@ -386,14 +394,4 @@ class _InstanceIndex(_Frozen):
 def _instance_index(params: Params) -> _InstanceIndex:
     # Built on first use and kept for the few instances in use at a time,
     # so that a permutation sweep labels and checks against one index.
-    vertices = tuple(enumerate_vertices(params))
-    bases = []
-    for r, v in enumerate(vertices):
-        if v[-1] < params.q:
-            ties, prev = 0, -1
-            for i, x in enumerate(v):
-                if x == prev:
-                    ties |= 1 << i
-                prev = x
-            bases.append((r, ties))
-    return _InstanceIndex(params, vertices, tuple(bases))
+    return _InstanceIndex(params, tuple(enumerate_vertices(params)))

@@ -7,20 +7,21 @@ failing report are complete (serialization may cap them, the counts never
 lie).
 
 For ``k <= 8`` a vertex's color is one bit of a byte and so is a cell's
-set of colors, so the scans still read every vertex and every cell, but as
-bytes and ints in C: admissibility is one AND against the colors that are
-inadmissible at each vertex, and a cell's count is the popcount of the OR
-of its vertices' bytes.  Every rule's labeling is constant on the classes
-of ``labeling._attaining_masks``, and the ``t``-th vertex of the cell of
-``pi`` at base ``b`` is ``b + e_S``, ``S`` the last ``t`` images of ``pi``.
-So the class bytes of each ``S`` over all bases are built once per
-instance, and each ``pi`` ORs ``k`` of them, translated to one-hot colors
-and masked to its consistent bases.  That is exact for any labeling whose
-colors are its classes' colors translated back, the test the color scan
-makes first, so labeling files the rule wrote take this path too.  Other
-labelings, and wider colors, which need more than a byte, count a set per
-cell, the way the tests' reference report is built from the per-point
-functions; wider colors also keep the Sperner loop over vertices.
+set of colors, so the scans read every vertex and every cell as bytes and
+ints in C.  Admissibility is one AND of the one-hot colors with the index's
+tie bytes, which mark the colors inadmissible at each vertex.  A cell's
+count is the popcount of the OR of its vertices' bytes: every rule's
+labeling is constant on the classes of ``labeling._attaining_masks``, and
+the ``t``-th vertex of the cell of ``pi`` at base ``b`` is ``b + e_S``,
+``S`` the last ``t`` images of ``pi``, so the class bytes of each ``S``
+over all bases are built once per instance, and each ``pi`` ORs ``k`` of
+them, translated to one-hot colors and masked to its consistent bases.
+That is exact for any labeling whose colors are its classes' colors
+translated back, the test the color scan makes first, so labeling files
+the rule wrote take this path too.  Other labelings, and wider colors,
+count a set per cell, the way the tests' reference report is built from
+the per-point functions; wider colors also test each vertex's tie mask in
+a loop, which is how every failing labeling lists its violations.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from .lattice import (
     _check_permutation,
     _instance_index,
     _InstanceIndex,
-    _inverse_descent_mask,
     _Record,
     _permutations,
     identity_permutation,
@@ -102,23 +102,22 @@ def edge_colors(edge: Hyperedge, labeling: Labeling) -> frozenset[int]:
 # for k <= 8: color c -> bit c - 1, and a byte of such bits -> how many
 _ONE_HOT = bytes([0, *(1 << c for c in range(8))]).ljust(256, b"\0")
 _POPCOUNT = bytes(bin(b).count("1") for b in range(256))
-_KEEP = b"\xff".ljust(256, b"\0")
 
 
-def _sperner_scan(labeling: Labeling) -> tuple[bool, tuple[tuple[Point, int], ...]]:
-    k, q = labeling.params.k, labeling.params.q
+def _one_hot(labeling: Labeling) -> bytes | None:
+    # for k <= 8: the colors as one bit each, a byte per vertex
+    return bytes(labeling.colors).translate(_ONE_HOT) if labeling.params.k <= 8 else None
+
+
+def _sperner_scan(labeling: Labeling, one_hot: bytes | None) -> tuple[tuple[Point, int], ...]:
+    # the vertices whose color is among their tie bits, in rank order; for
+    # k <= 8 one AND of those bits with the one-hot colors settles a pass
     index = _instance_index(labeling.params)
-    # k <= 8 fits a vertex's color in one byte, so one AND settles a passing
-    # labeling; the loop lists violations in rank order and checks wider colors
-    if k <= 8 and not index._inadmissible & int.from_bytes(
-            bytes(labeling.colors).translate(_ONE_HOT), "little"):
-        return True, ()
-    violations = []
-    for v, c in zip(index.vertices, labeling.colors):
-        # v_c > v_{c-1} with the virtual coordinates v_0 = 0 and v_k = q
-        if (v[c - 1] if c < k else q) <= (v[c - 2] if c > 1 else 0):
-            violations.append((v, c))
-    return not violations, tuple(violations)
+    ties = index._ties
+    if one_hot is None or int.from_bytes(ties, "little") & int.from_bytes(one_hot, "little"):
+        return tuple((v, c) for v, c, t in zip(index.vertices, labeling.colors, ties)
+                     if t >> c - 1 & 1)
+    return ()
 
 
 def check_sperner(labeling: Labeling) -> VerificationReport:
@@ -126,21 +125,21 @@ def check_sperner(labeling: Labeling) -> VerificationReport:
 
     Violations are listed exhaustively in vertex rank order.
     """
-    ok, violations = _sperner_scan(labeling)
+    violations = _sperner_scan(labeling, _one_hot(labeling))
     return VerificationReport(
         params=labeling.params,
         labeling_rule=labeling.rule,
         edge_rule="none",
-        sperner_ok=ok,
+        sperner_ok=not violations,
         sperner_violations=violations,
     )
 
 
-def _class_counts(labeling: Labeling, index: _InstanceIndex, perm: Perm) -> bytes | None:
+def _class_counts(labeling: Labeling, index: _InstanceIndex, perm: Perm,
+                  one_hot: bytes) -> bytes | None:
     # k <= 8 and a labeling constant on the rule's classes: each cell's
     # color count, in lexicographic base order; None for any other labeling
     classes, _, firsts = _attaining_masks(labeling.params)
-    one_hot = bytes(labeling.colors).translate(_ONE_HOT)
     class_one_hot = bytes(map(one_hot.__getitem__, firsts)).ljust(256, b"\0")
     if classes.translate(class_one_hot) != one_hot:
         return None
@@ -152,20 +151,34 @@ def _class_counts(labeling: Labeling, index: _InstanceIndex, perm: Perm) -> byte
         if row is None:
             row = rows[steps] = bytes(map(classes.__getitem__, index._step_ranks(steps)))
         union |= int.from_bytes(row.translate(class_one_hot), "little")
-    # 0xFF at the bases consistent with pi, whose ties pi does not forbid
-    forbidden = bytes(map(_inverse_descent_mask(perm).__and__, range(256)))
-    keep = index._rank_steps[1].translate(forbidden).translate(_KEEP)
     # every cell shows a color, so the zero bytes are the bases pi leaves out
+    keep = index._consistent(perm)
     union &= int.from_bytes(keep, "little")
     return union.to_bytes(len(keep), "little").translate(_POPCOUNT, b"\0")
 
 
-def _color_scan(labeling: Labeling, pi: Perm | None, threshold: int):
+def check_colors(labeling: Labeling, pi: Perm | None = None,
+                 threshold: int = 2) -> VerificationReport:
+    """Histogram the per-cell color counts and list cells above ``threshold``.
+
+    ``pi=None`` checks the identity edge set; a permutation checks the
+    consistent cells of that permutation.
+    """
+    return _check_colors(labeling, pi, threshold, _one_hot(labeling))
+
+
+def _check_colors(labeling: Labeling, pi: Perm | None, threshold: int,
+                  one_hot: bytes | None) -> VerificationReport:
     params = labeling.params
+    if params.q < 1:
+        raise ValueError("color check needs q >= 1 (no edges otherwise)")
+    if threshold < 1:
+        raise ValueError(f"threshold must be >= 1, got {threshold}")
     index = _instance_index(params)
     perm = identity_permutation(params) if pi is None else pi
     _check_permutation(perm, params)
-    columns, counts = None, _class_counts(labeling, index, perm) if params.k <= 8 else None
+    columns = None
+    counts = None if one_hot is None else _class_counts(labeling, index, perm, one_hot)
     color = labeling.colors.__getitem__
     if counts is None:
         # any other labeling, and wider colors: a set per cell
@@ -180,22 +193,6 @@ def _color_scan(labeling: Labeling, pi: Perm | None, threshold: int):
             for cell, n in zip(zip(*(columns or index.columns(pi))), counts)
             if n > threshold
         )
-    return histogram, max_colors, violating
-
-
-def check_colors(labeling: Labeling, pi: Perm | None = None,
-                 threshold: int = 2) -> VerificationReport:
-    """Histogram the per-cell color counts and list cells above ``threshold``.
-
-    ``pi=None`` checks the identity edge set; a permutation checks the
-    consistent cells of that permutation.
-    """
-    params = labeling.params
-    if params.q < 1:
-        raise ValueError("color check needs q >= 1 (no edges otherwise)")
-    if threshold < 1:
-        raise ValueError(f"threshold must be >= 1, got {threshold}")
-    histogram, max_colors, violating = _color_scan(labeling, pi, threshold)
     return VerificationReport(
         params=params,
         labeling_rule=labeling.rule,
@@ -210,11 +207,12 @@ def check_colors(labeling: Labeling, pi: Perm | None = None,
 
 def full_report(labeling: Labeling, pi: Perm | None = None,
                 threshold: int = 2) -> VerificationReport:
-    """Admissibility and color check in a single report."""
-    ok, sperner_violations = _sperner_scan(labeling)
-    report = check_colors(labeling, pi, threshold)
-    report.sperner_ok = ok
-    report.sperner_violations = sperner_violations
+    """Admissibility and color check in a single report, from one set of
+    one-hot color bytes for ``k <= 8``."""
+    one_hot = _one_hot(labeling)
+    report = _check_colors(labeling, pi, threshold, one_hot)
+    report.sperner_violations = _sperner_scan(labeling, one_hot)
+    report.sperner_ok = not report.sperner_violations
     return report
 
 

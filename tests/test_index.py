@@ -2,13 +2,15 @@
 scans against the per-point reference functions.
 
 ``full_report``, io, ``render_svg`` and the oracle read one
-cached index per instance, holding geometry only: vertices, base points
-with their tie masks, the colors inadmissible at each vertex as bytes, and
-the cells of each permutation as columns of vertex ranks, stepped from
-each base by closed-form rank offsets.  ``label_all`` reads the deficiency
-masks that labeling keeps beside it, walking the scan order once over the
-distinct ones.  The public per-point functions (``label``, ``label_pi``,
-``pi_hyperedge``, ``is_consistent``, ``vertex_rank``, ``coordinate``,
+cached index per instance: vertices, one tie table (per vertex the
+neighbouring coordinates that are equal, which are the colors inadmissible
+there, pick out the base points, and decide which permutations each base
+is consistent with), and the cells of each permutation as columns of
+vertex ranks, stepped from each base by closed-form rank offsets.
+``label_all`` reads the deficiency masks that labeling keeps beside it,
+walking the scan order once over the distinct ones.  The public per-point
+functions (``label``, ``label_pi``, ``pi_hyperedge``, ``is_consistent``,
+``enumerate_vertices``, ``vertex_rank``, ``coordinate``,
 ``admissible_colors``) use neither, so they serve as the reference here,
 over every permutation of every ``k <= 6`` and ``q`` from 0 (a single
 point) to ``k + 1``, which takes in the ``q < k`` range where the rule is
@@ -66,7 +68,7 @@ from simplexlattice import (
 )
 from simplexlattice.labeling import _attaining_masks
 from simplexlattice.lattice import _instance_index
-from simplexlattice.verify import _class_counts
+from simplexlattice.verify import _class_counts, _one_hot
 
 INSTANCES = [Params(k, q) for k in range(3, 7) for q in range(0, k + 2)]
 # cells only: k! permutations make the label and report sweeps too slow here
@@ -236,15 +238,39 @@ def test_full_report_matches_reference_bytes():
                     assert serialized(got) == serialized(want), (params, pi, reading, threshold)
 
 
+def tie_mask(v, params):
+    """Bit c - 1 for each c with v_c = v_{c-1}, from ``coordinate``."""
+    return sum(1 << c - 1 for c in range(1, params.k + 1)
+               if coordinate(v, c, params) == coordinate(v, c - 1, params))
+
+
 def test_inadmissible_bytes_match_admissible_colors():
-    for k in range(3, 9):
+    # the tie table, bytes for k <= 8 and a tuple of ints at k = 9
+    for k in range(3, 10):
         for q in range(0, 5):
             params = Params(k, q)
-            inadmissible = _instance_index(params)._inadmissible
-            for r, v in enumerate(enumerate_vertices(params)):
-                want = sum(1 << c - 1 for c in range(1, k + 1)
-                           if c not in admissible_colors(v, params))
-                assert inadmissible >> 8 * r & 0xFF == want, (params, v)
+            ties = _instance_index(params)._ties
+            assert type(ties) is (bytes if k <= 8 else tuple), params
+            assert list(ties) == [
+                sum(1 << c - 1 for c in range(1, k + 1) if c not in admissible_colors(v, params))
+                for v in enumerate_vertices(params)
+            ], params
+            assert list(ties) == [tie_mask(v, params) for v in enumerate_vertices(params)]
+
+
+def test_consistent_bases_match_is_consistent():
+    # every pi for k <= 5, a seeded sample at k = 9, where the mask is a list
+    rng = random.Random(20261022)
+    for params in [Params(k, q) for k in range(3, 6) for q in range(1, 5)] + \
+            [Params(9, 2), Params(9, 3)]:
+        index = _instance_index(params)
+        bases = enumerate_vertices(params.base())
+        perms = permutations(params.k) if params.k <= 5 else rng.sample(permutations(9), 40)
+        for pi in perms:
+            keep = index._consistent(pi)
+            assert type(keep) is (bytes if params.k <= 8 else list)
+            assert set(keep) <= {0, 0xFF}
+            assert list(map(bool, keep)) == [is_consistent(pi, b) for b in bases], (params, pi)
 
 
 def test_external_labelings_match_reference_bytes():
@@ -290,14 +316,18 @@ def test_label_all_builds_what_the_checking_constructor_builds():
 
 
 def test_rank_step_offsets_match_the_per_base_formula():
-    for k in range(3, 9):
-        for q in range(0, 6):
-            index = _instance_index(Params(k, q))
-            ranks, ties, offsets = index._rank_steps
-            assert list(ranks) == [r for r, _ in index.bases]
-            assert list(ties) == [t for _, t in index.bases]
+    # the bases are those of V_{k,q-1} in lexicographic order, with their
+    # tie masks at the instance's own q; at k = 9 the masks are a tuple
+    for k in range(3, 10):
+        for q in range(0, 6 if k < 9 else 4):
+            params = Params(k, q)
+            bases = enumerate_vertices(params.base()) if q else []
+            ranks, ties, offsets = _instance_index(params)._rank_steps
+            assert type(ties) is (bytes if k <= 8 else tuple)
+            assert list(ranks) == [vertex_rank(b, params) for b in bases], (k, q)
+            assert list(ties) == [tie_mask(b, params) for b in bases], (k, q)
             assert offsets == [
-                [comb(q - index.vertices[r][j] + k - 3 - j, k - 2 - j) for r in ranks]
+                [comb(q - b[j] + k - 3 - j, k - 2 - j) for b in bases]
                 for j in range(k - 1)
             ], (k, q)
 
@@ -309,11 +339,12 @@ def test_step_ranks_are_ranks_of_stepped_bases():
         for q in range(1, 4):
             params = Params(k, q)
             index = _instance_index(params)
+            bases = enumerate_vertices(params.base())
             for steps in range(0, 1 << k, 2):
                 got = list(index._step_ranks(steps))
-                assert len(got) == len(index.bases)
-                for r, (base, _) in zip(got, index.bases):
-                    v = tuple(x + (steps >> j & 1) for j, x in enumerate(index.vertices[base], 1))
+                assert len(got) == len(bases)
+                for r, base in zip(got, bases):
+                    v = tuple(x + (steps >> j & 1) for j, x in enumerate(base, 1))
                     if is_lattice_point(v, params):
                         assert r == vertex_rank(v, params), (params, steps, v)
                     assert 0 <= r < params.num_vertices
@@ -331,7 +362,9 @@ def takes_class_path(labeling):
     params = labeling.params
     sets = attaining_sets(params)
     constant = len(set(zip(sets, labeling.colors))) == len(set(sets))
-    got = _class_counts(labeling, _instance_index(params), tuple(range(1, params.k))) is not None
+    one_hot = _one_hot(labeling)
+    index, perm = _instance_index(params), tuple(range(1, params.k))
+    got = one_hot is not None and _class_counts(labeling, index, perm, one_hot) is not None
     assert got == (constant and params.k <= 8), (params, labeling.colors)
     return got
 
@@ -484,4 +517,4 @@ def test_class_rows_are_bytes_one_per_step_set():
     check_all_pi(params)
     assert len(index._rows) <= 1 << params.k - 1
     assert {type(row) for row in index._rows.values()} == {bytes}
-    assert {len(row) for row in index._rows.values()} == {len(index.bases)}
+    assert {len(row) for row in index._rows.values()} == {len(enumerate_vertices(params.base()))}

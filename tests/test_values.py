@@ -16,10 +16,12 @@ from simplexlattice import (
     OracleResult,
     Params,
     VerificationReport,
+    enumerate_vertices,
     full_report,
     hyperedge,
     label_all,
     min_max_colors,
+    vertex_rank,
 )
 from simplexlattice.lattice import _instance_index, _InstanceIndex
 
@@ -109,19 +111,24 @@ def test_instance_index():
     index = _instance_index(p)
     assert index.params == p
     assert index.vertices == ((0, 0), (0, 1), (1, 1))
-    assert index.bases == ((0, 2),)
     assert repr(index) == (
-        "_InstanceIndex(params=Params(k=3, q=1), vertices=((0, 0), (0, 1), (1, 1)), "
-        "bases=((0, 2),))"
+        "_InstanceIndex(params=Params(k=3, q=1), vertices=((0, 0), (0, 1), (1, 1)))"
     )
     # compared and hashed by identity
-    twin = _InstanceIndex(p, index.vertices, index.bases)
+    twin = _InstanceIndex(p, index.vertices)
     assert twin == twin and twin != index
     assert hash(twin) == object.__hash__(twin)
-    assert _InstanceIndex(params=p, vertices=index.vertices, bases=index.bases) != index
-    # the rank steps are built once per index
-    assert isinstance(_InstanceIndex.__dict__["_rank_steps"], functools.cached_property)
-    assert twin._rank_steps is twin._rank_steps
+    assert _InstanceIndex(params=p, vertices=index.vertices) != index
+    # the tie table and the rank steps are built once per index
+    for name in ("_ties", "_rank_steps"):
+        assert isinstance(_InstanceIndex.__dict__[name], functools.cached_property)
+        assert getattr(twin, name) is getattr(twin, name)
+    # v_c = v_{c-1} with v_0 = 0 and v_3 = 1: colors {1, 2}, {1, 3}, {2, 3}
+    assert twin._ties == bytes([0b011, 0b101, 0b110])
+    # the one base point, (0, 0) of V_{3,0}, with its tie mask
+    ranks, ties, _ = twin._rank_steps
+    assert ranks == [vertex_rank(b, p) for b in enumerate_vertices(p.base())] == [0]
+    assert ties == b"\x03"
     assert twin.cells(None) == index.cells(None) == [(0, 1, 2)]
 
 
