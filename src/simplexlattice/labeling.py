@@ -20,6 +20,10 @@ admissibility; see :func:`simplexlattice.verify.compare_pi_readings`.
 Whenever ``q >= k`` the rules are total.  For ``q < k`` some points attain
 their deficiency only at index ``k``, where no color exists; those raise
 :class:`LabelUndefined`.
+
+Which indices attain the deficiency does not depend on the scan order:
+:func:`label_all` builds that set once per instance as each vertex's class,
+then colors each class by one walk of the scan order.
 """
 
 from __future__ import annotations
@@ -173,36 +177,30 @@ def _parse_image(text: str, params: Params) -> Perm:
 
 
 @lru_cache(maxsize=4)
-def _attaining_masks(params: Params) -> tuple[bytes | tuple[int, ...], tuple[int, ...],
-                                               tuple[int, ...]]:
-    """Per vertex in rank order its class, and per class its mask (sorted)
-    and first rank: a mask has bit ``t`` set iff index ``t`` attains the
-    deficiency ``max{t - v_t}``.  That set does not depend on any
-    permutation, only the tie-break among its members does, so every
-    rule's labeling is constant on a class.  Bit ``k`` is set only for
-    ``q <= k``, and then bit 0 equals it (``q = k``) or is never set, so at
-    most ``k`` bits vary: for ``k <= 8`` a class is one byte per vertex."""
+def _attaining_masks(params: Params) -> tuple[bytes | tuple[int, ...], dict[int, int],
+                                               dict[int, bytes]]:
+    """Per vertex in rank order its class, each class's first rank, and
+    the color scan's class rows by step set (see ``verify._class_counts``).
+
+    A class has bit ``t - 1`` for each ``t`` in ``[1, k]`` attaining the
+    deficiency ``max{t - v_t}``, and is 0 where the deficiency is 0: index
+    0 attains it there, and every scan order tries 0 first.  Only the
+    tie-break among a class's members depends on the permutation, so every
+    rule's labeling is constant on a class.  A class has at most ``k``
+    bits: one byte per vertex for ``k <= 8``."""
     k, q = params.k, params.q
-    masks = []
+    classes = []
     for v in _instance_index(params).vertices:
-        top, mask = 0, 1  # t = 0 gives 0; t = k is folded in after the loop
+        top, mask = k - q, 1 << k - 1  # index k (v_k = q) ties like any other
         for t, x in enumerate(v, 1):
             d = t - x
             if d > top:
-                top, mask = d, 1 << t
+                top, mask = d, 1 << t - 1
             elif d == top:
-                mask |= 1 << t
-        if k - q > top:
-            mask = 1 << k
-        elif k - q == top:
-            mask |= 1 << k
-        masks.append(mask)
-    # walked backwards, so the first rank of each mask is the one kept
-    first = dict(zip(reversed(masks), range(len(masks) - 1, -1, -1)))
-    distinct = sorted(first)
-    classes = list(map(dict(zip(distinct, range(len(distinct)))).__getitem__, masks))
-    return (bytes(classes) if k <= 8 else tuple(classes), tuple(distinct),
-            tuple(map(first.__getitem__, distinct)))
+                mask |= 1 << t - 1
+        classes.append(mask if top > 0 else 0)
+    classes = bytes(classes) if k <= 8 else tuple(classes)
+    return classes, {c: classes.index(c) for c in set(classes)}, {}
 
 
 def label_all(params: Params, pi: Perm | None = None,
@@ -215,33 +213,33 @@ def label_all(params: Params, pi: Perm | None = None,
     Equal pointwise to :func:`label` and :func:`label_pi`, but the classes
     of :func:`_attaining_masks` are worked out once per instance, so only
     the tie-break of the scan order is worked out per rule: one walk of
-    the scan order settles every class at the first index its mask holds,
-    then each vertex looks its class up.  For ``k <= 8`` that look-up is
-    one ``bytes.translate`` of the class bytes.
+    the scan order settles every class at the first index it holds, then
+    each vertex looks its class up.  For ``k <= 8`` that look-up is one
+    ``bytes.translate`` of the class bytes.
     """
     _check_reading(reading)
+    k = params.k
     if pi is None:
-        order = tuple(range(params.k + 1))
+        order = range(1, k + 1)
     else:
         _check_permutation(pi, params)
-        order = (0, *pi, params.k)
-    classes, masks, firsts = _attaining_masks(params)
-    table = [0] * len(masks)  # color per class; 0 where only index k attains
-    pending = list(enumerate(masks))
-    for t, idx in enumerate(order):
+        order = (*pi, k)
+    classes, firsts, _ = _attaining_masks(params)
+    table = bytearray(256) if k <= 8 else {}  # color per class; 0 where only index k attains
+    table[0] = 1  # index 0 is first in every scan order
+    pending = [c for c in firsts if c]
+    for t, idx in enumerate(order, 1):
         # on the identity order t == idx, so both readings agree; index k
         # has no color (see label_pi)
-        color = 0 if idx == params.k else (t if reading == READING_POSITION else idx) + 1
-        rest = []
-        for c, mask in pending:
-            if mask >> idx & 1:
+        color = 0 if idx == k else (t if reading == READING_POSITION else idx) + 1
+        bit, rest = 1 << idx - 1, []
+        for c in pending:
+            if c & bit:
                 table[c] = color
             else:
-                rest.append((c, mask))
+                rest.append(c)
         pending = rest
-    if 0 in table:
-        first = min(r for r, color in zip(firsts, table) if not color)
-        raise LabelUndefined(_instance_index(params).vertices[first], params)
-    colors = (classes.translate(bytes(table).ljust(256, b"\0")) if params.k <= 8
-              else map(table.__getitem__, classes))
+    colors = classes.translate(table) if k <= 8 else list(map(table.__getitem__, classes))
+    if 0 in colors:
+        raise LabelUndefined(_instance_index(params).vertices[colors.index(0)], params)
     return Labeling._unchecked(params, tuple(colors), rule_descriptor(pi, reading))

@@ -301,10 +301,6 @@ class _InstanceIndex(_Frozen):
     ``j`` is fixed per base; ``_rank_steps`` holds one list of them per
     coordinate over the bases.
 
-    ``_rows`` is the one entry that reads a labeling rule: the color scan
-    fills it for ``k <= 8`` with the rule's class bytes of ``b + e_S`` over
-    the bases, by step set ``S`` (bit ``j`` for ``e_j``).
-
     Indexes compare and hash by identity.
     """
 
@@ -315,7 +311,6 @@ class _InstanceIndex(_Frozen):
     def __init__(self, params: Params, vertices: tuple[Point, ...]) -> None:
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "_rows", {})
 
     @cached_property
     def _ties(self) -> bytes | tuple[int, ...]:

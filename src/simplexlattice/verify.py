@@ -14,14 +14,15 @@ count is the popcount of the OR of its vertices' bytes: every rule's
 labeling is constant on the classes of ``labeling._attaining_masks``, and
 the ``t``-th vertex of the cell of ``pi`` at base ``b`` is ``b + e_S``,
 ``S`` the last ``t`` images of ``pi``, so the class bytes of each ``S``
-over all bases are built once per instance, and each ``pi`` ORs ``k`` of
-them, translated to one-hot colors and masked to its consistent bases.
-That is exact for any labeling whose colors are its classes' colors
-translated back, the test the color scan makes first, so labeling files
-the rule wrote take this path too.  Other labelings, and wider colors,
-count a set per cell, the way the tests' reference report is built from
-the per-point functions; wider colors also test each vertex's tie mask in
-a loop, which is how every failing labeling lists its violations.
+over all bases are built once per instance, in the rule's cache beside
+the classes, and each ``pi`` ORs ``k`` of them, translated to one-hot
+colors and masked to its consistent bases.  That is exact for any
+labeling whose colors are its classes' colors translated back, the test
+the color scan makes first, so labeling files the rule wrote take this
+path too.  Other labelings, and wider colors, count a set per cell, the
+way the tests' reference report is built from the per-point functions;
+wider colors also test each vertex's tie mask in a loop, which is how
+every failing labeling lists its violations.
 """
 
 from __future__ import annotations
@@ -139,13 +140,14 @@ def _class_counts(labeling: Labeling, index: _InstanceIndex, perm: Perm,
                   one_hot: bytes) -> bytes | None:
     # k <= 8 and a labeling constant on the rule's classes: each cell's
     # color count, in lexicographic base order; None for any other labeling
-    classes, _, firsts = _attaining_masks(labeling.params)
-    class_one_hot = bytes(map(one_hot.__getitem__, firsts)).ljust(256, b"\0")
+    classes, firsts, rows = _attaining_masks(labeling.params)
+    # each class's one-hot color at its first vertex; other bytes never occur
+    class_one_hot = bytes.maketrans(bytes(firsts), bytes(map(one_hot.__getitem__, firsts.values())))
     if classes.translate(class_one_hot) != one_hot:
         return None
     # the t-th vertex of a cell at base b is b + e_S, S the last t images of
     # pi; its class bytes over every base are cached by S alone
-    rows, union = index._rows, 0
+    union = 0
     for steps in itertools.accumulate([1 << j for j in reversed(perm)], operator.or_, initial=0):
         row = rows.get(steps)
         if row is None:

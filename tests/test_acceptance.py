@@ -164,7 +164,9 @@ def test_criterion_6_edge_of_validity(record):
     assert not problems
 
 
-def test_criterion_7_cli_determinism(record, tmp_path, capsys):
+def criterion_7_sweep(tmp_path, capsys):
+    """Exit codes of the criterion-7 invocations and one sha256 over all
+    their stdout and files."""
     out_json = tmp_path / "lab.json"
     out_csv = tmp_path / "lab.csv"
     out_svg = tmp_path / "pic.svg"
@@ -185,27 +187,34 @@ def test_criterion_7_cli_determinism(record, tmp_path, capsys):
         ["render", "--k", "3", "--q", "4", "--out", str(out_svg)],
     ]
     outputs = [out_json, out_csv, out_svg]
+    digest = hashlib.sha256()
+    codes = []
+    for argv in invocations:
+        for path in outputs:
+            path.unlink(missing_ok=True)
+        codes.append(main(list(argv)))
+        captured = capsys.readouterr()
+        digest.update(captured.out.encode())
+        for path in outputs:
+            if path.exists():
+                digest.update(path.read_bytes())
+    return codes, digest.hexdigest()
 
-    def sweep():
-        digest = hashlib.sha256()
-        codes = []
-        for argv in invocations:
-            for path in outputs:
-                path.unlink(missing_ok=True)
-            codes.append(main(list(argv)))
-            captured = capsys.readouterr()
-            digest.update(captured.out.encode())
-            for path in outputs:
-                if path.exists():
-                    digest.update(path.read_bytes())
-        return codes, digest.hexdigest()
 
-    codes_a, hash_a = sweep()
-    codes_b, hash_b = sweep()
+def test_criterion_7_cli_determinism(record, tmp_path, capsys):
+    codes_a, hash_a = criterion_7_sweep(tmp_path, capsys)
+    codes_b, hash_b = criterion_7_sweep(tmp_path, capsys)
     ok = codes_a == codes_b and hash_a == hash_b
     record(7, ok,
-           f"two runs of {len(invocations)} CLI invocations: identical exit "
+           f"two runs of {len(codes_a)} CLI invocations: identical exit "
            f"codes and identical sha256 over all stdout and files "
            f"({hash_a[:16]}...)" if ok else
            f"determinism broke: {codes_a} vs {codes_b}, {hash_a} vs {hash_b}")
     assert ok
+
+
+def test_criterion_7_bytes_are_pinned(tmp_path, capsys):
+    # a change to the bytes passes the determinism check above, not this
+    codes, digest = criterion_7_sweep(tmp_path, capsys)
+    assert codes == [0, 0, 0, 0, 1, 0, 0, 1, 0, 0, 0, 0, 0]
+    assert digest == "1a70786463814748fef02307d99284ce0d12890d624c22bb6b38f4aa0856e3bd"

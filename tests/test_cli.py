@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import shutil
@@ -16,6 +17,7 @@ from simplexlattice import (Params, check_all_pi, cli, full_report, label_all, l
 from simplexlattice.cli import main
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+EXPECTED = PYPROJECT.parent / "bench" / "expected.json"
 # Child interpreters import the same simplexlattice package as this test run.
 CHILD_ENV = {**os.environ,
              "PYTHONPATH": str(Path(simplexlattice.__file__).resolve().parents[1])}
@@ -458,3 +460,29 @@ def test_console_script_on_path():
     )
     assert proc.returncode == 0
     assert proc.stdout == "4\n"
+
+
+def test_outputs_match_the_recorded_hashes(tmp_path, monkeypatch):
+    # The class path at k = 8 (labels, files read back, the identity and
+    # every tenth one-descent pi) and the all-pi sweep, which the
+    # determinism criterion (k <= 4) never reaches, byte for byte against
+    # the sha256 recorded with the benchmark.
+    hashes = json.loads(EXPECTED.read_text())["sha256"]
+    inst = ("--k", "8", "--q", "8")
+    calls = {
+        "k8q8.label.json": ("label", *inst),
+        "k8q8.label.csv": ("label", *inst, "--format", "csv"),
+        "k8q8.verify-json.json": ("verify", *inst, "--labels", "k8q8.label.json"),
+        "k8q8.verify-csv.json": ("verify", *inst, "--labels", "k8q8.label.csv"),
+        "k8q8.verify-id.json": ("verify", *inst),
+    }
+    for name in sorted(name for name in hashes if name.startswith("k8q8.verify-pi"))[::10]:
+        image = name.removeprefix("k8q8.verify-pi").removesuffix(".json").replace("_", ",")
+        calls[name] = ("verify", *inst, "--pi", image)
+    for k, q in ((6, 8), (5, 10), (4, 30)):
+        calls[f"k{k}q{q}.all-pi.json"] = ("verify", "--k", str(k), "--q", str(q), "--all-pi")
+    assert len(calls) == 20
+    monkeypatch.chdir(tmp_path)
+    for name, argv in calls.items():
+        assert main([*argv, "--out", name]) == 0, name
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == hashes[name], name

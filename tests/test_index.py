@@ -1,14 +1,18 @@
-"""The shared instance index, the rule's attaining masks and the verifier's
-scans against the per-point reference functions.
+"""The shared instance index, the rule's classes and the verifier's scans
+against the per-point reference functions.
 
 ``full_report``, io, ``render_svg`` and the oracle read one
 cached index per instance: vertices, one tie table (per vertex the
 neighbouring coordinates that are equal, which are the colors inadmissible
 there, pick out the base points, and decide which permutations each base
 is consistent with), and the cells of each permutation as columns of
-vertex ranks, stepped from each base by closed-form rank offsets.
-``label_all`` reads the deficiency masks that labeling keeps beside it,
-walking the scan order once over the distinct ones.  The public per-point
+vertex ranks, stepped from each base by closed-form rank offsets; the
+index holds geometry only.  ``label_all`` reads the classes that labeling
+keeps beside it, a vertex's class being its set of deficiency-attaining
+indices (0 where index 0 attains), checked against ``deficiency`` and
+``coordinate`` at ``k = 3..9``, and walks the scan order once over them;
+the rule is constant on them under every permutation for ``k <= 5`` and
+a seeded sample above.  The public per-point
 functions (``label``, ``label_pi``, ``pi_hyperedge``, ``is_consistent``,
 ``enumerate_vertices``, ``vertex_rank``, ``coordinate``,
 ``admissible_colors``) use neither, so they serve as the reference here,
@@ -20,7 +24,8 @@ labelings and with external ones, random and partly inadmissible, at
 ``k = 3..9``: ``k <= 8`` takes the verifier's byte scans and ``k = 9`` its
 loop and sets, over every threshold from 1 to ``k`` and subdivisions of
 0, 1 and more cells.  For ``k <= 8`` the color scan counts a labeling
-constant on the rule's classes from class bytes cached per step set; the
+constant on the rule's classes from class bytes cached per step set in
+the rule's cache; the
 tests say which labelings take that path from the definition, and compare
 rule labelings on every step set at ``k = 7`` and ``8``, files read back,
 random colorings of the classes with and without one changed vertex,
@@ -350,10 +355,50 @@ def test_step_ranks_are_ranks_of_stepped_bases():
                     assert 0 <= r < params.num_vertices
 
 
-def attaining_sets(params):
+def deficiency_sets(params):
+    """Per vertex in rank order the indices attaining its deficiency."""
     return [frozenset(t for t in range(params.k + 1)
                       if t - coordinate(v, t, params) == deficiency(v, params))
             for v in enumerate_vertices(params)]
+
+
+def attaining_sets(params):
+    """The deficiency sets, every set holding index 0 merged into the empty
+    set: every scan order tries 0 first."""
+    return [frozenset() if 0 in s else s for s in deficiency_sets(params)]
+
+
+def point_colors(params, pi, reading):
+    """Per vertex in rank order the per-point rule's color, 0 where it is
+    undefined; ``pi=None`` is the plain identity rule."""
+    colors = []
+    for v in enumerate_vertices(params):
+        try:
+            colors.append(label(v, params) if pi is None else label_pi(v, pi, params, reading))
+        except LabelUndefined:
+            colors.append(0)
+    return colors
+
+
+def test_classes_are_the_attaining_sets():
+    # bit t - 1 for each t in [1, k] attaining the deficiency, 0 where that
+    # is 0; bytes for k <= 8 and a tuple at k = 9.  Every rule is constant
+    # on the classes, undefined vertices included: every pi for k <= 5 and
+    # a seeded sample above.
+    rng = random.Random(20261023)
+    for k in range(3, 10):
+        for q in range(0, (k + 3) if k < 9 else 5):
+            params = Params(k, q)
+            classes, firsts, _ = _attaining_masks(params)
+            assert type(classes) is (bytes if k <= 8 else tuple), params
+            want = [sum(1 << t - 1 for t in s) for s in attaining_sets(params)]
+            assert list(classes) == want, params
+            assert firsts == {c: classes.index(c) for c in set(classes)}, params
+            perms = permutations(k) if k <= 5 else rng.sample(permutations(k), 1 if k > 6 else 3)
+            rules = [(None, READINGS[0])] + [(pi, reading) for pi in perms for reading in READINGS]
+            for pi, reading in rules:
+                colors = point_colors(params, pi, reading)
+                assert len(set(zip(classes, colors))) == len(firsts), (params, pi, reading)
 
 
 def takes_class_path(labeling):
@@ -437,12 +482,12 @@ def test_class_colorings_match_reference_bytes():
         k = params.k
         if k > 8:
             continue
-        classes, masks, firsts = _attaining_masks(params)
+        classes, firsts, _ = _attaining_masks(params)
         perms = permutations(k) if k <= 5 else rng.sample(permutations(k), 4)
-        shared = [c for c in range(len(masks)) if classes.count(c) > 1]
+        shared = [c for c in firsts if classes.count(c) > 1]
         for _ in range(2):
-            table = [rng.randint(1, k) for _ in masks]
-            colors = tuple(table[c] for c in classes)
+            table = {c: rng.randint(1, k) for c in firsts}
+            colors = tuple(map(table.__getitem__, classes))
             labelings = [colors]
             if shared:
                 c = rng.choice(shared)
@@ -479,6 +524,22 @@ def test_files_read_back_take_the_class_path():
         assert serialized(full_report(read, pi, 1)) == serialized(want)
 
 
+def test_deficiency_zero_vertices_share_one_class():
+    # index 0 attains there and every scan order tries it first, so those
+    # vertices form class 0 whatever else attains; colors constant on each
+    # unmerged set but split across class 0 count by sets
+    for params in (Params(4, 4), Params(5, 6)):
+        sets = deficiency_sets(params)
+        assert [c == 0 for c in _attaining_masks(params)[0]] == [0 in s for s in sets]
+        split = {s: 1 + i % params.k for i, s in enumerate(dict.fromkeys(sets))}
+        assert len({split[s] for s in sets if 0 in s}) > 1, params
+        labeling = Labeling(params, tuple(map(split.__getitem__, sets)), "external")
+        assert not takes_class_path(labeling)
+        for pi in (None, tuple(range(params.k - 1, 0, -1))):
+            want = reference_report(params, labeling.colors, "external", pi, 2)
+            assert serialized(full_report(labeling, pi, 2)) == serialized(want), (params, pi)
+
+
 def test_witnesses_and_random_colors_match_reference_bytes():
     # most oracle witnesses happen to be constant on the rule's classes, the
     # one at (5,3) is not; random admissible colors are not
@@ -508,13 +569,13 @@ def test_undefined_vertex_is_first_in_rank_order_at_k7_k8():
 
 def test_class_rows_are_bytes_one_per_step_set():
     params = Params(6, 8)
-    index = _instance_index(params)
+    rows = _attaining_masks(params)[2]
     # one pi builds only the k rows its cells step by
-    index._rows.clear()
+    rows.clear()
     full_report(label_all(params, (2, 4, 1, 5, 3)), (2, 4, 1, 5, 3))
-    assert sorted(index._rows) == [0, 1 << 3, 1 << 3 | 1 << 5, 1 << 1 | 1 << 3 | 1 << 5,
-                                   1 << 1 | 1 << 3 | 1 << 4 | 1 << 5, 0b111110]
+    assert sorted(rows) == [0, 1 << 3, 1 << 3 | 1 << 5, 1 << 1 | 1 << 3 | 1 << 5,
+                            1 << 1 | 1 << 3 | 1 << 4 | 1 << 5, 0b111110]
     check_all_pi(params)
-    assert len(index._rows) <= 1 << params.k - 1
-    assert {type(row) for row in index._rows.values()} == {bytes}
-    assert {len(row) for row in index._rows.values()} == {len(enumerate_vertices(params.base()))}
+    assert len(rows) <= 1 << params.k - 1
+    assert {type(row) for row in rows.values()} == {bytes}
+    assert {len(row) for row in rows.values()} == {len(enumerate_vertices(params.base()))}
