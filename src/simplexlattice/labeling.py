@@ -28,7 +28,7 @@ then colors each class by one walk of the scan order.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .lattice import (
     Params,
@@ -61,7 +61,8 @@ class LabelUndefined(ValueError):
 
 
 class Labeling(_Frozen):
-    """A total color assignment, one color per vertex in rank order."""
+    """A total color assignment, one color per vertex in rank order; the
+    view ``_bytes`` (colors as bytes for ``k <= 8``, else None) is no field."""
 
     _fields = ("params", "colors", "rule")
 
@@ -78,11 +79,16 @@ class Labeling(_Frozen):
         object.__setattr__(self, "rule", rule)
 
     @classmethod
-    def _unchecked(cls, params: Params, colors: tuple[int, ...], rule: str) -> "Labeling":
-        # for colors known to be exact ints in 1..k, as label_all's table makes them
+    def _unchecked(cls, params: Params, colors: bytes | list[int], rule: str) -> "Labeling":
+        # exact ints in 1..k from label_all's table; bytes for k <= 8 seed _bytes
         self = object.__new__(cls)
-        self.__dict__.update(params=params, colors=colors, rule=rule)
+        self.__dict__.update(params=params, colors=tuple(colors), rule=rule,
+                             _bytes=colors if params.k <= 8 else None)
         return self
+
+    @cached_property
+    def _bytes(self) -> bytes | None:
+        return bytes(self.colors) if self.params.k <= 8 else None
 
     def color_of(self, v: Point) -> int:
         return self.colors[vertex_rank(v, self.params)]
@@ -177,9 +183,9 @@ def _parse_image(text: str, params: Params) -> Perm:
 
 
 @lru_cache(maxsize=4)
-def _attaining_masks(params: Params) -> tuple[bytes | tuple[int, ...], dict[int, int],
+def _attaining_masks(params: Params) -> tuple[bytes | tuple[int, ...], frozenset[int],
                                                dict[int, bytes]]:
-    """Per vertex in rank order its class, each class's first rank, and
+    """Per vertex in rank order its class, the set of classes present, and
     the color scan's class rows by step set (see ``verify._class_counts``).
 
     A class has bit ``t - 1`` for each ``t`` in ``[1, k]`` attaining the
@@ -200,7 +206,7 @@ def _attaining_masks(params: Params) -> tuple[bytes | tuple[int, ...], dict[int,
                 mask |= 1 << t - 1
         classes.append(mask if top > 0 else 0)
     classes = bytes(classes) if k <= 8 else tuple(classes)
-    return classes, {c: classes.index(c) for c in set(classes)}, {}
+    return classes, frozenset(classes), {}
 
 
 def label_all(params: Params, pi: Perm | None = None,
@@ -213,9 +219,9 @@ def label_all(params: Params, pi: Perm | None = None,
     Equal pointwise to :func:`label` and :func:`label_pi`, but the classes
     of :func:`_attaining_masks` are worked out once per instance, so only
     the tie-break of the scan order is worked out per rule: one walk of
-    the scan order settles every class at the first index it holds, then
-    each vertex looks its class up.  For ``k <= 8`` that look-up is one
-    ``bytes.translate`` of the class bytes.
+    the scan order settles each class present at the first index it holds,
+    then each vertex looks its class up.  For ``k <= 8`` that look-up is
+    one ``bytes.translate`` of the class bytes, kept as the bytes view.
     """
     _check_reading(reading)
     k = params.k
@@ -224,10 +230,10 @@ def label_all(params: Params, pi: Perm | None = None,
     else:
         _check_permutation(pi, params)
         order = (*pi, k)
-    classes, firsts, _ = _attaining_masks(params)
+    classes, present, _ = _attaining_masks(params)
     table = bytearray(256) if k <= 8 else {}  # color per class; 0 where only index k attains
     table[0] = 1  # index 0 is first in every scan order
-    pending = [c for c in firsts if c]
+    pending = [c for c in present if c]
     for t, idx in enumerate(order, 1):
         # on the identity order t == idx, so both readings agree; index k
         # has no color (see label_pi)
@@ -242,4 +248,4 @@ def label_all(params: Params, pi: Perm | None = None,
     colors = classes.translate(table) if k <= 8 else list(map(table.__getitem__, classes))
     if 0 in colors:
         raise LabelUndefined(_instance_index(params).vertices[colors.index(0)], params)
-    return Labeling._unchecked(params, tuple(colors), rule_descriptor(pi, reading))
+    return Labeling._unchecked(params, colors, rule_descriptor(pi, reading))

@@ -3,10 +3,10 @@
 The search answers: over ALL admissible labelings of an instance, what is
 the smallest achievable maximum number of colors on a cell?  It exists so
 the constructive rule has something to be measured against; the two code
-paths share only geometry (the vertices and the cells as vertex ranks,
-from the lattice's instance index), none of the rule's deficiency
-arithmetic, and the witness a search returns is always re-checkable
-through :mod:`simplexlattice.verify`.
+paths share only geometry (the vertices, their tie table and the cells as
+vertex ranks, from the lattice's instance index), none of the rule's
+deficiency arithmetic, and the witness a search returns is always
+re-checkable through :mod:`simplexlattice.verify`.
 
 The point is auditability, not speed.  The search is a deterministic
 depth-first backtracking over vertices in rank order with ascending colors,
@@ -64,11 +64,11 @@ def admissible_colors(v: Point, params: Params) -> frozenset[int]:
 def _search_tables(params: Params, pi: Perm | None):
     """What every threshold stage of the search reads, built once per instance.
 
-    ``domains[r]`` holds vertex ``r``'s admissible colors as a bit set, bit
-    ``c`` for color ``c``.  A cell lists its vertices in rising rank, so it
-    is empty when its first vertex is colored and nothing reads it after its
-    last: ``reads[r]`` holds the cells of ``r`` that ``r`` does not start,
-    ``writes[r]`` those that ``r`` does not end.
+    ``domains[r]`` holds vertex ``r``'s admissible colors as a bit set: bit
+    ``c`` where its tie bit ``c - 1`` is clear.  A cell lists its vertices
+    in rising rank, so it is empty when its first vertex is colored and
+    nothing reads it after its last: ``reads[r]`` holds the cells of ``r``
+    that ``r`` does not start, ``writes[r]`` those that ``r`` does not end.
     """
     index = _instance_index(params)
     cells = index.cells(pi)
@@ -79,7 +79,7 @@ def _search_tables(params: Params, pi: Perm | None):
             reads[r].append(e)
         for r in cell[:-1]:
             writes[r].append(e)
-    domains = [sum(1 << c for c in admissible_colors(v, params)) for v in index.vertices]
+    domains = [~t << 1 & (2 << params.k) - 2 for t in index._ties]  # bits 1..k
     return domains, reads, writes, len(cells)
 
 
@@ -106,8 +106,6 @@ def _search(domains, reads, writes, num_cells, threshold, node_budget):
     replays node for node, is the reference in ``tests/test_oracle.py``.
     """
     n = len(domains)
-    if n == 0:
-        return [], 0, True
     colors = [0] * num_cells
     limit = [-1] * num_cells
     # Per depth: the allowed colors above the one taken, that color, and the

@@ -7,22 +7,22 @@ failing report are complete (serialization may cap them, the counts never
 lie).
 
 For ``k <= 8`` a vertex's color is one bit of a byte and so is a cell's
-set of colors, so the scans read every vertex and every cell as bytes and
-ints in C.  Admissibility is one AND of the one-hot colors with the index's
-tie bytes, which mark the colors inadmissible at each vertex.  A cell's
-count is the popcount of the OR of its vertices' bytes: every rule's
-labeling is constant on the classes of ``labeling._attaining_masks``, and
-the ``t``-th vertex of the cell of ``pi`` at base ``b`` is ``b + e_S``,
-``S`` the last ``t`` images of ``pi``, so the class bytes of each ``S``
-over all bases are built once per instance, in the rule's cache beside
-the classes, and each ``pi`` ORs ``k`` of them, translated to one-hot
-colors and masked to its consistent bases.  That is exact for any
-labeling whose colors are its classes' colors translated back, the test
-the color scan makes first, so labeling files the rule wrote take this
-path too.  Other labelings, and wider colors, count a set per cell, the
-way the tests' reference report is built from the per-point functions;
-wider colors also test each vertex's tie mask in a loop, which is how
-every failing labeling lists its violations.
+set of colors, so the scans read the one-hot translation of a labeling's
+bytes view, every vertex and every cell as bytes and ints in C.
+Admissibility is one AND with the index's tie bytes, which mark the colors
+inadmissible at each vertex.  A cell's count is the popcount of the OR of
+its vertices' bytes: every rule's labeling is constant on the classes of
+``labeling._attaining_masks``, and the ``t``-th vertex of the cell of
+``pi`` at base ``b`` is ``b + e_S``, ``S`` the last ``t`` images of
+``pi``, so the class bytes of each ``S`` over all bases are built once per
+instance, in the rule's cache beside the classes, and each ``pi`` ORs
+``k`` of them, translated to one-hot colors and masked to its consistent
+bases.  That is exact for any labeling whose colors are its classes'
+colors translated back, the test the color scan makes first, so labeling
+files the rule wrote take this path too.  Other labelings, and wider
+colors, count a set per cell, the way the tests' reference report is
+built from the per-point functions; wider colors also test each vertex's
+tie mask in a loop, which is how every failing labeling lists its violations.
 """
 
 from __future__ import annotations
@@ -106,13 +106,14 @@ _POPCOUNT = bytes(bin(b).count("1") for b in range(256))
 
 
 def _one_hot(labeling: Labeling) -> bytes | None:
-    # for k <= 8: the colors as one bit each, a byte per vertex
-    return bytes(labeling.colors).translate(_ONE_HOT) if labeling.params.k <= 8 else None
+    # for k <= 8: the colors as one bit each, a byte per vertex (else None)
+    return labeling._bytes and labeling._bytes.translate(_ONE_HOT)
 
 
-def _sperner_scan(labeling: Labeling, one_hot: bytes | None) -> tuple[tuple[Point, int], ...]:
+def _sperner_scan(labeling: Labeling) -> tuple[tuple[Point, int], ...]:
     # the vertices whose color is among their tie bits, in rank order; for
     # k <= 8 one AND of those bits with the one-hot colors settles a pass
+    one_hot = _one_hot(labeling)
     index = _instance_index(labeling.params)
     ties = index._ties
     if one_hot is None or int.from_bytes(ties, "little") & int.from_bytes(one_hot, "little"):
@@ -126,7 +127,7 @@ def check_sperner(labeling: Labeling) -> VerificationReport:
 
     Violations are listed exhaustively in vertex rank order.
     """
-    violations = _sperner_scan(labeling, _one_hot(labeling))
+    violations = _sperner_scan(labeling)
     return VerificationReport(
         params=labeling.params,
         labeling_rule=labeling.rule,
@@ -140,9 +141,9 @@ def _class_counts(labeling: Labeling, index: _InstanceIndex, perm: Perm,
                   one_hot: bytes) -> bytes | None:
     # k <= 8 and a labeling constant on the rule's classes: each cell's
     # color count, in lexicographic base order; None for any other labeling
-    classes, firsts, rows = _attaining_masks(labeling.params)
-    # each class's one-hot color at its first vertex; other bytes never occur
-    class_one_hot = bytes.maketrans(bytes(firsts), bytes(map(one_hot.__getitem__, firsts.values())))
+    classes, _, rows = _attaining_masks(labeling.params)
+    # each class's one-hot color at its last vertex: maketrans keeps the last pair
+    class_one_hot = bytes.maketrans(classes, one_hot)
     if classes.translate(class_one_hot) != one_hot:
         return None
     # the t-th vertex of a cell at base b is b + e_S, S the last t images of
@@ -166,11 +167,6 @@ def check_colors(labeling: Labeling, pi: Perm | None = None,
     ``pi=None`` checks the identity edge set; a permutation checks the
     consistent cells of that permutation.
     """
-    return _check_colors(labeling, pi, threshold, _one_hot(labeling))
-
-
-def _check_colors(labeling: Labeling, pi: Perm | None, threshold: int,
-                  one_hot: bytes | None) -> VerificationReport:
     params = labeling.params
     if params.q < 1:
         raise ValueError("color check needs q >= 1 (no edges otherwise)")
@@ -180,6 +176,7 @@ def _check_colors(labeling: Labeling, pi: Perm | None, threshold: int,
     perm = identity_permutation(params) if pi is None else pi
     _check_permutation(perm, params)
     columns = None
+    one_hot = _one_hot(labeling)
     counts = None if one_hot is None else _class_counts(labeling, index, perm, one_hot)
     color = labeling.colors.__getitem__
     if counts is None:
@@ -209,11 +206,9 @@ def _check_colors(labeling: Labeling, pi: Perm | None, threshold: int,
 
 def full_report(labeling: Labeling, pi: Perm | None = None,
                 threshold: int = 2) -> VerificationReport:
-    """Admissibility and color check in a single report, from one set of
-    one-hot color bytes for ``k <= 8``."""
-    one_hot = _one_hot(labeling)
-    report = _check_colors(labeling, pi, threshold, one_hot)
-    report.sperner_violations = _sperner_scan(labeling, one_hot)
+    """Admissibility and color check in a single report."""
+    report = check_colors(labeling, pi, threshold)
+    report.sperner_violations = _sperner_scan(labeling)
     report.sperner_ok = not report.sperner_violations
     return report
 

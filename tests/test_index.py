@@ -309,7 +309,8 @@ def test_external_labelings_match_reference_bytes():
 
 
 def test_label_all_builds_what_the_checking_constructor_builds():
-    # label_all skips Labeling's checks; its colors must pass them anyway
+    # label_all skips Labeling's checks; its colors must pass them anyway,
+    # and for k <= 8 the bytes it translated seed the labeling's bytes view
     for params in INSTANCES + [Params(7, 7), Params(8, 8), Params(9, 9)]:
         if params.q < params.k:
             continue
@@ -318,6 +319,31 @@ def test_label_all_builds_what_the_checking_constructor_builds():
                 labeling = label_all(params, pi, reading)
                 assert labeling == Labeling(params, labeling.colors, labeling.rule)
                 assert set(map(type, labeling.colors)) == {int}
+                assert type(labeling.colors) is tuple
+                seeded = vars(labeling)["_bytes"]
+                if params.k <= 8:
+                    assert type(seeded) is bytes and seeded == bytes(labeling.colors), params
+                else:
+                    assert seeded is None and labeling._bytes is None, params
+
+
+def test_files_read_back_build_their_bytes_view_once():
+    # a labeling read from a file builds its view on first use and keeps
+    # it; the view is no field, so the read labeling is the written one
+    for params in (Params(4, 5), Params(8, 8)):
+        pi = tuple(range(params.k - 1, 0, -1))
+        labeling = label_all(params, pi)
+        for fmt in ("json", "csv"):
+            read = read_labeling(write_labeling(labeling, fmt))
+            assert "_bytes" not in vars(read)
+            views = []
+            for report_pi in (None, pi, None):
+                full_report(read, report_pi)
+                views.append(vars(read)["_bytes"])
+            assert all(view is views[0] for view in views), (params, fmt)
+            assert views[0] == bytes(labeling.colors)
+            assert read == labeling and labeling == read, (params, fmt)
+            assert hash(read) == hash(labeling) and repr(read) == repr(labeling), (params, fmt)
 
 
 def test_rank_step_offsets_match_the_per_base_formula():
@@ -389,16 +415,16 @@ def test_classes_are_the_attaining_sets():
     for k in range(3, 10):
         for q in range(0, (k + 3) if k < 9 else 5):
             params = Params(k, q)
-            classes, firsts, _ = _attaining_masks(params)
+            classes, present, _ = _attaining_masks(params)
             assert type(classes) is (bytes if k <= 8 else tuple), params
             want = [sum(1 << t - 1 for t in s) for s in attaining_sets(params)]
             assert list(classes) == want, params
-            assert firsts == {c: classes.index(c) for c in set(classes)}, params
+            assert present == set(classes), params
             perms = permutations(k) if k <= 5 else rng.sample(permutations(k), 1 if k > 6 else 3)
             rules = [(None, READINGS[0])] + [(pi, reading) for pi in perms for reading in READINGS]
             for pi, reading in rules:
                 colors = point_colors(params, pi, reading)
-                assert len(set(zip(classes, colors))) == len(firsts), (params, pi, reading)
+                assert len(set(zip(classes, colors))) == len(present), (params, pi, reading)
 
 
 def takes_class_path(labeling):
@@ -474,25 +500,26 @@ def test_class_colorings_match_reference_bytes():
     # Colors constant on the rule's classes but otherwise random, so the
     # class path meets Sperner violations, every color count and
     # subdivisions of 0, 1 and more cells; then the same colors changed at
-    # one vertex of a class with others, at its first vertex and at a later
-    # one, which the class path must refuse.
+    # one vertex of a class with others, at its first vertex, its second
+    # and its last (the one the class table reads), which the class path
+    # must refuse.
     rng = random.Random(20261020)
     seen = set()
     for params in EXTERNAL_INSTANCES:
         k = params.k
         if k > 8:
             continue
-        classes, firsts, _ = _attaining_masks(params)
+        classes, present, _ = _attaining_masks(params)
         perms = permutations(k) if k <= 5 else rng.sample(permutations(k), 4)
-        shared = [c for c in firsts if classes.count(c) > 1]
+        shared = [c for c in present if classes.count(c) > 1]
         for _ in range(2):
-            table = {c: rng.randint(1, k) for c in firsts}
+            table = {c: rng.randint(1, k) for c in present}
             colors = tuple(map(table.__getitem__, classes))
             labelings = [colors]
             if shared:
                 c = rng.choice(shared)
-                later = classes.index(c, firsts[c] + 1)
-                for r in (firsts[c], later):
+                first = classes.index(c)
+                for r in (first, classes.index(c, first + 1), classes.rindex(c)):
                     other = rng.choice([x for x in range(1, k + 1) if x != colors[r]])
                     labelings.append(colors[:r] + (other,) + colors[r + 1:])
             for i, colors in enumerate(labelings):

@@ -137,6 +137,19 @@ def test_search_replays_the_reference_on_budget_bound_instances():
         assert _search(*_search_tables(params, None), 2, 50_000) == expected
 
 
+def test_search_domains_match_admissible_colors_at_every_width():
+    # the domains come from the index's tie table, bytes for k <= 8 and a
+    # tuple at k = 9; admissible_colors reads the coordinates
+    for k in range(3, 10):
+        for q in range(1, k + 3 if k < 9 else 5):
+            params = Params(k, q)
+            assert type(_instance_index(params)._ties) is (bytes if k <= 8 else tuple)
+            want = [sum(1 << c for c in admissible_colors(v, params))
+                    for v in enumerate_vertices(params)]
+            for pi in (None, tuple(range(k - 1, 0, -1))):
+                assert _search_tables(params, pi)[0] == want, (k, q, pi)
+
+
 def test_admissible_colors_match_the_coordinate_definition():
     for params in [Params(3, 4), Params(4, 5), Params(6, 3), Params(8, 2)]:
         for v in enumerate_vertices(params):

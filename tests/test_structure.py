@@ -62,6 +62,29 @@ def test_absolute_and_relative_imports_are_both_seen(tmp_path):
     assert package_imports(path) == {"io", "lattice", "verify", "__init__", "oracle"}
 
 
+PUBLIC = [
+    "__version__", "Hyperedge", "InconsistentPair", "Labeling", "LabelUndefined",
+    "LabelingFormatError", "OracleResult", "Params", "READING_POSITION", "READING_SELECTED",
+    "READINGS", "UnsupportedDimension", "VerificationReport", "admissible_colors",
+    "argmin_index", "check_all_pi", "check_colors", "check_sperner", "compare_pi_readings",
+    "coordinate", "deficiency", "edge_colors", "enumerate_facets", "enumerate_hyperedges",
+    "enumerate_vertices", "full_report", "hyperedge", "identity_permutation",
+    "is_consistent", "is_lattice_point", "is_permutation", "label", "label_all", "label_pi",
+    "min_max_colors", "oracle_result_to_dict", "pi_hyperedge", "read_labeling", "render_svg",
+    "report_to_dict", "rule_descriptor", "selected_index_pi", "vertex_rank", "vertex_unrank",
+    "write_labeling", "write_oracle_result", "write_report",
+]
+
+
+def test_public_names_are_pinned():
+    # private plumbing moves between modules; none of it may leak into, or
+    # drop out of, the public API
+    assert len(PUBLIC) == 47
+    assert simplexlattice.__all__ == PUBLIC
+    assert [name for name in PUBLIC if not hasattr(simplexlattice, name)] == []
+    assert [name for name in PUBLIC if name.startswith("_")] == ["__version__"]
+
+
 def names_used_from_package(path: Path) -> dict[str, set[str]]:
     """The attributes ``path`` reads or replaces on the names ``cli`` and
     ``lattice``, and the names it imports from ``simplexlattice``."""
