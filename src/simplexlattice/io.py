@@ -256,6 +256,8 @@ def read_labeling(data: bytes) -> Labeling:
 def report_to_dict(report, max_violations: int = 100) -> dict:
     """JSON-ready view of a ``VerificationReport``.  Violation lists are cut
     to ``max_violations`` entries; the ``*_count`` fields stay exact."""
+    if type(max_violations) is not int or max_violations < 0:  # exact: bool subclasses int
+        raise ValueError(f"max_violations must be an int >= 0, got {max_violations!r}")
     return {
         "k": report.params.k,
         "q": report.params.q,

@@ -61,12 +61,15 @@ class LabelUndefined(ValueError):
 
 
 class Labeling(_Frozen):
-    """A total color assignment, one color per vertex in rank order; the
-    view ``_bytes`` (colors as bytes for ``k <= 8``, else None) is no field."""
+    """A total color assignment, one color per vertex in rank order, kept as
+    a tuple.  No fields: the view ``_bytes`` (colors as bytes for ``k <= 8``,
+    else None), and ``_classes``, the rule's tables where label_all made it."""
 
     _fields = ("params", "colors", "rule")
+    _classes = None
 
     def __init__(self, params: Params, colors: tuple[int, ...], rule: str) -> None:
+        colors = tuple(colors)
         if len(colors) != params.num_vertices:
             raise ValueError(f"expected {params.num_vertices} colors, got {len(colors)}")
         k = params.k
@@ -79,11 +82,12 @@ class Labeling(_Frozen):
         object.__setattr__(self, "rule", rule)
 
     @classmethod
-    def _unchecked(cls, params: Params, colors: bytes | list[int], rule: str) -> "Labeling":
+    def _unchecked(cls, params: Params, colors: bytes | list[int], rule: str,
+                   classes: tuple[bytes, dict[int, bytes], bytes] | None) -> "Labeling":
         # exact ints in 1..k from label_all's table; bytes for k <= 8 seed _bytes
         self = object.__new__(cls)
         self.__dict__.update(params=params, colors=tuple(colors), rule=rule,
-                             _bytes=colors if params.k <= 8 else None)
+                             _bytes=colors if params.k <= 8 else None, _classes=classes)
         return self
 
     @cached_property
@@ -221,7 +225,8 @@ def label_all(params: Params, pi: Perm | None = None,
     the tie-break of the scan order is worked out per rule: one walk of
     the scan order settles each class present at the first index it holds,
     then each vertex looks its class up.  For ``k <= 8`` that look-up is
-    one ``bytes.translate`` of the class bytes, kept as the bytes view.
+    one ``bytes.translate`` of the class bytes, kept as the bytes view; the
+    labeling keeps the classes, their rows and that table as ``_classes``.
     """
     _check_reading(reading)
     k = params.k
@@ -230,7 +235,7 @@ def label_all(params: Params, pi: Perm | None = None,
     else:
         _check_permutation(pi, params)
         order = (*pi, k)
-    classes, present, _ = _attaining_masks(params)
+    classes, present, rows = _attaining_masks(params)
     table = bytearray(256) if k <= 8 else {}  # color per class; 0 where only index k attains
     table[0] = 1  # index 0 is first in every scan order
     pending = [c for c in present if c]
@@ -248,4 +253,5 @@ def label_all(params: Params, pi: Perm | None = None,
     colors = classes.translate(table) if k <= 8 else list(map(table.__getitem__, classes))
     if 0 in colors:
         raise LabelUndefined(_instance_index(params).vertices[colors.index(0)], params)
-    return Labeling._unchecked(params, colors, rule_descriptor(pi, reading))
+    return Labeling._unchecked(params, colors, rule_descriptor(pi, reading),
+                               (classes, rows, bytes(table)) if k <= 8 else None)

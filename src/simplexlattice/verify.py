@@ -7,22 +7,20 @@ failing report are complete (serialization may cap them, the counts never
 lie).
 
 For ``k <= 8`` a vertex's color is one bit of a byte and so is a cell's
-set of colors, so the scans read the one-hot translation of a labeling's
-bytes view, every vertex and every cell as bytes and ints in C.
-Admissibility is one AND with the index's tie bytes, which mark the colors
-inadmissible at each vertex.  A cell's count is the popcount of the OR of
-its vertices' bytes: every rule's labeling is constant on the classes of
-``labeling._attaining_masks``, and the ``t``-th vertex of the cell of
-``pi`` at base ``b`` is ``b + e_S``, ``S`` the last ``t`` images of
-``pi``, so the class bytes of each ``S`` over all bases are built once per
-instance, in the rule's cache beside the classes, and each ``pi`` ORs
-``k`` of them, translated to one-hot colors and masked to its consistent
-bases.  That is exact for any labeling whose colors are its classes'
-colors translated back, the test the color scan makes first, so labeling
-files the rule wrote take this path too.  Other labelings, and wider
-colors, count a set per cell, the way the tests' reference report is
-built from the per-point functions; wider colors also test each vertex's
-tie mask in a loop, which is how every failing labeling lists its violations.
+set of colors, so the scans read one-hot bytes, every vertex and every
+cell as bytes and ints in C.  Admissibility is one AND of the labeling's
+bytes view, one-hot, with the index's tie bytes, which mark the colors
+inadmissible at each vertex.  A labeling ``label_all`` made carries the
+rule's classes, on each of which it is constant, and a cell's count is the
+popcount of the OR of its vertices' one-hot colors: the ``t``-th vertex of
+the cell of ``pi`` at base ``b`` is ``b + e_S``, ``S`` the last ``t``
+images of ``pi``, so the class bytes of each ``S`` over all bases are
+built once per instance, in the rule's cache, and each ``pi`` ORs ``k`` of
+them, translated to one-hot colors and masked to its consistent bases.
+Other labelings (files, oracle witnesses), and wider colors, count a set
+per cell, the way the tests' reference report is built from the per-point
+functions; wider colors also test each vertex's tie mask in a loop, which
+is how every failing labeling lists its violations.
 """
 
 from __future__ import annotations
@@ -30,7 +28,7 @@ from __future__ import annotations
 import itertools
 import operator
 
-from .labeling import READINGS, Labeling, _attaining_masks, _pi_descriptor, label_all
+from .labeling import READINGS, Labeling, _pi_descriptor, label_all
 from .lattice import (
     Hyperedge,
     Params,
@@ -105,15 +103,10 @@ _ONE_HOT = bytes([0, *(1 << c for c in range(8))]).ljust(256, b"\0")
 _POPCOUNT = bytes(bin(b).count("1") for b in range(256))
 
 
-def _one_hot(labeling: Labeling) -> bytes | None:
-    # for k <= 8: the colors as one bit each, a byte per vertex (else None)
-    return labeling._bytes and labeling._bytes.translate(_ONE_HOT)
-
-
 def _sperner_scan(labeling: Labeling) -> tuple[tuple[Point, int], ...]:
     # the vertices whose color is among their tie bits, in rank order; for
     # k <= 8 one AND of those bits with the one-hot colors settles a pass
-    one_hot = _one_hot(labeling)
+    one_hot = labeling._bytes and labeling._bytes.translate(_ONE_HOT)
     index = _instance_index(labeling.params)
     ties = index._ties
     if one_hot is None or int.from_bytes(ties, "little") & int.from_bytes(one_hot, "little"):
@@ -137,15 +130,13 @@ def check_sperner(labeling: Labeling) -> VerificationReport:
     )
 
 
-def _class_counts(labeling: Labeling, index: _InstanceIndex, perm: Perm,
-                  one_hot: bytes) -> bytes | None:
-    # k <= 8 and a labeling constant on the rule's classes: each cell's
-    # color count, in lexicographic base order; None for any other labeling
-    classes, _, rows = _attaining_masks(labeling.params)
-    # each class's one-hot color at its last vertex: maketrans keeps the last pair
-    class_one_hot = bytes.maketrans(classes, one_hot)
-    if classes.translate(class_one_hot) != one_hot:
+def _class_counts(labeling: Labeling, index: _InstanceIndex, perm: Perm) -> bytes | None:
+    # a labeling that carries the rule's classes (label_all, k <= 8): each
+    # cell's color count, in lexicographic base order; None for any other
+    if labeling._classes is None:
         return None
+    classes, rows, table = labeling._classes
+    class_one_hot = table.translate(_ONE_HOT)
     # the t-th vertex of a cell at base b is b + e_S, S the last t images of
     # pi; its class bytes over every base are cached by S alone
     union = 0
@@ -176,8 +167,7 @@ def check_colors(labeling: Labeling, pi: Perm | None = None,
     perm = identity_permutation(params) if pi is None else pi
     _check_permutation(perm, params)
     columns = None
-    one_hot = _one_hot(labeling)
-    counts = None if one_hot is None else _class_counts(labeling, index, perm, one_hot)
+    counts = _class_counts(labeling, index, perm)
     color = labeling.colors.__getitem__
     if counts is None:
         # any other labeling, and wider colors: a set per cell

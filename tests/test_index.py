@@ -24,12 +24,13 @@ labelings and with external ones, random and partly inadmissible, at
 ``k = 3..9``: ``k <= 8`` takes the verifier's byte scans and ``k = 9`` its
 loop and sets, over every threshold from 1 to ``k`` and subdivisions of
 0, 1 and more cells.  For ``k <= 8`` the color scan counts a labeling
-constant on the rule's classes from class bytes cached per step set in
-the rule's cache; the
-tests say which labelings take that path from the definition, and compare
-rule labelings on every step set at ``k = 7`` and ``8``, files read back,
-random colorings of the classes with and without one changed vertex,
-oracle witnesses and random admissible colors.
+that ``label_all`` made from class bytes cached per step set in the
+rule's cache, which the labeling carries; every other labeling counts a
+set per cell and never builds the rule's classes.  The tests check that
+the path is taken exactly for the labelings that carry the classes, and
+compare rule labelings on every step set at ``k = 7`` and ``8``, files
+read back, random colorings of the classes with and without one changed
+vertex, oracle witnesses and random admissible colors.
 Sperner's lemma gives a second check of the cells that shares no code
 with them: the cells of all permutations tile the simplex, so every
 admissible labeling has an odd number of rainbow cells among them.
@@ -73,7 +74,7 @@ from simplexlattice import (
 )
 from simplexlattice.labeling import _attaining_masks
 from simplexlattice.lattice import _instance_index
-from simplexlattice.verify import _class_counts, _one_hot
+from simplexlattice.verify import _class_counts
 
 INSTANCES = [Params(k, q) for k in range(3, 7) for q in range(0, k + 2)]
 # cells only: k! permutations make the label and report sweeps too slow here
@@ -309,22 +310,31 @@ def test_external_labelings_match_reference_bytes():
 
 
 def test_label_all_builds_what_the_checking_constructor_builds():
-    # label_all skips Labeling's checks; its colors must pass them anyway,
-    # and for k <= 8 the bytes it translated seed the labeling's bytes view
+    # label_all skips Labeling's checks; its colors must pass them anyway.
+    # For k <= 8 the bytes it translated seed the labeling's bytes view, and
+    # the labeling carries the rule's cached classes and rows (the same
+    # objects) with the class -> color table; neither view is a field
     for params in INSTANCES + [Params(7, 7), Params(8, 8), Params(9, 9)]:
         if params.q < params.k:
             continue
         for pi in [None, *permutations(params.k)[:24]]:
             for reading in READINGS:
                 labeling = label_all(params, pi, reading)
-                assert labeling == Labeling(params, labeling.colors, labeling.rule)
+                copy = Labeling(params, labeling.colors, labeling.rule)
+                assert labeling == copy and hash(labeling) == hash(copy)
+                assert repr(labeling) == repr(copy) and copy._classes is None
                 assert set(map(type, labeling.colors)) == {int}
                 assert type(labeling.colors) is tuple
                 seeded = vars(labeling)["_bytes"]
                 if params.k <= 8:
                     assert type(seeded) is bytes and seeded == bytes(labeling.colors), params
+                    classes, rows, table = labeling._classes
+                    cached = _attaining_masks(params)
+                    assert classes is cached[0] and rows is cached[2], params
+                    assert len(table) == 256 and classes.translate(table) == seeded, params
                 else:
                     assert seeded is None and labeling._bytes is None, params
+                    assert labeling._classes is None, params
 
 
 def test_files_read_back_build_their_bytes_view_once():
@@ -428,15 +438,16 @@ def test_classes_are_the_attaining_sets():
 
 
 def takes_class_path(labeling):
-    """Whether the color scan counts by classes, checked against the
-    definition: k <= 8 and one color on each set of attaining indices."""
+    """Whether the color scan counts by classes: exactly for the labelings
+    that carry the rule's tables, whose colors are then one color on each
+    set of attaining indices, checked against the definition."""
     params = labeling.params
-    sets = attaining_sets(params)
-    constant = len(set(zip(sets, labeling.colors))) == len(set(sets))
-    one_hot = _one_hot(labeling)
     index, perm = _instance_index(params), tuple(range(1, params.k))
-    got = one_hot is not None and _class_counts(labeling, index, perm, one_hot) is not None
-    assert got == (constant and params.k <= 8), (params, labeling.colors)
+    got = _class_counts(labeling, index, perm) is not None
+    assert got == (labeling._classes is not None), (params, labeling.colors)
+    if got:
+        sets = attaining_sets(params)
+        assert len(set(zip(sets, labeling.colors))) == len(set(sets)), (params, labeling.colors)
     return got
 
 
@@ -497,12 +508,11 @@ def test_rule_labelings_match_reference_bytes_at_k7_k8():
 
 
 def test_class_colorings_match_reference_bytes():
-    # Colors constant on the rule's classes but otherwise random, so the
-    # class path meets Sperner violations, every color count and
-    # subdivisions of 0, 1 and more cells; then the same colors changed at
-    # one vertex of a class with others, at its first vertex, its second
-    # and its last (the one the class table reads), which the class path
-    # must refuse.
+    # Colors constant on the rule's classes but otherwise random, with
+    # Sperner violations, every color count and subdivisions of 0, 1 and
+    # more cells; then the same colors changed at one vertex of a class
+    # with others, at its first vertex, its second and its last.  None of
+    # them is the rule's, so each counts a set per cell.
     rng = random.Random(20261020)
     seen = set()
     for params in EXTERNAL_INSTANCES:
@@ -524,7 +534,7 @@ def test_class_colorings_match_reference_bytes():
                     labelings.append(colors[:r] + (other,) + colors[r + 1:])
             for i, colors in enumerate(labelings):
                 labeling = Labeling(params, colors, "external")
-                assert takes_class_path(labeling) == (i == 0)
+                assert not takes_class_path(labeling)
                 for pi in [None, *perms]:
                     for threshold in range(1, k + 1):
                         got = full_report(labeling, pi, threshold)
@@ -534,13 +544,16 @@ def test_class_colorings_match_reference_bytes():
     assert seen == {(factors, cells) for factors in (True, False) for cells in (0, 1, 2)}
 
 
-def test_files_read_back_take_the_class_path():
+def test_files_read_back_take_the_set_scan():
+    # a file the rule wrote counts a set per cell; the rule's own labeling
+    # counts by classes, and the two reports agree byte for byte
     for params in (Params(4, 5), Params(6, 7), Params(8, 8)):
         for pi in (None, tuple(range(params.k - 1, 0, -1))):
             labeling = label_all(params, pi)
+            assert takes_class_path(labeling)
             for fmt in ("json", "csv"):
                 read = read_labeling(write_labeling(labeling, fmt))
-                assert takes_class_path(read)
+                assert not takes_class_path(read)
                 for threshold in (1, 2):
                     assert serialized(full_report(read, pi, threshold)) == \
                         serialized(full_report(labeling, pi, threshold))
@@ -549,6 +562,24 @@ def test_files_read_back_take_the_class_path():
     for pi in permutations(4):
         want = reference_report(params, read.colors, read.rule, pi, 1)
         assert serialized(full_report(read, pi, 1)) == serialized(want)
+
+
+def test_labelings_the_rule_did_not_make_never_build_its_classes():
+    # files read back, an oracle witness and a labeling built with Labeling
+    # count a set per cell without building the rule's classes
+    labelings = [min_max_colors(Params(6, 5)).witness]
+    for params in (Params(4, 5), Params(8, 8)):
+        labeling = label_all(params, tuple(range(params.k - 1, 0, -1)))
+        labelings += [read_labeling(write_labeling(labeling, fmt)) for fmt in ("json", "csv")]
+        labelings.append(Labeling(params, labeling.colors, labeling.rule))
+    for labeling in labelings:
+        params = labeling.params
+        for pi in (None, tuple(range(params.k - 1, 0, -1))):
+            _attaining_masks.cache_clear()
+            got = full_report(labeling, pi, 1)
+            assert _attaining_masks.cache_info().currsize == 0, (params, pi)
+            want = reference_report(params, labeling.colors, labeling.rule, pi, 1)
+            assert serialized(got) == serialized(want), (params, pi)
 
 
 def test_deficiency_zero_vertices_share_one_class():
@@ -569,13 +600,14 @@ def test_deficiency_zero_vertices_share_one_class():
 
 def test_witnesses_and_random_colors_match_reference_bytes():
     # most oracle witnesses happen to be constant on the rule's classes, the
-    # one at (5,3) is not; random admissible colors are not
+    # one at (5,3) is not; random admissible colors are not.  None carries
+    # the rule's tables, so all count a set per cell
     rng = random.Random(20261021)
     labelings = [min_max_colors(Params(k, q)).witness for k, q in ((4, 3), (5, 3), (6, 5))]
     for params in (Params(4, 4), Params(5, 5), Params(6, 6)):
         domains = [sorted(admissible_colors(v, params)) for v in enumerate_vertices(params)]
         labelings.append(Labeling(params, tuple(map(rng.choice, domains)), "external"))
-    assert list(map(takes_class_path, labelings)) == [True, False, True, False, False, False]
+    assert list(map(takes_class_path, labelings)) == [False] * 6
     for labeling in labelings:
         params = labeling.params
         for pi in [None, *rng.sample(permutations(params.k), 2)]:

@@ -370,6 +370,11 @@ def test_report_serialization():
     capped = report_to_dict(report, max_violations=2)
     assert capped["violating_edge_count"] == 5
     assert len(capped["violating_edges"]) == 2
+    assert report_to_dict(report, max_violations=0)["violating_edges"] == []
+    # a negative cap would drop entries from the end, a float or bool is no count
+    for bad in (-1, 2.0, True, None):
+        with pytest.raises(ValueError, match="max_violations"):
+            report_to_dict(report, max_violations=bad)
 
     assert write_report(report) == write_report(report)
     assert write_report(report).endswith(b"\n")

@@ -1,7 +1,9 @@
 """Which package modules each module imports, pinned to one table.
 
 Every import between the modules of ``simplexlattice`` is listed here, so a
-new dependency between them shows up as a change to this file.
+new dependency between them shows up as a change to this file.  Every name
+a module imports is used there, and the verifier imports nothing of the
+rule's cache.
 """
 
 import ast
@@ -60,6 +62,43 @@ def test_absolute_and_relative_imports_are_both_seen(tmp_path):
                     "import simplexlattice.verify\nfrom simplexlattice import cli\n"
                     "def f():\n    from .oracle import x\n")
     assert package_imports(path) == {"io", "lattice", "verify", "__init__", "oracle"}
+
+
+def imported_names(tree: ast.AST) -> list[tuple[str, str, str]]:
+    """(module, name, bound name) of each import outside ``__future__``;
+    a relative module keeps its leading dots."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [(alias.name, alias.name, alias.asname or alias.name.partition(".")[0])
+                      for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            module = "." * node.level + (node.module or "")
+            found += [(module, alias.name, alias.asname or alias.name) for alias in node.names]
+    return found
+
+
+def test_every_imported_name_is_used():
+    # no lint tool runs on the package, so an import a change leaves behind
+    # shows up here; __init__ imports names to re-export them
+    unused = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        names = {bound for _, _, bound in imported_names(tree)} - used
+        if names:
+            unused[path.stem] = sorted(names)
+    assert unused == {}
+
+
+def test_verify_reads_the_labeling_not_the_rules_cache():
+    # the color scan reads the rule's tables from the labeling label_all
+    # made, so nothing of the rule's cache is imported into the verifier
+    tree = ast.parse((PACKAGE / "verify.py").read_text())
+    names = {name for module, name, _ in imported_names(tree) if module == ".labeling"}
+    assert names == {"READINGS", "Labeling", "_pi_descriptor", "label_all"}
 
 
 PUBLIC = [

@@ -21,7 +21,9 @@ from simplexlattice import (
     hyperedge,
     label_all,
     min_max_colors,
+    read_labeling,
     vertex_rank,
+    write_labeling,
 )
 from simplexlattice.lattice import _instance_index, _InstanceIndex
 
@@ -85,6 +87,13 @@ def test_labeling():
         Params(3, 3), (3, 2, 2, 2, 3, 1, 1, 1, 1, 1), "identity"
     )
     assert repr(lab) == "Labeling(params=Params(k=3, q=1), colors=(3, 2, 1), rule='identity')"
+    # colors are stored as a tuple whatever sequence gave them
+    for given in ([3, 2, 1], b"\x03\x02\x01", (3, 2, 1)):
+        made = Labeling(p, given, "identity")
+        assert type(made.colors) is tuple
+        assert made == lab and hash(made) == hash(lab) and repr(made) == repr(lab)
+        for fmt in ("json", "csv"):
+            assert read_labeling(write_labeling(made, fmt)) == made, (given, fmt)
     with pytest.raises(TypeError):
         Labeling(p, (3, 2, 1))
 
