@@ -62,11 +62,11 @@ class LabelUndefined(ValueError):
 
 class Labeling(_Frozen):
     """A total color assignment, one color per vertex in rank order, kept as
-    a tuple.  No fields: the view ``_bytes`` (colors as bytes for ``k <= 8``,
-    else None), and ``_classes``, the rule's tables where label_all made it."""
+    a tuple.  No field: ``_classes`` (None for ``k > 8``), the class bytes
+    the scans read with rows by step set and a class -> color table: the
+    rule's where label_all made it, else the colors as their own classes."""
 
     _fields = ("params", "colors", "rule")
-    _classes = None
 
     def __init__(self, params: Params, colors: tuple[int, ...], rule: str) -> None:
         colors = tuple(colors)
@@ -77,6 +77,8 @@ class Labeling(_Frozen):
         if set(map(type, colors)) != {int} or not 1 <= min(colors) <= max(colors) <= k:
             bad = next(c for c in colors if type(c) is not int or not 1 <= c <= k)
             raise ValueError(f"color {bad!r} outside [1, {k}]")
+        if type(rule) is not str:  # the writers spell it as text, the readers want text
+            raise ValueError(f"rule must be a str, got {rule!r}")
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "colors", colors)
         object.__setattr__(self, "rule", rule)
@@ -84,15 +86,14 @@ class Labeling(_Frozen):
     @classmethod
     def _unchecked(cls, params: Params, colors: bytes | list[int], rule: str,
                    classes: tuple[bytes, dict[int, bytes], bytes] | None) -> "Labeling":
-        # exact ints in 1..k from label_all's table; bytes for k <= 8 seed _bytes
+        # exact ints in 1..k from label_all's table
         self = object.__new__(cls)
-        self.__dict__.update(params=params, colors=tuple(colors), rule=rule,
-                             _bytes=colors if params.k <= 8 else None, _classes=classes)
+        self.__dict__.update(params=params, colors=tuple(colors), rule=rule, _classes=classes)
         return self
 
     @cached_property
-    def _bytes(self) -> bytes | None:
-        return bytes(self.colors) if self.params.k <= 8 else None
+    def _classes(self) -> tuple[bytes, dict[int, bytes], bytes] | None:
+        return (bytes(self.colors), {}, bytes(range(256))) if self.params.k <= 8 else None
 
     def color_of(self, v: Point) -> int:
         return self.colors[vertex_rank(v, self.params)]
@@ -121,7 +122,7 @@ def label(v: Point, params: Params) -> int:
 def _scan(v: Point, pi: Perm, params: Params) -> tuple[int, int]:
     # first scan position whose index attains the deficiency -> (position, index)
     r = deficiency(v, params)
-    for t, idx in enumerate((0, *pi, params.k)):
+    for t, idx in enumerate((0, *_check_permutation(pi, params), params.k)):
         if idx - coordinate(v, idx, params) == r:
             return t, idx
     raise AssertionError("deficiency is attained somewhere by construction")
@@ -168,7 +169,7 @@ def rule_descriptor(pi: Perm | None, reading: str = READING_SELECTED) -> str:
     permutation rule coincide with the plain rule there, so files produced
     under either name are byte-identical.
     """
-    if pi is None or pi == tuple(range(1, len(pi) + 1)):
+    if pi is None or tuple(pi) == tuple(range(1, len(pi) + 1)):
         return "identity"
     text = _pi_descriptor(pi)
     return text + ":position" if reading == READING_POSITION else text
@@ -225,15 +226,15 @@ def label_all(params: Params, pi: Perm | None = None,
     the tie-break of the scan order is worked out per rule: one walk of
     the scan order settles each class present at the first index it holds,
     then each vertex looks its class up.  For ``k <= 8`` that look-up is
-    one ``bytes.translate`` of the class bytes, kept as the bytes view; the
-    labeling keeps the classes, their rows and that table as ``_classes``.
+    one ``bytes.translate`` of the class bytes, and the labeling keeps the
+    classes, their rows and that table as ``_classes``.
     """
     _check_reading(reading)
     k = params.k
     if pi is None:
         order = range(1, k + 1)
     else:
-        _check_permutation(pi, params)
+        pi = _check_permutation(pi, params)
         order = (*pi, k)
     classes, present, rows = _attaining_masks(params)
     table = bytearray(256) if k <= 8 else {}  # color per class; 0 where only index k attains

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import operator
+from collections.abc import Iterator
 from functools import cached_property, lru_cache
 from math import comb
 
@@ -142,13 +143,17 @@ def is_lattice_point(v: Point, params: Params) -> bool:
 
 
 def is_permutation(pi: Perm, params: Params) -> bool:
-    """True iff ``pi`` is a bijection on {1, ..., k-1} in image notation."""
-    return len(pi) == params.k - 1 and sorted(pi) == list(range(1, params.k))
+    """True iff ``pi`` is a bijection on {1, ..., k-1} in image notation,
+    its entries exact ints (``True`` is no image of 1)."""
+    return len(pi) == params.k - 1 and set(map(type, pi)) <= {int} and \
+        sorted(pi) == list(range(1, params.k))
 
 
-def _check_permutation(pi: Perm, params: Params) -> None:
+def _check_permutation(pi: Perm, params: Params) -> Perm:
+    # the image as a tuple, so that a list names, labels and hashes like it
     if not is_permutation(pi, params):
         raise ValueError(f"not a permutation image over 1..{params.k - 1}: {pi!r}")
+    return tuple(pi)
 
 
 def identity_permutation(params: Params) -> Perm:
@@ -238,7 +243,7 @@ def pi_hyperedge(v: Point, pi: Perm, params: Params) -> Hyperedge:
         raise ValueError(
             f"base point must lie in the ({params.k},{params.q - 1}) lattice: {v!r}"
         )
-    _check_permutation(pi, params)
+    pi = _check_permutation(pi, params)
     if not is_consistent(pi, v):
         raise InconsistentPair(f"permutation {pi} is not consistent with {v}")
     current = list(v)
@@ -342,15 +347,19 @@ class _InstanceIndex(_Frozen):
         ]
         return ranks, ties, offsets
 
-    def _step_ranks(self, steps: int):
-        """Ranks of ``b + e_S`` over the bases, ``S`` the ``j`` with bit ``j``
-        of ``steps`` set.  Where ``b + e_S`` is no lattice point the number is
-        still a rank, at most that of ``b + e_{1..k-1}``: offsets are positive."""
+    def _chain(self, pi: Perm, keep: bytes | list[int] | None = None) -> Iterator[list[int]]:
+        """Ranks of ``b + e_S`` over the bases (those ``keep`` marks, if given)
+        for ``S`` the last ``t`` images of ``pi``, ``t = 0..k-1``, made as
+        asked for.  Off the lattice they are still ranks, at most that of
+        ``b + e_{1..k-1}``: offsets are positive."""
         ranks, _, offsets = self._rank_steps
-        for j, offset in enumerate(offsets, 1):
-            if steps >> j & 1:
-                ranks = map(operator.add, ranks, offset)
-        return ranks
+        if keep is not None:
+            ranks = list(itertools.compress(ranks, keep))
+            offsets = [itertools.compress(offset, keep) for offset in offsets]
+        yield ranks
+        for image in reversed(pi):
+            ranks = list(map(operator.add, ranks, offsets[image - 1]))
+            yield ranks
 
     def _consistent(self, pi: Perm) -> bytes | list[int]:
         # per base 0xFF where pi orders none of its ties the wrong way, else
@@ -365,18 +374,8 @@ class _InstanceIndex(_Frozen):
         vertex ranks: list ``t`` holds the ``t``-th vertex of every
         consistent base point's cell, in lexicographic base order."""
         params = self.params
-        if pi is None:
-            pi = identity_permutation(params)
-        else:
-            _check_permutation(pi, params)
-        ranks, _, offsets = self._rank_steps
-        keep = self._consistent(pi)
-        column = list(itertools.compress(ranks, keep))
-        columns = [column]
-        for image in reversed(pi):
-            column = list(map(operator.add, column, itertools.compress(offsets[image - 1], keep)))
-            columns.append(column)
-        return columns
+        pi = identity_permutation(params) if pi is None else _check_permutation(pi, params)
+        return list(self._chain(pi, self._consistent(pi)))
 
     def cells(self, pi: Perm | None) -> list[tuple[int, ...]]:
         """The cells of ``pi`` (the identity for None) as tuples of vertex

@@ -169,8 +169,8 @@ def min_max_colors(params: Params, pi: Perm | None = None,
     """
     if params.q < 1:
         raise ValueError("oracle needs q >= 1 (no edges otherwise)")
-    if budget < 0:
-        raise ValueError("budget must be nonnegative")
+    if type(budget) is not int or budget < 0:  # exact: bool subclasses int
+        raise ValueError(f"budget must be an int >= 0, got {budget!r}")
 
     tables = _search_tables(params, pi)
 

@@ -7,20 +7,20 @@ failing report are complete (serialization may cap them, the counts never
 lie).
 
 For ``k <= 8`` a vertex's color is one bit of a byte and so is a cell's
-set of colors, so the scans read one-hot bytes, every vertex and every
-cell as bytes and ints in C.  Admissibility is one AND of the labeling's
-bytes view, one-hot, with the index's tie bytes, which mark the colors
-inadmissible at each vertex.  A labeling ``label_all`` made carries the
-rule's classes, on each of which it is constant, and a cell's count is the
-popcount of the OR of its vertices' one-hot colors: the ``t``-th vertex of
-the cell of ``pi`` at base ``b`` is ``b + e_S``, ``S`` the last ``t``
-images of ``pi``, so the class bytes of each ``S`` over all bases are
-built once per instance, in the rule's cache, and each ``pi`` ORs ``k`` of
-them, translated to one-hot colors and masked to its consistent bases.
-Other labelings (files, oracle witnesses), and wider colors, count a set
-per cell, the way the tests' reference report is built from the per-point
-functions; wider colors also test each vertex's tie mask in a loop, which
-is how every failing labeling lists its violations.
+set of colors, so the scans read one-hot bytes in C.  Such a labeling is
+constant on classes it carries with a class -> color table: the rule's
+where ``label_all`` made it, else its colors as their own.  Admissibility
+is one AND of the classes' one-hot colors with the index's tie bytes,
+which mark the colors inadmissible at each vertex.  A cell's count is the
+popcount of the OR of its vertices' one-hot colors: the ``t``-th vertex
+of the cell of ``pi`` at base ``b`` is ``b + e_S``, ``S`` the last ``t``
+images of ``pi``.  The classes of each ``S`` over all bases are a row,
+built off one chain of ranks when a ``pi`` first needs it and kept with
+the classes, and each ``pi`` ORs ``k`` rows, one-hot, masked to its
+consistent bases.  Wider colors count a set per cell, the way the tests'
+reference report is built from the per-point functions, and test each
+vertex's tie mask in a loop, which is how every failing labeling lists
+its violations.
 """
 
 from __future__ import annotations
@@ -106,10 +106,11 @@ _POPCOUNT = bytes(bin(b).count("1") for b in range(256))
 def _sperner_scan(labeling: Labeling) -> tuple[tuple[Point, int], ...]:
     # the vertices whose color is among their tie bits, in rank order; for
     # k <= 8 one AND of those bits with the one-hot colors settles a pass
-    one_hot = labeling._bytes and labeling._bytes.translate(_ONE_HOT)
+    classes = labeling._classes
     index = _instance_index(labeling.params)
     ties = index._ties
-    if one_hot is None or int.from_bytes(ties, "little") & int.from_bytes(one_hot, "little"):
+    if classes is None or int.from_bytes(ties, "little") & int.from_bytes(
+            classes[0].translate(classes[2].translate(_ONE_HOT)), "little"):
         return tuple((v, c) for v, c, t in zip(index.vertices, labeling.colors, ties)
                      if t >> c - 1 & 1)
     return ()
@@ -131,20 +132,22 @@ def check_sperner(labeling: Labeling) -> VerificationReport:
 
 
 def _class_counts(labeling: Labeling, index: _InstanceIndex, perm: Perm) -> bytes | None:
-    # a labeling that carries the rule's classes (label_all, k <= 8): each
-    # cell's color count, in lexicographic base order; None for any other
+    # each cell's color count in lexicographic base order; None for k > 8
     if labeling._classes is None:
         return None
     classes, rows, table = labeling._classes
     class_one_hot = table.translate(_ONE_HOT)
     # the t-th vertex of a cell at base b is b + e_S, S the last t images of
-    # pi; its class bytes over every base are cached by S alone
+    # pi; its class bytes over every base are kept by S alone, and the rows
+    # pi lacks are read off its chain of ranks, as far as the last of them
+    steps = list(itertools.accumulate([1 << j for j in reversed(perm)], operator.or_, initial=0))
+    last = max((t for t, s in enumerate(steps) if s not in rows), default=-1)
+    for s, ranks in zip(steps[:last + 1], index._chain(perm)):
+        if s not in rows:
+            rows[s] = bytes(map(classes.__getitem__, ranks))
     union = 0
-    for steps in itertools.accumulate([1 << j for j in reversed(perm)], operator.or_, initial=0):
-        row = rows.get(steps)
-        if row is None:
-            row = rows[steps] = bytes(map(classes.__getitem__, index._step_ranks(steps)))
-        union |= int.from_bytes(row.translate(class_one_hot), "little")
+    for s in steps:
+        union |= int.from_bytes(rows[s].translate(class_one_hot), "little")
     # every cell shows a color, so the zero bytes are the bases pi leaves out
     keep = index._consistent(perm)
     union &= int.from_bytes(keep, "little")
@@ -161,17 +164,16 @@ def check_colors(labeling: Labeling, pi: Perm | None = None,
     params = labeling.params
     if params.q < 1:
         raise ValueError("color check needs q >= 1 (no edges otherwise)")
-    if threshold < 1:
-        raise ValueError(f"threshold must be >= 1, got {threshold}")
+    if type(threshold) is not int or threshold < 1:  # exact: bool subclasses int
+        raise ValueError(f"threshold must be an int >= 1, got {threshold!r}")
     index = _instance_index(params)
-    perm = identity_permutation(params) if pi is None else pi
-    _check_permutation(perm, params)
+    perm = identity_permutation(params) if pi is None else _check_permutation(pi, params)
     columns = None
     counts = _class_counts(labeling, index, perm)
     color = labeling.colors.__getitem__
     if counts is None:
-        # any other labeling, and wider colors: a set per cell
-        columns = index.columns(pi)
+        # wider colors: a set per cell
+        columns = index.columns(perm)
         counts = list(map(len, map(set, zip(*[map(color, column) for column in columns]))))
     histogram = {n: count for n in range(1, params.k + 1) if (count := counts.count(n))}
     max_colors = max(histogram, default=0)
@@ -179,7 +181,7 @@ def check_colors(labeling: Labeling, pi: Perm | None = None,
     if max_colors > threshold:
         violating = tuple(
             (index.vertices[cell[0]], perm, tuple(sorted(set(map(color, cell)))))
-            for cell, n in zip(zip(*(columns or index.columns(pi))), counts)
+            for cell, n in zip(zip(*(columns or index.columns(perm))), counts)
             if n > threshold
         )
     return VerificationReport(

@@ -23,14 +23,16 @@ compared byte for byte, violation lists included, with the rule's
 labelings and with external ones, random and partly inadmissible, at
 ``k = 3..9``: ``k <= 8`` takes the verifier's byte scans and ``k = 9`` its
 loop and sets, over every threshold from 1 to ``k`` and subdivisions of
-0, 1 and more cells.  For ``k <= 8`` the color scan counts a labeling
-that ``label_all`` made from class bytes cached per step set in the
-rule's cache, which the labeling carries; every other labeling counts a
-set per cell and never builds the rule's classes.  The tests check that
-the path is taken exactly for the labelings that carry the classes, and
-compare rule labelings on every step set at ``k = 7`` and ``8``, files
-read back, random colorings of the classes with and without one changed
-vertex, oracle witnesses and random admissible colors.
+0, 1 and more cells.  For ``k <= 8`` the color scan counts every
+labeling through class bytes kept per step set, whatever made it: a
+labeling that ``label_all`` made carries the rule's classes and their
+rows from the rule's cache, and every other labeling takes its colors as
+its own classes, keeps rows of its own and never builds the rule's.  The
+tests check that the rows are read exactly for ``k <= 8``, and compare
+rule labelings on every step set at ``k = 7`` and ``8``, files read back
+and swept over every permutation, random colorings of the classes with
+and without one changed vertex, oracle witnesses and random admissible
+colors, each with ``k = 9`` cases for the set scan.
 Sperner's lemma gives a second check of the cells that shares no code
 with them: the cells of all permutations tile the simplex, so every
 admissible labeling has an odd number of rainbow cells among them.
@@ -311,9 +313,9 @@ def test_external_labelings_match_reference_bytes():
 
 def test_label_all_builds_what_the_checking_constructor_builds():
     # label_all skips Labeling's checks; its colors must pass them anyway.
-    # For k <= 8 the bytes it translated seed the labeling's bytes view, and
-    # the labeling carries the rule's cached classes and rows (the same
-    # objects) with the class -> color table; neither view is a field
+    # For k <= 8 the labeling carries the rule's cached classes and rows (the
+    # same objects) with the class -> color table, and a copy built with
+    # Labeling its colors as its own classes; the view is no field
     for params in INSTANCES + [Params(7, 7), Params(8, 8), Params(9, 9)]:
         if params.q < params.k:
             continue
@@ -322,36 +324,44 @@ def test_label_all_builds_what_the_checking_constructor_builds():
                 labeling = label_all(params, pi, reading)
                 copy = Labeling(params, labeling.colors, labeling.rule)
                 assert labeling == copy and hash(labeling) == hash(copy)
-                assert repr(labeling) == repr(copy) and copy._classes is None
+                assert repr(labeling) == repr(copy)
                 assert set(map(type, labeling.colors)) == {int}
                 assert type(labeling.colors) is tuple
-                seeded = vars(labeling)["_bytes"]
+                seeded = vars(labeling)["_classes"]
                 if params.k <= 8:
-                    assert type(seeded) is bytes and seeded == bytes(labeling.colors), params
-                    classes, rows, table = labeling._classes
+                    classes, rows, table = seeded
                     cached = _attaining_masks(params)
                     assert classes is cached[0] and rows is cached[2], params
-                    assert len(table) == 256 and classes.translate(table) == seeded, params
+                    assert len(table) == 256, params
+                    assert classes.translate(table) == bytes(labeling.colors), params
+                    assert copy._classes == (bytes(copy.colors), {}, bytes(range(256))), params
                 else:
-                    assert seeded is None and labeling._bytes is None, params
-                    assert labeling._classes is None, params
+                    assert seeded is None and copy._classes is None, params
 
 
-def test_files_read_back_build_their_bytes_view_once():
-    # a labeling read from a file builds its view on first use and keeps
-    # it; the view is no field, so the read labeling is the written one
-    for params in (Params(4, 5), Params(8, 8)):
+def test_files_read_back_build_their_classes_once():
+    # a labeling read from a file builds its classes, its own colors, on
+    # first use and keeps them, with a row for each step set the cells of
+    # the identity and of the reversed image take (both take 0 and all);
+    # above k = 8 there is no such view.  It is no field, so the read
+    # labeling is the written one
+    for params in (Params(4, 5), Params(8, 8), Params(9, 9)):
         pi = tuple(range(params.k - 1, 0, -1))
         labeling = label_all(params, pi)
         for fmt in ("json", "csv"):
             read = read_labeling(write_labeling(labeling, fmt))
-            assert "_bytes" not in vars(read)
+            assert "_classes" not in vars(read)
             views = []
             for report_pi in (None, pi, None):
                 full_report(read, report_pi)
-                views.append(vars(read)["_bytes"])
+                views.append(vars(read)["_classes"])
             assert all(view is views[0] for view in views), (params, fmt)
-            assert views[0] == bytes(labeling.colors)
+            if params.k <= 8:
+                classes, rows, table = views[0]
+                assert classes == bytes(labeling.colors) and table == bytes(range(256))
+                assert len(rows) == 2 * params.k - 2, (params, fmt)
+            else:
+                assert views[0] is None
             assert read == labeling and labeling == read, (params, fmt)
             assert hash(read) == hash(labeling) and repr(read) == repr(labeling), (params, fmt)
 
@@ -374,21 +384,27 @@ def test_rank_step_offsets_match_the_per_base_formula():
 
 
 def test_step_ranks_are_ranks_of_stepped_bases():
-    # every step set S: the rank of b + e_S where that is a lattice point,
-    # and a rank in range where it is not
-    for k in range(3, 8):
+    # list t of the chain of pi holds, over every base b, the rank of b + e_S,
+    # S the last t images of pi, where that is a lattice point, and a rank in
+    # range where it is not; every pi for k <= 6, and above pis whose chains
+    # between them take every step set
+    for k in range(3, 9):
+        perms = permutations(k) if k <= 6 else step_set_cover(k)
         for q in range(1, 4):
             params = Params(k, q)
             index = _instance_index(params)
             bases = enumerate_vertices(params.base())
-            for steps in range(0, 1 << k, 2):
-                got = list(index._step_ranks(steps))
-                assert len(got) == len(bases)
-                for r, base in zip(got, bases):
-                    v = tuple(x + (steps >> j & 1) for j, x in enumerate(base, 1))
-                    if is_lattice_point(v, params):
-                        assert r == vertex_rank(v, params), (params, steps, v)
-                    assert 0 <= r < params.num_vertices
+            for pi in perms:
+                chain = list(index._chain(pi))
+                assert len(chain) == k
+                for t, ranks in enumerate(chain):
+                    steps = set(pi[k - 1 - t:])
+                    assert len(ranks) == len(bases)
+                    for r, base in zip(ranks, bases):
+                        v = tuple(x + (j in steps) for j, x in enumerate(base, 1))
+                        if is_lattice_point(v, params):
+                            assert r == vertex_rank(v, params), (params, pi, v)
+                        assert 0 <= r < params.num_vertices
 
 
 def deficiency_sets(params):
@@ -438,16 +454,21 @@ def test_classes_are_the_attaining_sets():
 
 
 def takes_class_path(labeling):
-    """Whether the color scan counts by classes: exactly for the labelings
-    that carry the rule's tables, whose colors are then one color on each
-    set of attaining indices, checked against the definition."""
+    """Whether the color scan counts through rows of classes: exactly for
+    ``k <= 8``, whatever made the labeling.  Its classes and table give its
+    colors back; where they are the rule's (the table is no identity), its
+    colors are one color on each set of attaining indices, checked against
+    the definition."""
     params = labeling.params
     index, perm = _instance_index(params), tuple(range(1, params.k))
     got = _class_counts(labeling, index, perm) is not None
-    assert got == (labeling._classes is not None), (params, labeling.colors)
+    assert got == (params.k <= 8), (params, labeling.colors)
     if got:
-        sets = attaining_sets(params)
-        assert len(set(zip(sets, labeling.colors))) == len(set(sets)), (params, labeling.colors)
+        classes, _, table = labeling._classes
+        assert classes.translate(table) == bytes(labeling.colors), params
+        if table != bytes(range(256)):
+            sets = attaining_sets(params)
+            assert len(set(zip(sets, labeling.colors))) == len(set(sets)), params
     return got
 
 
@@ -512,13 +533,12 @@ def test_class_colorings_match_reference_bytes():
     # Sperner violations, every color count and subdivisions of 0, 1 and
     # more cells; then the same colors changed at one vertex of a class
     # with others, at its first vertex, its second and its last.  None of
-    # them is the rule's, so each counts a set per cell.
+    # them is the rule's, so each counts through rows of its own colors,
+    # and at k = 9 a set per cell.
     rng = random.Random(20261020)
     seen = set()
     for params in EXTERNAL_INSTANCES:
         k = params.k
-        if k > 8:
-            continue
         classes, present, _ = _attaining_masks(params)
         perms = permutations(k) if k <= 5 else rng.sample(permutations(k), 4)
         shared = [c for c in present if classes.count(c) > 1]
@@ -529,12 +549,13 @@ def test_class_colorings_match_reference_bytes():
             if shared:
                 c = rng.choice(shared)
                 first = classes.index(c)
-                for r in (first, classes.index(c, first + 1), classes.rindex(c)):
+                last = len(classes) - 1 - classes[::-1].index(c)
+                for r in (first, classes.index(c, first + 1), last):
                     other = rng.choice([x for x in range(1, k + 1) if x != colors[r]])
                     labelings.append(colors[:r] + (other,) + colors[r + 1:])
             for i, colors in enumerate(labelings):
                 labeling = Labeling(params, colors, "external")
-                assert not takes_class_path(labeling)
+                assert takes_class_path(labeling) == (k <= 8)
                 for pi in [None, *perms]:
                     for threshold in range(1, k + 1):
                         got = full_report(labeling, pi, threshold)
@@ -544,31 +565,50 @@ def test_class_colorings_match_reference_bytes():
     assert seen == {(factors, cells) for factors in (True, False) for cells in (0, 1, 2)}
 
 
-def test_files_read_back_take_the_set_scan():
-    # a file the rule wrote counts a set per cell; the rule's own labeling
-    # counts by classes, and the two reports agree byte for byte
-    for params in (Params(4, 5), Params(6, 7), Params(8, 8)):
+def test_files_read_back_count_through_their_own_rows():
+    # a file the rule wrote counts through rows of its own colors, the
+    # rule's labeling through the rule's class rows, and the two reports
+    # agree byte for byte; at k = 9 both count a set per cell
+    for params in (Params(4, 5), Params(6, 7), Params(8, 8), Params(9, 9)):
         for pi in (None, tuple(range(params.k - 1, 0, -1))):
             labeling = label_all(params, pi)
-            assert takes_class_path(labeling)
+            assert takes_class_path(labeling) == (params.k <= 8)
             for fmt in ("json", "csv"):
                 read = read_labeling(write_labeling(labeling, fmt))
-                assert not takes_class_path(read)
+                assert takes_class_path(read) == (params.k <= 8)
                 for threshold in (1, 2):
                     assert serialized(full_report(read, pi, threshold)) == \
                         serialized(full_report(labeling, pi, threshold))
-    params = Params(4, 5)
-    read = read_labeling(write_labeling(label_all(params, (3, 1, 2)), "csv"))
-    for pi in permutations(4):
-        want = reference_report(params, read.colors, read.rule, pi, 1)
-        assert serialized(full_report(read, pi, 1)) == serialized(want)
+
+
+def test_a_file_swept_over_every_pi_keeps_one_row_per_step_set():
+    # an oracle witness and a rule labeling, each read back from a file and
+    # checked against every pi: each report matches the reference, the
+    # file's own rows end up one per step set, and the rule's classes are
+    # never built
+    files = [write_labeling(min_max_colors(Params(6, 5)).witness, "json"),
+             write_labeling(label_all(Params(4, 5), (3, 1, 2)), "csv")]
+    for data in files:
+        read = read_labeling(data)
+        params = read.params
+        _attaining_masks.cache_clear()
+        for pi in permutations(params.k):
+            for threshold in (1, 2):
+                want = reference_report(params, read.colors, read.rule, pi, threshold)
+                assert serialized(full_report(read, pi, threshold)) == serialized(want), \
+                    (params, pi, threshold)
+        assert _attaining_masks.cache_info().currsize == 0, params
+        rows = read._classes[1]
+        assert sorted(rows) == list(range(0, 1 << params.k, 2)), params
+        assert len(rows) == 1 << params.k - 1
 
 
 def test_labelings_the_rule_did_not_make_never_build_its_classes():
     # files read back, an oracle witness and a labeling built with Labeling
-    # count a set per cell without building the rule's classes
+    # count through rows of their own colors, or at k = 9 a set per cell,
+    # without building the rule's classes
     labelings = [min_max_colors(Params(6, 5)).witness]
-    for params in (Params(4, 5), Params(8, 8)):
+    for params in (Params(4, 5), Params(8, 8), Params(9, 9)):
         labeling = label_all(params, tuple(range(params.k - 1, 0, -1)))
         labelings += [read_labeling(write_labeling(labeling, fmt)) for fmt in ("json", "csv")]
         labelings.append(Labeling(params, labeling.colors, labeling.rule))
@@ -585,14 +625,14 @@ def test_labelings_the_rule_did_not_make_never_build_its_classes():
 def test_deficiency_zero_vertices_share_one_class():
     # index 0 attains there and every scan order tries it first, so those
     # vertices form class 0 whatever else attains; colors constant on each
-    # unmerged set but split across class 0 count by sets
+    # unmerged set but split across class 0 count through rows of their own
     for params in (Params(4, 4), Params(5, 6)):
         sets = deficiency_sets(params)
         assert [c == 0 for c in _attaining_masks(params)[0]] == [0 in s for s in sets]
         split = {s: 1 + i % params.k for i, s in enumerate(dict.fromkeys(sets))}
         assert len({split[s] for s in sets if 0 in s}) > 1, params
         labeling = Labeling(params, tuple(map(split.__getitem__, sets)), "external")
-        assert not takes_class_path(labeling)
+        assert takes_class_path(labeling)
         for pi in (None, tuple(range(params.k - 1, 0, -1))):
             want = reference_report(params, labeling.colors, "external", pi, 2)
             assert serialized(full_report(labeling, pi, 2)) == serialized(want), (params, pi)
@@ -601,13 +641,14 @@ def test_deficiency_zero_vertices_share_one_class():
 def test_witnesses_and_random_colors_match_reference_bytes():
     # most oracle witnesses happen to be constant on the rule's classes, the
     # one at (5,3) is not; random admissible colors are not.  None carries
-    # the rule's tables, so all count a set per cell
+    # the rule's tables, so all count through rows of their own colors, and
+    # at k = 9 a set per cell
     rng = random.Random(20261021)
     labelings = [min_max_colors(Params(k, q)).witness for k, q in ((4, 3), (5, 3), (6, 5))]
-    for params in (Params(4, 4), Params(5, 5), Params(6, 6)):
+    for params in (Params(4, 4), Params(5, 5), Params(6, 6), Params(9, 3)):
         domains = [sorted(admissible_colors(v, params)) for v in enumerate_vertices(params)]
         labelings.append(Labeling(params, tuple(map(rng.choice, domains)), "external"))
-    assert list(map(takes_class_path, labelings)) == [False] * 6
+    assert list(map(takes_class_path, labelings)) == [True] * 6 + [False]
     for labeling in labelings:
         params = labeling.params
         for pi in [None, *rng.sample(permutations(params.k), 2)]:

@@ -77,6 +77,17 @@ def test_csv_refuses_a_rule_its_header_cannot_carry(rule):
     assert roundtrip(lab, "json") == lab
 
 
+def test_a_rule_that_is_no_str_is_refused_before_any_writer():
+    # a JSON file with rule 123 is one its reader refuses, and the CSV writer
+    # reads the rule as text; the string spelling round-trips both formats
+    for rule in (123, None, b"identity", True):
+        with pytest.raises(ValueError, match=r"^rule must be a str, got "):
+            Labeling(Params(3, 1), (3, 2, 1), rule)
+    for fmt in ("json", "csv"):
+        lab = Labeling(Params(3, 1), (3, 2, 1), "123")
+        assert roundtrip(lab, fmt) == lab and roundtrip(lab, fmt).rule == "123"
+
+
 @given(st.text())
 def test_any_rule_reads_back_or_the_csv_writer_raises(rule):
     lab = Labeling(Params(3, 0), (2,), rule)

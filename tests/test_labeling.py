@@ -202,6 +202,17 @@ def test_rule_descriptor():
     assert rule_descriptor((2, 1), READING_POSITION) == "pi:2,1:position"
 
 
+def test_per_point_rules_refuse_what_is_no_permutation():
+    # (1, 1) used to end in the scan's AssertionError, (7, 1) in a message
+    # about a coordinate index and (2, True) in a color
+    p = Params(3, 4)
+    for pi in ((1, 1), (2, True), (7, 1)):
+        for rule in (label_pi, selected_index_pi):
+            with pytest.raises(ValueError, match=r"^not a permutation image over 1\.\.2: "):
+                rule((0, 0), pi, p)
+    assert label_pi((0, 0), [2, 1], p) == label_pi((0, 0), (2, 1), p)
+
+
 def test_label_all_rank_alignment():
     p = Params(4, 5)
     lab = label_all(p)

@@ -114,6 +114,19 @@ def test_is_permutation():
     assert not is_permutation((1, 1, 3), p)
     assert not is_permutation((0, 1, 2), p)
     assert identity_permutation(p) == (1, 2, 3)
+    # exact ints: True == 1 and 3.0 == 3, but neither is an image entry
+    assert not is_permutation((3, True, 2), p)
+    assert not is_permutation((3.0, 1, 2), p)
+    assert is_permutation([3, 1, 2], p)
+
+
+def test_pi_hyperedge_takes_its_image_as_a_tuple():
+    p = Params(3, 4)
+    edge = pi_hyperedge((0, 1), [2, 1], p)
+    assert edge.perm == (2, 1) and edge == pi_hyperedge((0, 1), (2, 1), p)
+    assert hash(edge) == hash(pi_hyperedge((0, 1), (2, 1), p))
+    with pytest.raises(ValueError, match=r"^not a permutation image over 1\.\.2: "):
+        pi_hyperedge((0, 1), (2, True), p)
 
 
 def test_is_consistent_examples():

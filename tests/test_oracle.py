@@ -257,6 +257,13 @@ def test_oracle_validation():
         min_max_colors(Params(3, 2), budget=-1)
 
 
+def test_budget_must_be_an_exact_int():
+    # 10.5 would be written back as "nodes_explored": 10.5
+    for budget in (10.5, True, 10.0, "10", None):
+        with pytest.raises(ValueError, match=r"^budget must be an int >= 0, got "):
+            min_max_colors(Params(3, 2), budget=budget)
+
+
 def test_compare_pi_readings_identity():
     sel, pos = compare_pi_readings(Params(3, 4), (1, 2))
     assert sel == pos

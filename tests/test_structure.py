@@ -2,12 +2,13 @@
 
 Every import between the modules of ``simplexlattice`` is listed here, so a
 new dependency between them shows up as a change to this file.  Every name
-a module imports is used there, and the verifier imports nothing of the
-rule's cache.
+a module imports is used there, every private name the package defines is
+used in it, and the verifier imports nothing of the rule's cache.
 """
 
 import ast
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -91,6 +92,46 @@ def test_every_imported_name_is_used():
         if names:
             unused[path.stem] = sorted(names)
     assert unused == {}
+
+
+def private_definitions(tree: ast.AST) -> list[tuple[str, ast.AST]]:
+    """(name, node) of each function, class or assignment at module or class
+    level whose name starts with an underscore and is no dunder."""
+    found = []
+    for scope in [tree, *[node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]]:
+        for node in scope.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [target.id for target in targets if isinstance(target, ast.Name)]
+            else:
+                continue
+            found += [(name, node) for name in names
+                      if name.startswith("_") and not name.endswith("__")]
+    return found
+
+
+def mentions(node: ast.AST) -> Counter:
+    """How often each name and attribute appears under ``node``."""
+    return Counter(child.id if isinstance(child, ast.Name) else child.attr
+                   for child in ast.walk(node) if isinstance(child, (ast.Name, ast.Attribute)))
+
+
+def test_every_private_name_is_used():
+    # no lint tool runs on the package, so a private function, class, method
+    # or constant that a change leaves behind shows up here: each must be
+    # named somewhere in the package outside its own definitions
+    trees = [ast.parse(path.read_text(), str(path)) for path in sorted(PACKAGE.glob("*.py"))]
+    definitions = {}
+    for tree in trees:
+        for name, node in private_definitions(tree):
+            definitions.setdefault(name, []).append(node)
+    assert {"_instance_index", "_ONE_HOT", "_chain", "_fields"} <= definitions.keys()
+    total = sum(map(mentions, trees), Counter())
+    unused = [name for name, nodes in sorted(definitions.items())
+              if total[name] == sum(mentions(node)[name] for node in nodes)]
+    assert unused == []
 
 
 def test_verify_reads_the_labeling_not_the_rules_cache():

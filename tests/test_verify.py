@@ -86,6 +86,33 @@ def test_check_colors_validation():
         check_colors(lab, pi=(1, 1))
 
 
+def test_threshold_must_be_an_exact_int():
+    # True would be written as "threshold": true and 2.5 as 2.5
+    lab = label_all(Params(3, 4))
+    for threshold in (True, 2.5, 2.0, "2", None):
+        with pytest.raises(ValueError, match=r"^threshold must be an int >= 1, got "):
+            full_report(lab, None, threshold)
+        with pytest.raises(ValueError, match=r"^threshold must be an int >= 1, got "):
+            check_colors(lab, threshold=threshold)
+
+
+def test_a_list_image_checks_like_its_tuple():
+    # the image is taken as a tuple, so a list names, labels and lists its
+    # violating cells like the tuple it spells; bools are no image entries
+    p = Params(3, 4)
+    assert label_all(p, [1, 2]).rule == "identity"
+    assert label_all(p, [1, 2]) == label_all(p, (1, 2)) == label_all(p)
+    assert label_all(p, [2, 1]) == label_all(p, (2, 1))
+    got = full_report(label_all(p), [2, 1], 1)
+    assert got == full_report(label_all(p), (2, 1), 1) and got.violating_edges
+    assert {type(pi) for _, pi, _ in got.violating_edges} == {tuple}
+    for pi in ((2, True), (True, 2), [2.0, 1]):
+        with pytest.raises(ValueError, match=r"^not a permutation image over 1\.\.2: "):
+            label_all(p, pi)
+        with pytest.raises(ValueError, match=r"^not a permutation image over 1\.\.2: "):
+            full_report(label_all(p), pi)
+
+
 def test_histogram_totals():
     for k, q in [(3, 4), (3, 5), (4, 5), (5, 6)]:
         p = Params(k, q)
