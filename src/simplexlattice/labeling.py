@@ -62,9 +62,9 @@ class LabelUndefined(ValueError):
 
 class Labeling(_Frozen):
     """A total color assignment, one color per vertex in rank order, kept as
-    a tuple.  No field: ``_classes`` (None for ``k > 8``), the class bytes
+    a tuple.  No field: ``_classes`` (None for ``k > 255``), the class bytes
     the scans read with rows by step set and a class -> color table: the
-    rule's where label_all made it, else the colors as their own classes."""
+    rule's where label_all made it from byte classes, else the colors' own."""
 
     _fields = ("params", "colors", "rule")
 
@@ -86,14 +86,16 @@ class Labeling(_Frozen):
     @classmethod
     def _unchecked(cls, params: Params, colors: bytes | list[int], rule: str,
                    classes: tuple[bytes, dict[int, bytes], bytes] | None) -> "Labeling":
-        # exact ints in 1..k from label_all's table
+        # exact ints in 1..k from label_all's table; without classes, the view builds on use
         self = object.__new__(cls)
-        self.__dict__.update(params=params, colors=tuple(colors), rule=rule, _classes=classes)
+        self.__dict__.update(params=params, colors=tuple(colors), rule=rule)
+        if classes is not None:
+            self.__dict__["_classes"] = classes
         return self
 
     @cached_property
     def _classes(self) -> tuple[bytes, dict[int, bytes], bytes] | None:
-        return (bytes(self.colors), {}, bytes(range(256))) if self.params.k <= 8 else None
+        return (bytes(self.colors), {}, bytes(range(256))) if self.params.k < 256 else None
 
     def color_of(self, v: Point) -> int:
         return self.colors[vertex_rank(v, self.params)]
@@ -167,9 +169,10 @@ def rule_descriptor(pi: Perm | None, reading: str = READING_SELECTED) -> str:
 
     The identity image canonicalizes to "identity": both readings of the
     permutation rule coincide with the plain rule there, so files produced
-    under either name are byte-identical.
+    under either name are byte-identical.  Any other ``pi`` must be a
+    permutation image over ``1..len(pi)``, else ValueError.
     """
-    if pi is None or tuple(pi) == tuple(range(1, len(pi) + 1)):
+    if pi is None or _check_permutation(pi) == tuple(range(1, len(pi) + 1)):
         return "identity"
     text = _pi_descriptor(pi)
     return text + ":position" if reading == READING_POSITION else text
@@ -197,8 +200,8 @@ def _attaining_masks(params: Params) -> tuple[bytes | tuple[int, ...], frozenset
     deficiency ``max{t - v_t}``, and is 0 where the deficiency is 0: index
     0 attains it there, and every scan order tries 0 first.  Only the
     tie-break among a class's members depends on the permutation, so every
-    rule's labeling is constant on a class.  A class has at most ``k``
-    bits: one byte per vertex for ``k <= 8``."""
+    rule's labeling is constant on a class.  The classes are bytes where they
+    fit: at every ``q`` for ``k <= 8``, and for ``q >= k = 9``."""
     k, q = params.k, params.q
     classes = []
     for v in _instance_index(params).vertices:
@@ -210,8 +213,8 @@ def _attaining_masks(params: Params) -> tuple[bytes | tuple[int, ...], frozenset
             elif d == top:
                 mask |= 1 << t - 1
         classes.append(mask if top > 0 else 0)
-    classes = bytes(classes) if k <= 8 else tuple(classes)
-    return classes, frozenset(classes), {}
+    present = frozenset(classes)
+    return bytes(classes) if max(present) < 256 else tuple(classes), present, {}
 
 
 def label_all(params: Params, pi: Perm | None = None,
@@ -225,9 +228,9 @@ def label_all(params: Params, pi: Perm | None = None,
     of :func:`_attaining_masks` are worked out once per instance, so only
     the tie-break of the scan order is worked out per rule: one walk of
     the scan order settles each class present at the first index it holds,
-    then each vertex looks its class up.  For ``k <= 8`` that look-up is
-    one ``bytes.translate`` of the class bytes, and the labeling keeps the
-    classes, their rows and that table as ``_classes``.
+    then each vertex looks its class up.  Where the classes fit a byte
+    that look-up is one ``bytes.translate`` of the class bytes, and the
+    labeling keeps the classes, their rows and that table as ``_classes``.
     """
     _check_reading(reading)
     k = params.k
@@ -237,7 +240,8 @@ def label_all(params: Params, pi: Perm | None = None,
         pi = _check_permutation(pi, params)
         order = (*pi, k)
     classes, present, rows = _attaining_masks(params)
-    table = bytearray(256) if k <= 8 else {}  # color per class; 0 where only index k attains
+    fits = type(classes) is bytes
+    table = bytearray(256) if fits else {}  # color per class; 0 where only index k attains
     table[0] = 1  # index 0 is first in every scan order
     pending = [c for c in present if c]
     for t, idx in enumerate(order, 1):
@@ -251,8 +255,8 @@ def label_all(params: Params, pi: Perm | None = None,
             else:
                 rest.append(c)
         pending = rest
-    colors = classes.translate(table) if k <= 8 else list(map(table.__getitem__, classes))
+    colors = classes.translate(table) if fits else list(map(table.__getitem__, classes))
     if 0 in colors:
         raise LabelUndefined(_instance_index(params).vertices[colors.index(0)], params)
     return Labeling._unchecked(params, colors, rule_descriptor(pi, reading),
-                               (classes, rows, bytes(table)) if k <= 8 else None)
+                               (classes, rows, bytes(table)) if fits else None)

@@ -142,17 +142,18 @@ def is_lattice_point(v: Point, params: Params) -> bool:
     return prev <= params.q
 
 
-def is_permutation(pi: Perm, params: Params) -> bool:
-    """True iff ``pi`` is a bijection on {1, ..., k-1} in image notation,
-    its entries exact ints (``True`` is no image of 1)."""
-    return len(pi) == params.k - 1 and set(map(type, pi)) <= {int} and \
-        sorted(pi) == list(range(1, params.k))
+def is_permutation(pi: Perm, params: Params | None = None) -> bool:
+    """True iff ``pi`` is a bijection on {1, ..., k-1}, or on {1, ..., len(pi)} without
+    ``params``, in image notation with exact int entries (``True`` is no image of 1)."""
+    m = len(pi) if params is None else params.k - 1
+    return len(pi) == m and set(map(type, pi)) <= {int} and sorted(pi) == list(range(1, m + 1))
 
 
-def _check_permutation(pi: Perm, params: Params) -> Perm:
+def _check_permutation(pi: Perm, params: Params | None = None) -> Perm:
     # the image as a tuple, so that a list names, labels and hashes like it
     if not is_permutation(pi, params):
-        raise ValueError(f"not a permutation image over 1..{params.k - 1}: {pi!r}")
+        m = len(pi) if params is None else params.k - 1
+        raise ValueError(f"not a permutation image over 1..{m}: {pi!r}")
     return tuple(pi)
 
 
@@ -221,13 +222,14 @@ def is_consistent(pi: Perm, v: Point) -> bool:
     """Whether ``i`` precedes ``i + 1`` in ``pi`` wherever ``v_i = v_{i+1}``.
 
     Exactly the consistent pairs index cells of the subdivision; the
-    identity permutation is consistent with every point.
+    identity permutation is consistent with every point.  Raises
+    ValueError unless ``pi`` is a permutation image over ``1..len(pi)``
+    and ``v`` has ``len(pi)`` coordinates.
     """
-    position = {image: pos for pos, image in enumerate(pi)}
-    for i in range(1, len(v)):
-        if v[i - 1] == v[i] and position[i] > position[i + 1]:
-            return False
-    return True
+    pi = _check_permutation(pi)
+    if len(v) != len(pi):
+        raise ValueError(f"point {v!r} does not have the {len(pi)} coordinates of {pi!r}")
+    return not _inverse_descent_mask(pi) & _tie_mask(v)
 
 
 def pi_hyperedge(v: Point, pi: Perm, params: Params) -> Hyperedge:
@@ -244,7 +246,7 @@ def pi_hyperedge(v: Point, pi: Perm, params: Params) -> Hyperedge:
             f"base point must lie in the ({params.k},{params.q - 1}) lattice: {v!r}"
         )
     pi = _check_permutation(pi, params)
-    if not is_consistent(pi, v):
+    if _inverse_descent_mask(pi) & _tie_mask(v):
         raise InconsistentPair(f"permutation {pi} is not consistent with {v}")
     current = list(v)
     vertices = [tuple(current)]
@@ -273,7 +275,14 @@ def enumerate_facets(params: Params) -> list[tuple[Point, Perm]]:
     """
     base_points = enumerate_vertices(params.base())
     perms = _permutations(params)
-    return [(v, pi) for v in base_points for pi in perms if is_consistent(pi, v)]
+    forbidden = list(map(_inverse_descent_mask, perms))
+    return [(v, pi) for v, ties in zip(base_points, map(_tie_mask, base_points))
+            for pi, mask in zip(perms, forbidden) if not mask & ties]
+
+
+def _tie_mask(v: Point) -> int:
+    # bit i set iff v_i = v_{i+1}, i = 1..len(v)-1: what _inverse_descent_mask may meet
+    return sum(1 << i for i in range(1, len(v)) if v[i - 1] == v[i])
 
 
 def _inverse_descent_mask(pi: Perm) -> int:
@@ -283,15 +292,23 @@ def _inverse_descent_mask(pi: Perm) -> int:
     return sum(1 << i for i in range(1, len(pi)) if position[i] > position[i + 1])
 
 
+@lru_cache(maxsize=256)
+def _verdict(forbidden: int) -> bytes:
+    # per byte of tie bits 0xFF unless it meets the forbidden ones; at most 256
+    # such tables exist, so every pi shares them instead of building its own
+    return bytes([0 if t & forbidden else 0xFF for t in range(256)])
+
+
 class _InstanceIndex(_Frozen):
     """The geometry of one instance that every module reads, built once.
 
     ``vertices`` is the lexicographic enumeration.  ``_ties`` holds per
     vertex bit ``c - 1`` iff ``v_c = v_{c-1}`` (``v_0 = 0``, ``v_k = q``):
-    the colors inadmissible there.  The base points of ``V_{k,q-1}`` are
-    the vertices with bit ``k - 1`` clear, in lexicographic order, and
-    ``pi`` is consistent with a base unless its entry meets
-    :func:`_inverse_descent_mask`, which sets only bits ``1..k-2``.
+    the colors inadmissible there, bits ``8p..8p+7`` in byte plane ``p``.
+    The base points of ``V_{k,q-1}`` are the vertices with bit ``k - 1``
+    clear, in lexicographic order, and ``pi`` is consistent with a base
+    unless its entry meets :func:`_inverse_descent_mask`, which sets only
+    bits ``1..k-2``.
 
     Cells come from rank arithmetic, not from a rank map.  With 0-based
     coordinates, whenever ``v + e_j`` is a lattice point,
@@ -318,26 +335,24 @@ class _InstanceIndex(_Frozen):
         object.__setattr__(self, "vertices", vertices)
 
     @cached_property
-    def _ties(self) -> bytes | tuple[int, ...]:
+    def _ties(self) -> tuple[bytes, ...]:
         # one C-level comparison per pair of neighbouring coordinate columns;
-        # for k <= 8 color c's flags shift into bit c - 1 of a byte per vertex
+        # color c's flags shift into bit c - 1 - 8p of plane p = (c - 1) // 8
         k, q, n = self.params.k, self.params.q, len(self.vertices)
         coordinates = [(0,) * n, *zip(*self.vertices), (q,) * n]
         equal = [bytes(map(operator.eq, a, b)) for a, b in zip(coordinates[1:], coordinates)]
-        if k > 8:
-            return tuple(map(sum, zip(*[map((1 << c).__mul__, e) for c, e in enumerate(equal)])))
-        bits = sum(int.from_bytes(e, "little") << c for c, e in enumerate(equal))
-        return bits.to_bytes(n, "little")
+        return tuple(sum(int.from_bytes(e, "little") << c for c, e in enumerate(equal[p:p + 8]))
+                     .to_bytes(n, "little") for p in range(0, k, 8))
 
     @cached_property
-    def _rank_steps(self) -> tuple[list[int], bytes | tuple[int, ...], list[list[int]]]:
-        # base ranks, tie masks and offsets per coordinate; built on first
+    def _rank_steps(self) -> tuple[list[int], tuple[bytes, ...], list[list[int]]]:
+        # base ranks, tie planes and offsets per coordinate; built on first
         # use, so a process that only labels never pays for it
         k, q = self.params.k, self.params.q
-        ties = self._ties
-        below = list(map(operator.not_, map((1 << k - 1).__and__, ties)))  # v_{k-1} < q
-        ranks = list(itertools.compress(range(len(ties)), below))
-        ties = type(ties)(itertools.compress(ties, below))
+        # v_{k-1} < q: color k's bit clear, in the last plane
+        below = list(map(operator.not_, map((1 << (k - 1) % 8).__and__, self._ties[-1])))
+        ranks = list(itertools.compress(range(len(below)), below))
+        ties = tuple(bytes(itertools.compress(plane, below)) for plane in self._ties)
         # a base coordinate is below q, so one table of q offsets per
         # coordinate, read through that coordinate's column
         coordinates = list(zip(*map(self.vertices.__getitem__, ranks))) or [()] * (k - 1)
@@ -347,7 +362,7 @@ class _InstanceIndex(_Frozen):
         ]
         return ranks, ties, offsets
 
-    def _chain(self, pi: Perm, keep: bytes | list[int] | None = None) -> Iterator[list[int]]:
+    def _chain(self, pi: Perm, keep: bytes | None = None) -> Iterator[list[int]]:
         """Ranks of ``b + e_S`` over the bases (those ``keep`` marks, if given)
         for ``S`` the last ``t`` images of ``pi``, ``t = 0..k-1``, made as
         asked for.  Off the lattice they are still ranks, at most that of
@@ -361,27 +376,23 @@ class _InstanceIndex(_Frozen):
             ranks = list(map(operator.add, ranks, offsets[image - 1]))
             yield ranks
 
-    def _consistent(self, pi: Perm) -> bytes | list[int]:
-        # per base 0xFF where pi orders none of its ties the wrong way, else
-        # 0; for k <= 8 the verdict on every byte value, then one translate
+    def _consistent(self, pi: Perm) -> bytes:
+        # per base 0xFF unless pi orders one of its ties the wrong way: a verdict per plane, ANDed
         ties, forbidden = self._rank_steps[1], _inverse_descent_mask(pi)
-        as_bytes = self.params.k <= 8
-        keep = [0 if t & forbidden else 0xFF for t in (range(256) if as_bytes else ties)]
-        return ties.translate(bytes(keep)) if as_bytes else keep
-
-    def columns(self, pi: Perm | None) -> list[list[int]]:
-        """The cells of ``pi`` (the identity for None) as ``k`` lists of
-        vertex ranks: list ``t`` holds the ``t``-th vertex of every
-        consistent base point's cell, in lexicographic base order."""
-        params = self.params
-        pi = identity_permutation(params) if pi is None else _check_permutation(pi, params)
-        return list(self._chain(pi, self._consistent(pi)))
+        keep, *more = [plane.translate(_verdict(forbidden >> p & 0xFF))
+                       for p, plane in zip(range(0, max(forbidden.bit_length(), 1), 8), ties)]
+        for verdict in more:
+            keep = (int.from_bytes(keep, "little") & int.from_bytes(verdict, "little")
+                    ).to_bytes(len(keep), "little")
+        return keep
 
     def cells(self, pi: Perm | None) -> list[tuple[int, ...]]:
         """The cells of ``pi`` (the identity for None) as tuples of vertex
         ranks: the vertices and order of :func:`pi_hyperedge` over the
         consistent base points in lexicographic order."""
-        return list(zip(*self.columns(pi)))
+        params = self.params
+        pi = identity_permutation(params) if pi is None else _check_permutation(pi, params)
+        return list(zip(*self._chain(pi, self._consistent(pi))))
 
 
 @lru_cache(maxsize=4)

@@ -79,7 +79,9 @@ def _search_tables(params: Params, pi: Perm | None):
             reads[r].append(e)
         for r in cell[:-1]:
             writes[r].append(e)
-    domains = [~t << 1 & (2 << params.k) - 2 for t in index._ties]  # bits 1..k
+    domains = [(2 << params.k) - 2] * len(index.vertices)  # bits 1..k
+    for shift, plane in zip(range(1, params.k + 1, 8), index._ties):
+        domains = [d & ~(t << shift) for d, t in zip(domains, plane)]
     return domains, reads, writes, len(cells)
 
 

@@ -6,21 +6,22 @@ machine check of the claim at that size, and the violation lists of a
 failing report are complete (serialization may cap them, the counts never
 lie).
 
-For ``k <= 8`` a vertex's color is one bit of a byte and so is a cell's
-set of colors, so the scans read one-hot bytes in C.  Such a labeling is
+A color is one bit of a byte plane (plane ``p`` holds colors ``8p + 1`` to
+``8p + 8``), and so is a cell's set of colors, so the scans read one-hot
+bytes in C, a plane at a time.  A labeling whose colors fit a byte is
 constant on classes it carries with a class -> color table: the rule's
-where ``label_all`` made it, else its colors as their own.  Admissibility
-is one AND of the classes' one-hot colors with the index's tie bytes,
-which mark the colors inadmissible at each vertex.  A cell's count is the
-popcount of the OR of its vertices' one-hot colors: the ``t``-th vertex
-of the cell of ``pi`` at base ``b`` is ``b + e_S``, ``S`` the last ``t``
-images of ``pi``.  The classes of each ``S`` over all bases are a row,
-built off one chain of ranks when a ``pi`` first needs it and kept with
-the classes, and each ``pi`` ORs ``k`` rows, one-hot, masked to its
-consistent bases.  Wider colors count a set per cell, the way the tests'
-reference report is built from the per-point functions, and test each
-vertex's tie mask in a loop, which is how every failing labeling lists
-its violations.
+where ``label_all`` made them, else its colors as their own.  Admissibility
+is one AND per plane of the classes' one-hot colors with the index's tie
+planes, which mark the colors inadmissible at each vertex.  A cell's count
+is the popcount of the OR of its vertices' one-hot colors, summed over the
+planes: the ``t``-th vertex of the cell of ``pi`` at base ``b`` is
+``b + e_S``, ``S`` the last ``t`` images of ``pi``.  The classes of each
+``S`` over all bases are a row, built off one chain of ranks when a ``pi``
+first needs it and kept with the classes, and each ``pi`` ORs ``k`` rows,
+one-hot, masked to its consistent bases.  Colors past a byte (``k > 255``)
+count a set per cell, the way the tests' reference report is built from
+the per-point functions, and test each vertex's tie bit in a loop, which
+is how every failing labeling lists its violations.
 """
 
 from __future__ import annotations
@@ -98,21 +99,23 @@ def edge_colors(edge: Hyperedge, labeling: Labeling) -> frozenset[int]:
     return frozenset(labeling.color_of(u) for u in edge.vertices)
 
 
-# for k <= 8: color c -> bit c - 1, and a byte of such bits -> how many
-_ONE_HOT = bytes([0, *(1 << c for c in range(8))]).ljust(256, b"\0")
+# per byte plane of bits p..p+7: color c -> bit c - 1 - p there, else 0; a byte -> its popcount
+_ONE_HOT = [(bytes(p + 1) + bytes([1, 2, 4, 8, 16, 32, 64, 128])).ljust(256, b"\0")[:256]
+            for p in range(0, 256, 8)]
 _POPCOUNT = bytes(bin(b).count("1") for b in range(256))
 
 
 def _sperner_scan(labeling: Labeling) -> tuple[tuple[Point, int], ...]:
-    # the vertices whose color is among their tie bits, in rank order; for
-    # k <= 8 one AND of those bits with the one-hot colors settles a pass
+    # the vertices whose color is among their tie bits, in rank order; with
+    # classes one AND per plane of those bits and the one-hot colors settles a pass
     classes = labeling._classes
     index = _instance_index(labeling.params)
     ties = index._ties
-    if classes is None or int.from_bytes(ties, "little") & int.from_bytes(
-            classes[0].translate(classes[2].translate(_ONE_HOT)), "little"):
-        return tuple((v, c) for v, c, t in zip(index.vertices, labeling.colors, ties)
-                     if t >> c - 1 & 1)
+    if classes is None or any(int.from_bytes(plane, "little") & int.from_bytes(
+            classes[0].translate(classes[2].translate(one_hot)), "little")
+            for plane, one_hot in zip(ties, _ONE_HOT)):
+        return tuple((v, c) for r, (v, c) in enumerate(zip(index.vertices, labeling.colors))
+                     if ties[c - 1 >> 3][r] >> (c - 1 & 7) & 1)
     return ()
 
 
@@ -132,11 +135,10 @@ def check_sperner(labeling: Labeling) -> VerificationReport:
 
 
 def _class_counts(labeling: Labeling, index: _InstanceIndex, perm: Perm) -> bytes | None:
-    # each cell's color count in lexicographic base order; None for k > 8
+    # each cell's color count in lexicographic base order; None past a byte
     if labeling._classes is None:
         return None
     classes, rows, table = labeling._classes
-    class_one_hot = table.translate(_ONE_HOT)
     # the t-th vertex of a cell at base b is b + e_S, S the last t images of
     # pi; its class bytes over every base are kept by S alone, and the rows
     # pi lacks are read off its chain of ranks, as far as the last of them
@@ -145,13 +147,22 @@ def _class_counts(labeling: Labeling, index: _InstanceIndex, perm: Perm) -> byte
     for s, ranks in zip(steps[:last + 1], index._chain(perm)):
         if s not in rows:
             rows[s] = bytes(map(classes.__getitem__, ranks))
-    union = 0
-    for s in steps:
-        union |= int.from_bytes(rows[s].translate(class_one_hot), "little")
-    # every cell shows a color, so the zero bytes are the bases pi leaves out
     keep = index._consistent(perm)
-    union &= int.from_bytes(keep, "little")
-    return union.to_bytes(len(keep), "little").translate(_POPCOUNT, b"\0")
+    mask, n = int.from_bytes(keep, "little"), len(keep)
+    planes = []
+    for one_hot in _ONE_HOT[:len(index._ties)]:
+        class_one_hot = table.translate(one_hot)
+        union = 0
+        for s in steps:
+            union |= int.from_bytes(rows[s].translate(class_one_hot), "little")
+        planes.append((union & mask).to_bytes(n, "little").translate(_POPCOUNT))
+    # a count is at most k < 256, so no byte of the planes' sum carries, and
+    # every cell shows a color, so the zero counts are the bases pi leaves out
+    counts, *more = planes
+    for plane in more:
+        counts = (int.from_bytes(counts, "little") + int.from_bytes(plane, "little")
+                  ).to_bytes(n, "little")
+    return counts.translate(None, b"\0")
 
 
 def check_colors(labeling: Labeling, pi: Perm | None = None,
@@ -168,20 +179,18 @@ def check_colors(labeling: Labeling, pi: Perm | None = None,
         raise ValueError(f"threshold must be an int >= 1, got {threshold!r}")
     index = _instance_index(params)
     perm = identity_permutation(params) if pi is None else _check_permutation(pi, params)
-    columns = None
     counts = _class_counts(labeling, index, perm)
     color = labeling.colors.__getitem__
-    if counts is None:
-        # wider colors: a set per cell
-        columns = index.columns(perm)
-        counts = list(map(len, map(set, zip(*[map(color, column) for column in columns]))))
+    if counts is None:  # colors past a byte: a set per cell
+        counts = [len(set(map(color, cell))) for cell in index.cells(perm)]
     histogram = {n: count for n in range(1, params.k + 1) if (count := counts.count(n))}
     max_colors = max(histogram, default=0)
     violating = ()
     if max_colors > threshold:
+        # the cells one at a time off pi's chain: a list of them all costs more
         violating = tuple(
             (index.vertices[cell[0]], perm, tuple(sorted(set(map(color, cell)))))
-            for cell, n in zip(zip(*(columns or index.columns(perm))), counts)
+            for cell, n in zip(zip(*index._chain(perm, index._consistent(perm))), counts)
             if n > threshold
         )
     return VerificationReport(

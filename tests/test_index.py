@@ -5,7 +5,7 @@ against the per-point reference functions.
 cached index per instance: vertices, one tie table (per vertex the
 neighbouring coordinates that are equal, which are the colors inadmissible
 there, pick out the base points, and decide which permutations each base
-is consistent with), and the cells of each permutation as columns of
+is consistent with), and the cells of each permutation as tuples of
 vertex ranks, stepped from each base by closed-form rank offsets; the
 index holds geometry only.  ``label_all`` reads the classes that labeling
 keeps beside it, a vertex's class being its set of deficiency-attaining
@@ -18,21 +18,27 @@ functions (``label``, ``label_pi``, ``pi_hyperedge``, ``is_consistent``,
 ``admissible_colors``) use neither, so they serve as the reference here,
 over every permutation of every ``k <= 6`` and ``q`` from 0 (a single
 point) to ``k + 1``, which takes in the ``q < k`` range where the rule is
-partial; the cells are also compared at ``k = 7`` and ``8``.  Reports are
-compared byte for byte, violation lists included, with the rule's
-labelings and with external ones, random and partly inadmissible, at
-``k = 3..9``: ``k <= 8`` takes the verifier's byte scans and ``k = 9`` its
-loop and sets, over every threshold from 1 to ``k`` and subdivisions of
-0, 1 and more cells.  For ``k <= 8`` the color scan counts every
-labeling through class bytes kept per step set, whatever made it: a
-labeling that ``label_all`` made carries the rule's classes and their
-rows from the rule's cache, and every other labeling takes its colors as
-its own classes, keeps rows of its own and never builds the rule's.  The
-tests check that the rows are read exactly for ``k <= 8``, and compare
-rule labelings on every step set at ``k = 7`` and ``8``, files read back
-and swept over every permutation, random colorings of the classes with
-and without one changed vertex, oracle witnesses and random admissible
-colors, each with ``k = 9`` cases for the set scan.
+partial; the cells are also compared at ``k = 7`` and ``8``.  The tie
+table, each permutation's consistent bases and the scans keep one bit per
+color in ``ceil(k / 8)`` byte planes at every ``k``, checked with one for
+``k <= 8``, two at ``k = 9`` and ``10``, three at ``k = 17`` and ``18``
+and 32 at ``k = 255`` and ``256``.
+Reports are compared byte for byte, violation lists included, with the
+rule's labelings and with external ones, random and partly inadmissible,
+at ``k = 3..10``, over every threshold from 1 to ``k`` and subdivisions of
+0, 1 and more cells.  Every labeling whose colors fit a byte counts
+through class bytes kept per step set, whatever made it: a labeling that
+``label_all`` made carries the rule's classes and their rows from the
+rule's cache where those fit a byte (``k <= 8``, and ``k = 9`` at
+``q >= 9``), and every other labeling takes its colors as its own
+classes, keeps rows of its own and never builds the rule's.  The tests
+check that the rows are read exactly for ``k <= 255``, and compare rule
+labelings on every step set at ``k = 7`` and ``8``, files read back and
+swept over every permutation, random colorings of the classes with and
+without one changed vertex, oracle witnesses and random admissible
+colors, each with cases in two planes at ``k = 9`` and ``10`` on sampled
+permutations.  Colors past a byte (``k = 256``, ``q = 1``) keep the set
+scan, checked against the reference too.
 Sperner's lemma gives a second check of the cells that shares no code
 with them: the cells of all permutations tile the simplex, so every
 admissible labeling has an odd number of rainbow cells among them.
@@ -81,13 +87,22 @@ from simplexlattice.verify import _class_counts
 INSTANCES = [Params(k, q) for k in range(3, 7) for q in range(0, k + 2)]
 # cells only: k! permutations make the label and report sweeps too slow here
 LARGE_INSTANCES = [Params(7, q) for q in range(0, 5)] + [Params(8, q) for q in range(0, 4)]
-# external labelings: every pi for k <= 5 and a seeded sample above
-EXTERNAL_INSTANCES = [Params(k, q) for k in range(3, 10) for q in (1, 2, 3)] + \
+# external labelings: every pi for k <= 5 and a seeded sample above; k = 9
+# and 10 take two byte planes
+EXTERNAL_INSTANCES = [Params(k, q) for k in range(3, 11) for q in (1, 2, 3)] + \
     [Params(3, 8), Params(4, 6), Params(5, 5)]
 
 
 def permutations(k):
     return list(itertools.permutations(range(1, k)))
+
+
+def sample_permutations(rng, k, count):
+    """``count`` permutations drawn from all of them, or for ``k >= 10``,
+    where listing them costs too much, ``count`` shuffles."""
+    if k < 10:
+        return rng.sample(permutations(k), count)
+    return [tuple(rng.sample(range(1, k), k - 1)) for _ in range(count)]
 
 
 @lru_cache(maxsize=None)
@@ -204,7 +219,7 @@ def test_rank_cells_match_pi_hyperedge():
             assert index.cells(pi) == want, (params, pi)
     # the message pi_hyperedge and label_all give for the same image
     with pytest.raises(ValueError, match=r"^not a permutation image over 1\.\.2: \(1, 1\)$"):
-        _instance_index(Params(3, 4)).columns((1, 1))
+        _instance_index(Params(3, 4)).cells((1, 1))
 
 
 def rainbow_cells(params, colors):
@@ -252,38 +267,54 @@ def tie_mask(v, params):
                if coordinate(v, c, params) == coordinate(v, c - 1, params))
 
 
+def plane_masks(planes, params, count):
+    """The per-item masks that byte planes hold, plane p as bits 8p..8p+7,
+    after checking that there are ceil(k / 8) planes of ``count`` bytes."""
+    assert type(planes) is tuple and len(planes) == -(-params.k // 8), params
+    assert {type(plane) for plane in planes} == {bytes}, params
+    assert {len(plane) for plane in planes} == {count}, params
+    return [sum(b << 8 * p for p, b in enumerate(column)) for column in zip(*planes)]
+
+
 def test_inadmissible_bytes_match_admissible_colors():
-    # the tie table, bytes for k <= 8 and a tuple of ints at k = 9
-    for k in range(3, 10):
-        for q in range(0, 5):
+    # the tie table in byte planes at every k: one to k = 8, two at 9 and
+    # 10, three at 17
+    for k in [*range(3, 11), 17]:
+        for q in range(0, 5 if k < 17 else 3):
             params = Params(k, q)
-            ties = _instance_index(params)._ties
-            assert type(ties) is (bytes if k <= 8 else tuple), params
-            assert list(ties) == [
+            vertices = enumerate_vertices(params)
+            ties = plane_masks(_instance_index(params)._ties, params, len(vertices))
+            assert ties == [
                 sum(1 << c - 1 for c in range(1, k + 1) if c not in admissible_colors(v, params))
-                for v in enumerate_vertices(params)
+                for v in vertices
             ], params
-            assert list(ties) == [tie_mask(v, params) for v in enumerate_vertices(params)]
+            assert ties == [tie_mask(v, params) for v in vertices]
 
 
 def test_consistent_bases_match_is_consistent():
-    # every pi for k <= 5, a seeded sample at k = 9, where the mask is a list
+    # every pi for k <= 5; at k = 9, 10 and 18, where the inverse descents
+    # reach one, two and three tie planes, a seeded sample and every pi with
+    # one inverse descent
     rng = random.Random(20261022)
     for params in [Params(k, q) for k in range(3, 6) for q in range(1, 5)] + \
-            [Params(9, 2), Params(9, 3)]:
+            [Params(9, 2), Params(9, 3), Params(10, 2), Params(10, 3), Params(18, 2)]:
         index = _instance_index(params)
         bases = enumerate_vertices(params.base())
-        perms = permutations(params.k) if params.k <= 5 else rng.sample(permutations(9), 40)
+        k = params.k
+        perms = permutations(k) if k <= 5 else \
+            [tuple(rng.sample(range(1, k), k - 1)) for _ in range(40)] + \
+            [(*range(1, i), i + 1, i, *range(i + 2, k)) for i in range(1, k - 1)]
         for pi in perms:
             keep = index._consistent(pi)
-            assert type(keep) is (bytes if params.k <= 8 else list)
+            assert type(keep) is bytes
             assert set(keep) <= {0, 0xFF}
             assert list(map(bool, keep)) == [is_consistent(pi, b) for b in bases], (params, pi)
 
 
 def test_external_labelings_match_reference_bytes():
-    # Labelings the rule does not make, so that the byte scans (k <= 8) and
-    # the set scan (k = 9) meet Sperner violations and every color count:
+    # Labelings the rule does not make, so that the byte scans over one
+    # plane (k <= 8) and two (k = 9, 10) meet Sperner violations and every
+    # color count:
     # random admissible colors, the same with one vertex given its lowest or
     # its highest inadmissible color (the virtual coordinates decide those),
     # and colors uniform over 1..k.  At q = 1 the identity has one cell and
@@ -292,7 +323,7 @@ def test_external_labelings_match_reference_bytes():
     seen = set()
     for params in EXTERNAL_INSTANCES:
         k = params.k
-        perms = permutations(k) if k <= 5 else rng.sample(permutations(k), 4)
+        perms = permutations(k) if k <= 5 else sample_permutations(rng, k, 4)
         domains = [sorted(admissible_colors(v, params)) for v in enumerate_vertices(params)]
         labelings = [tuple(map(rng.choice, domains)) for _ in range(2)]
         r = rng.choice([r for r, domain in enumerate(domains) if len(domain) < k])
@@ -313,13 +344,16 @@ def test_external_labelings_match_reference_bytes():
 
 def test_label_all_builds_what_the_checking_constructor_builds():
     # label_all skips Labeling's checks; its colors must pass them anyway.
-    # For k <= 8 the labeling carries the rule's cached classes and rows (the
-    # same objects) with the class -> color table, and a copy built with
-    # Labeling its colors as its own classes; the view is no field
-    for params in INSTANCES + [Params(7, 7), Params(8, 8), Params(9, 9)]:
+    # Where the rule's classes fit a byte (k <= 8, and k = 9 at q >= 9) the
+    # labeling carries the rule's cached classes and rows (the same objects)
+    # with the class -> color table, and a copy built with Labeling its
+    # colors as its own classes; at (10,10) they do not, and the rule's
+    # labeling takes its colors as its own classes too.  The view is no field
+    for params in INSTANCES + [Params(7, 7), Params(8, 8), Params(9, 9), Params(10, 10)]:
         if params.q < params.k:
             continue
-        for pi in [None, *permutations(params.k)[:24]]:
+        perms = permutations(params.k)[:24] if params.k < 10 else [tuple(range(9, 0, -1))]
+        for pi in [None, *perms]:
             for reading in READINGS:
                 labeling = label_all(params, pi, reading)
                 copy = Labeling(params, labeling.colors, labeling.rule)
@@ -327,24 +361,25 @@ def test_label_all_builds_what_the_checking_constructor_builds():
                 assert repr(labeling) == repr(copy)
                 assert set(map(type, labeling.colors)) == {int}
                 assert type(labeling.colors) is tuple
-                seeded = vars(labeling)["_classes"]
-                if params.k <= 8:
-                    classes, rows, table = seeded
+                assert copy._classes == (bytes(copy.colors), {}, bytes(range(256))), params
+                if params.k < 10:
+                    classes, rows, table = vars(labeling)["_classes"]
                     cached = _attaining_masks(params)
                     assert classes is cached[0] and rows is cached[2], params
                     assert len(table) == 256, params
                     assert classes.translate(table) == bytes(labeling.colors), params
-                    assert copy._classes == (bytes(copy.colors), {}, bytes(range(256))), params
                 else:
-                    assert seeded is None and copy._classes is None, params
+                    assert type(_attaining_masks(params)[0]) is tuple, params
+                    assert "_classes" not in vars(labeling), params
+                    assert labeling._classes == copy._classes, params
 
 
 def test_files_read_back_build_their_classes_once():
     # a labeling read from a file builds its classes, its own colors, on
     # first use and keeps them, with a row for each step set the cells of
-    # the identity and of the reversed image take (both take 0 and all);
-    # above k = 8 there is no such view.  It is no field, so the read
-    # labeling is the written one
+    # the identity and of the reversed image take (both take 0 and all), at
+    # every k whose colors fit a byte.  It is no field, so the read labeling
+    # is the written one
     for params in (Params(4, 5), Params(8, 8), Params(9, 9)):
         pi = tuple(range(params.k - 1, 0, -1))
         labeling = label_all(params, pi)
@@ -356,27 +391,24 @@ def test_files_read_back_build_their_classes_once():
                 full_report(read, report_pi)
                 views.append(vars(read)["_classes"])
             assert all(view is views[0] for view in views), (params, fmt)
-            if params.k <= 8:
-                classes, rows, table = views[0]
-                assert classes == bytes(labeling.colors) and table == bytes(range(256))
-                assert len(rows) == 2 * params.k - 2, (params, fmt)
-            else:
-                assert views[0] is None
+            classes, rows, table = views[0]
+            assert classes == bytes(labeling.colors) and table == bytes(range(256))
+            assert len(rows) == 2 * params.k - 2, (params, fmt)
             assert read == labeling and labeling == read, (params, fmt)
             assert hash(read) == hash(labeling) and repr(read) == repr(labeling), (params, fmt)
 
 
 def test_rank_step_offsets_match_the_per_base_formula():
     # the bases are those of V_{k,q-1} in lexicographic order, with their
-    # tie masks at the instance's own q; at k = 9 the masks are a tuple
-    for k in range(3, 10):
+    # tie masks at the instance's own q, in the byte planes of the tie table
+    for k in range(3, 11):
         for q in range(0, 6 if k < 9 else 4):
             params = Params(k, q)
             bases = enumerate_vertices(params.base()) if q else []
             ranks, ties, offsets = _instance_index(params)._rank_steps
-            assert type(ties) is (bytes if k <= 8 else tuple)
             assert list(ranks) == [vertex_rank(b, params) for b in bases], (k, q)
-            assert list(ties) == [tie_mask(b, params) for b in bases], (k, q)
+            assert plane_masks(ties, params, len(bases)) == \
+                [tie_mask(b, params) for b in bases], (k, q)
             assert offsets == [
                 [comb(q - b[j] + k - 3 - j, k - 2 - j) for b in bases]
                 for j in range(k - 1)
@@ -434,16 +466,17 @@ def point_colors(params, pi, reading):
 
 def test_classes_are_the_attaining_sets():
     # bit t - 1 for each t in [1, k] attaining the deficiency, 0 where that
-    # is 0; bytes for k <= 8 and a tuple at k = 9.  Every rule is constant
-    # on the classes, undefined vertices included: every pi for k <= 5 and
-    # a seeded sample above.
+    # is 0; bytes wherever they fit one (every q for k <= 8), a tuple
+    # elsewhere.  Every rule is constant on the classes, undefined vertices
+    # included: every pi for k <= 5 and a seeded sample above.
     rng = random.Random(20261023)
     for k in range(3, 10):
         for q in range(0, (k + 3) if k < 9 else 5):
             params = Params(k, q)
             classes, present, _ = _attaining_masks(params)
-            assert type(classes) is (bytes if k <= 8 else tuple), params
             want = [sum(1 << t - 1 for t in s) for s in attaining_sets(params)]
+            assert type(classes) is (bytes if max(want) < 256 else tuple), params
+            assert k > 8 or type(classes) is bytes, params
             assert list(classes) == want, params
             assert present == set(classes), params
             perms = permutations(k) if k <= 5 else rng.sample(permutations(k), 1 if k > 6 else 3)
@@ -454,15 +487,15 @@ def test_classes_are_the_attaining_sets():
 
 
 def takes_class_path(labeling):
-    """Whether the color scan counts through rows of classes: exactly for
-    ``k <= 8``, whatever made the labeling.  Its classes and table give its
-    colors back; where they are the rule's (the table is no identity), its
-    colors are one color on each set of attaining indices, checked against
-    the definition."""
+    """Whether the color scan counts through rows of classes: exactly where
+    colors fit a byte, ``k <= 255``, whatever made the labeling.  Its
+    classes and table give its colors back; where they are the rule's (the
+    table is no identity), its colors are one color on each set of
+    attaining indices, checked against the definition."""
     params = labeling.params
     index, perm = _instance_index(params), tuple(range(1, params.k))
     got = _class_counts(labeling, index, perm) is not None
-    assert got == (params.k <= 8), (params, labeling.colors)
+    assert got == (params.k < 256), (params, labeling.colors)
     if got:
         classes, _, table = labeling._classes
         assert classes.translate(table) == bytes(labeling.colors), params
@@ -533,14 +566,14 @@ def test_class_colorings_match_reference_bytes():
     # Sperner violations, every color count and subdivisions of 0, 1 and
     # more cells; then the same colors changed at one vertex of a class
     # with others, at its first vertex, its second and its last.  None of
-    # them is the rule's, so each counts through rows of its own colors,
-    # and at k = 9 a set per cell.
+    # them is the rule's, so each counts through rows of its own colors, in
+    # two byte planes at k = 9 and 10.
     rng = random.Random(20261020)
     seen = set()
     for params in EXTERNAL_INSTANCES:
         k = params.k
         classes, present, _ = _attaining_masks(params)
-        perms = permutations(k) if k <= 5 else rng.sample(permutations(k), 4)
+        perms = permutations(k) if k <= 5 else sample_permutations(rng, k, 4)
         shared = [c for c in present if classes.count(c) > 1]
         for _ in range(2):
             table = {c: rng.randint(1, k) for c in present}
@@ -555,7 +588,7 @@ def test_class_colorings_match_reference_bytes():
                     labelings.append(colors[:r] + (other,) + colors[r + 1:])
             for i, colors in enumerate(labelings):
                 labeling = Labeling(params, colors, "external")
-                assert takes_class_path(labeling) == (k <= 8)
+                assert takes_class_path(labeling)
                 for pi in [None, *perms]:
                     for threshold in range(1, k + 1):
                         got = full_report(labeling, pi, threshold)
@@ -568,17 +601,25 @@ def test_class_colorings_match_reference_bytes():
 def test_files_read_back_count_through_their_own_rows():
     # a file the rule wrote counts through rows of its own colors, the
     # rule's labeling through the rule's class rows, and the two reports
-    # agree byte for byte; at k = 9 both count a set per cell
-    for params in (Params(4, 5), Params(6, 7), Params(8, 8), Params(9, 9)):
-        for pi in (None, tuple(range(params.k - 1, 0, -1))):
+    # agree byte for byte, in two byte planes at k = 9; at (10,10), whose
+    # classes do not fit a byte, both count through rows of their colors
+    # (one pi and format there, for time), and past k = 8 the reference
+    # checks the file too
+    for params in (Params(4, 5), Params(6, 7), Params(8, 8), Params(9, 9), Params(10, 10)):
+        k = params.k
+        reverse = tuple(range(k - 1, 0, -1))
+        for pi in (None, reverse) if k < 10 else (reverse,):
             labeling = label_all(params, pi)
-            assert takes_class_path(labeling) == (params.k <= 8)
-            for fmt in ("json", "csv"):
+            assert takes_class_path(labeling)
+            for fmt in ("json", "csv") if k < 10 else ("json",):
                 read = read_labeling(write_labeling(labeling, fmt))
-                assert takes_class_path(read) == (params.k <= 8)
+                assert takes_class_path(read)
                 for threshold in (1, 2):
                     assert serialized(full_report(read, pi, threshold)) == \
                         serialized(full_report(labeling, pi, threshold))
+        if k > 8:
+            want = reference_report(params, read.colors, read.rule, reverse, 1)
+            assert serialized(full_report(read, reverse, 1)) == serialized(want), params
 
 
 def test_a_file_swept_over_every_pi_keeps_one_row_per_step_set():
@@ -605,7 +646,7 @@ def test_a_file_swept_over_every_pi_keeps_one_row_per_step_set():
 
 def test_labelings_the_rule_did_not_make_never_build_its_classes():
     # files read back, an oracle witness and a labeling built with Labeling
-    # count through rows of their own colors, or at k = 9 a set per cell,
+    # count through rows of their own colors, in two byte planes at k = 9,
     # without building the rule's classes
     labelings = [min_max_colors(Params(6, 5)).witness]
     for params in (Params(4, 5), Params(8, 8), Params(9, 9)):
@@ -641,21 +682,44 @@ def test_deficiency_zero_vertices_share_one_class():
 def test_witnesses_and_random_colors_match_reference_bytes():
     # most oracle witnesses happen to be constant on the rule's classes, the
     # one at (5,3) is not; random admissible colors are not.  None carries
-    # the rule's tables, so all count through rows of their own colors, and
-    # at k = 9 a set per cell
+    # the rule's tables, so all count through rows of their own colors, in
+    # two byte planes at k = 9 and 10 (witnesses from a budget-bound search)
     rng = random.Random(20261021)
     labelings = [min_max_colors(Params(k, q)).witness for k, q in ((4, 3), (5, 3), (6, 5))]
-    for params in (Params(4, 4), Params(5, 5), Params(6, 6), Params(9, 3)):
+    labelings += [min_max_colors(Params(k, 3), budget=20_000).witness for k in (9, 10)]
+    for params in (Params(4, 4), Params(5, 5), Params(6, 6), Params(9, 3), Params(10, 3)):
         domains = [sorted(admissible_colors(v, params)) for v in enumerate_vertices(params)]
         labelings.append(Labeling(params, tuple(map(rng.choice, domains)), "external"))
-    assert list(map(takes_class_path, labelings)) == [True] * 6 + [False]
+    assert all(map(takes_class_path, labelings))
     for labeling in labelings:
         params = labeling.params
-        for pi in [None, *rng.sample(permutations(params.k), 2)]:
+        for pi in [None, *sample_permutations(rng, params.k, 2)]:
             for threshold in (1, 2, 3):
                 got = full_report(labeling, pi, threshold)
                 want = reference_report(params, labeling.colors, labeling.rule, pi, threshold)
                 assert serialized(got) == serialized(want), (params, pi, threshold)
+
+
+def test_colors_past_a_byte_take_the_set_scan():
+    # At q = 1 there are k vertices and one identity cell, and the oracle's
+    # witness gives every vertex its one admissible color.  k = 255 is the
+    # widest instance whose colors fit a byte: a witness and random colors
+    # count through rows of their own colors in 32 byte planes.  At k = 256
+    # they do not fit, so they count a set per cell and test each vertex's
+    # ties in a loop, the scan that stays for them
+    rng = random.Random(20261025)
+    for k in (255, 256):
+        params = Params(k, 1)
+        assert len(_instance_index(params)._ties) == 32
+        colors = tuple(rng.choices(range(1, k + 1), k=params.num_vertices))
+        for labeling in (min_max_colors(params).witness, Labeling(params, colors, "external")):
+            assert takes_class_path(labeling) == (k == 255)
+            assert (labeling._classes is None) == (k == 256)
+            for pi in (None, tuple(range(k - 1, 0, -1))):
+                for threshold in (1, 2, k):
+                    got = full_report(labeling, pi, threshold)
+                    want = reference_report(params, labeling.colors, labeling.rule, pi, threshold)
+                    assert serialized(got) == serialized(want), (k, pi, threshold)
 
 
 def test_undefined_vertex_is_first_in_rank_order_at_k7_k8():

@@ -19,6 +19,7 @@ from simplexlattice import (
     is_lattice_point,
     is_permutation,
     pi_hyperedge,
+    rule_descriptor,
     vertex_rank,
     vertex_unrank,
 )
@@ -118,6 +119,8 @@ def test_is_permutation():
     assert not is_permutation((3, True, 2), p)
     assert not is_permutation((3.0, 1, 2), p)
     assert is_permutation([3, 1, 2], p)
+    # without params, an image over 1..len(pi)
+    assert is_permutation((2, 1)) and is_permutation(()) and not is_permutation((1, 3))
 
 
 def test_pi_hyperedge_takes_its_image_as_a_tuple():
@@ -135,6 +138,24 @@ def test_is_consistent_examples():
     # strictly increasing base: vacuous condition
     assert all(is_consistent(pi, (0, 1, 2)) for pi in itertools.permutations((1, 2, 3)))
     assert is_consistent((1, 2), (0, 1)) and is_consistent((2, 1), (0, 1))
+
+
+def test_is_consistent_and_rule_descriptor_check_the_image():
+    # neither takes params, so each reads k off the image itself: it must be
+    # a permutation of 1..len(pi) in exact ints, and the point must have
+    # len(pi) coordinates
+    for pi in ((1, 1), (2, True), [2, 1, 9], (0, 1), (1, 3)):
+        with pytest.raises(ValueError, match=r"^not a permutation image over 1\.\."):
+            is_consistent(pi, (0,) * len(pi))
+        with pytest.raises(ValueError, match=r"^not a permutation image over 1\.\."):
+            rule_descriptor(pi)
+    for v in ((0,), (0, 0, 0), ()):
+        with pytest.raises(ValueError, match=r"^point .* does not have the 2 coordinates"):
+            is_consistent((2, 1), v)
+    # valid lists keep working, and None is still the identity
+    assert is_consistent([2, 1], (0, 1)) and not is_consistent([2, 1], [1, 1])
+    assert rule_descriptor([2, 1, 3]) == "pi:2,1,3"
+    assert rule_descriptor([1, 2, 3]) == rule_descriptor(None) == "identity"
 
 
 def test_hyperedge_examples():
@@ -226,8 +247,10 @@ def test_identity_edges_are_identity_facets():
 
 
 def test_inconsistent_pairs_leave_the_lattice():
-    # the consistency predicate is exactly "every prefix stays in V_{k,q}"
-    for p in [Params(3, 3), Params(4, 3)]:
+    # the consistency predicate is exactly "every prefix stays in V_{k,q}",
+    # and the facets are the pairs it admits, in (base, image) order
+    for p in [Params(3, 3), Params(4, 3), Params(5, 3)]:
+        facets = []
         for v in enumerate_vertices(p.base()):
             for pi in itertools.permutations(range(1, p.k)):
                 prefixes_ok = True
@@ -238,3 +261,6 @@ def test_inconsistent_pairs_leave_the_lattice():
                         prefixes_ok = False
                         break
                 assert prefixes_ok == is_consistent(pi, v)
+                if prefixes_ok:
+                    facets.append((v, pi))
+        assert enumerate_facets(p) == facets

@@ -138,12 +138,15 @@ def test_search_replays_the_reference_on_budget_bound_instances():
 
 
 def test_search_domains_match_admissible_colors_at_every_width():
-    # the domains come from the index's tie table, bytes for k <= 8 and a
-    # tuple at k = 9; admissible_colors reads the coordinates
-    for k in range(3, 10):
-        for q in range(1, k + 3 if k < 9 else 5):
+    # the domains come from the index's tie table, ceil(k / 8) byte planes:
+    # one for k <= 8, two at k = 9 and 10, three at k = 17; admissible_colors
+    # reads the coordinates
+    for k in [*range(3, 11), 17]:
+        for q in range(1, k + 3 if k < 9 else 5 if k < 17 else 3):
             params = Params(k, q)
-            assert type(_instance_index(params)._ties) is (bytes if k <= 8 else tuple)
+            ties = _instance_index(params)._ties
+            assert type(ties) is tuple and len(ties) == -(-k // 8), params
+            assert {type(plane) for plane in ties} == {bytes}, params
             want = [sum(1 << c for c in admissible_colors(v, params))
                     for v in enumerate_vertices(params)]
             for pi in (None, tuple(range(k - 1, 0, -1))):

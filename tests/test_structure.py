@@ -3,7 +3,8 @@
 Every import between the modules of ``simplexlattice`` is listed here, so a
 new dependency between them shows up as a change to this file.  Every name
 a module imports is used there, every private name the package defines is
-used in it, and the verifier imports nothing of the rule's cache.
+used in it, the verifier imports nothing of the rule's cache, and only
+``labeling`` decides whether colors and classes fit a byte.
 """
 
 import ast
@@ -140,6 +141,34 @@ def test_verify_reads_the_labeling_not_the_rules_cache():
     tree = ast.parse((PACKAGE / "verify.py").read_text())
     names = {name for module, name, _ in imported_names(tree) if module == ".labeling"}
     assert names == {"READINGS", "Labeling", "_pi_descriptor", "label_all"}
+
+
+def width_tests(tree: ast.AST) -> list[str]:
+    """Each comparison in ``tree`` with an int constant among its operands
+    that names a color width (8, 9, 255 or 256), or that compares a
+    ``len(...)`` with 1: a one-plane fork by another name."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            ints = {o.value for o in operands if type(getattr(o, "value", None)) is int}
+            has_len = any(getattr(getattr(o, "func", None), "id", None) == "len" for o in operands)
+            if ints & {8, 9, 255, 256} or has_len and 1 in ints:
+                found.append(ast.unparse(node))
+    return found
+
+
+def test_the_width_cut_is_decided_in_labeling_alone():
+    # the geometry, the scans and the oracle read ceil(k / 8) byte planes at
+    # every k and never test a width; whether colors and classes fit a byte
+    # is decided where a labeling is made
+    for name in ("lattice", "verify", "oracle"):
+        tree = ast.parse((PACKAGE / f"{name}.py").read_text())
+        assert width_tests(tree) == [], name
+    assert width_tests(ast.parse("if k <= 8 or 9 > k or c < 256 or len(p) == 1: pass")) == \
+        ["k <= 8", "9 > k", "c < 256", "len(p) == 1"]
+    assert width_tests(ast.parse("if len(p) == 2 or n == 1: pass")) == []
+    assert width_tests(ast.parse((PACKAGE / "labeling.py").read_text())) != []
 
 
 PUBLIC = [

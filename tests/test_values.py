@@ -132,12 +132,17 @@ def test_instance_index():
     for name in ("_ties", "_rank_steps"):
         assert isinstance(_InstanceIndex.__dict__[name], functools.cached_property)
         assert getattr(twin, name) is getattr(twin, name)
-    # v_c = v_{c-1} with v_0 = 0 and v_3 = 1: colors {1, 2}, {1, 3}, {2, 3}
-    assert twin._ties == bytes([0b011, 0b101, 0b110])
+    # v_c = v_{c-1} with v_0 = 0 and v_3 = 1: colors {1, 2}, {1, 3}, {2, 3},
+    # in one byte plane
+    assert twin._ties == (bytes([0b011, 0b101, 0b110]),)
     # the one base point, (0, 0) of V_{3,0}, with its tie mask
     ranks, ties, _ = twin._rank_steps
     assert ranks == [vertex_rank(b, p) for b in enumerate_vertices(p.base())] == [0]
-    assert ties == b"\x03"
+    assert ties == (b"\x03",)
+    # colors 9 and 10 go to a second plane: at (10,1) vertex (0, ..., 0)
+    # ties everywhere but at color 10
+    assert _instance_index(Params(10, 1))._ties[1][0] == 0b01
+    assert _instance_index(Params(10, 1))._ties[0][0] == 0xFF
     assert twin.cells(None) == index.cells(None) == [(0, 1, 2)]
 
 
