@@ -10,7 +10,7 @@ vertex and every cell in range is checked.
 """
 
 from simplexlattice import (Params, check_all_pi, enumerate_vertices, full_report,
-                            is_consistent, label_all, label_pi)
+                            is_consistent, is_lattice_point, label_all, label_pi)
 
 print("plain rule, identity cells:")
 print(f"{'k':>2} {'q':>2} {'cells':>6} {'histogram':>16} {'max':>4}  verdict")
@@ -44,14 +44,18 @@ print(f"  k=3, q=4 at threshold 1: {len(report.violating_edges)} violating cells
       f"with colors {report.violating_edges[0][2]}")
 
 # the non-cells: where pi breaks a tie v_1 = v_2 the wrong way, stepping the
-# coordinates leaves the lattice, so no cell is based there
+# coordinates leaves the lattice, so no cell is based there (and the rule,
+# like every per-point function, refuses a point off the lattice)
 params, pi = Params(3, 4), (2, 1)
-print(f"\nbases of V_(3,3) inconsistent with pi={pi}, stepped anyway "
-      f"(no claim attaches to these):")
+print(f"\nbases of V_(3,3) inconsistent with pi={pi}, stepped anyway:")
 for v in enumerate_vertices(params.base()):
     if not is_consistent(pi, v):
         steps = [v]
         for i in reversed(pi):  # e_pi(k-1) first, as a cell steps
             steps.append(tuple(x + (j == i) for j, x in enumerate(steps[-1], 1)))
-        colors = sorted({label_pi(u, pi, params) for u in steps})
-        print(f"  {v} -> {' -> '.join(map(str, steps[1:]))}: colors {colors}")
+        off = next(u for u in steps if not is_lattice_point(u, params))
+        print(f"  {v} -> {' -> '.join(map(str, steps[1:]))}: leaves the lattice at {off}")
+try:
+    label_pi((1, 0), pi, params)
+except ValueError as exc:
+    print(f"  label_pi((1, 0), {pi}, ...) raises ValueError: {exc}")

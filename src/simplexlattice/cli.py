@@ -130,7 +130,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         raise CliError(f"--threshold: must be >= 1, got {args.threshold}")
     if params.q < 1:
         raise CliError("--q: verification needs q >= 1 (no hyperedges otherwise)")
+    if args.labels and args.reading:
+        raise CliError("--reading: a --labels file is checked as it is; no rule reading applies")
     external = _load_labels(args.labels, params) if args.labels else None
+    reading = args.reading or READING_SELECTED
 
     if args.all_pi:
         if params.k > MAX_ALL_PI_K:
@@ -144,7 +147,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
     outputs, passed = [], True
     for pi in perms:
-        labeling = _label(params, pi, args.reading) if external is None else external
+        labeling = _label(params, pi, reading) if external is None else external
         report = full_report(labeling, pi, args.threshold)
         passed = passed and report.passed
         # all-pi holds the bytes of each report's capped view, not the report
@@ -234,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threshold", type=int, default=2,
                    help="max colors allowed per edge (default 2)")
     p.add_argument("--labels", help="verify this labeling file instead of the built-in rule")
-    p.add_argument("--reading", choices=READINGS, default=READING_SELECTED)
+    p.add_argument("--reading", choices=READINGS)  # default READING_SELECTED, not with --labels
     p.add_argument("--out", help="write the report here instead of stdout")
     p.set_defaults(handler=_cmd_verify)
 

@@ -35,9 +35,9 @@ from .lattice import (
     Perm,
     Point,
     _check_permutation,
+    _coordinates,
     _Frozen,
     _instance_index,
-    coordinate,
     identity_permutation,
     is_permutation,
     vertex_rank,
@@ -103,7 +103,7 @@ class Labeling(_Frozen):
 
 def deficiency(v: Point, params: Params) -> int:
     """``max{t - v_t}`` over the extended index range [0, k]; never negative."""
-    return max(t - coordinate(v, t, params) for t in range(params.k + 1))
+    return max(t - x for t, x in enumerate(_coordinates(v, params)))
 
 
 def argmin_index(v: Point, params: Params) -> int:
@@ -123,9 +123,10 @@ def label(v: Point, params: Params) -> int:
 
 def _scan(v: Point, pi: Perm, params: Params) -> tuple[int, int]:
     # first scan position whose index attains the deficiency -> (position, index)
-    r = deficiency(v, params)
+    gaps = [t - x for t, x in enumerate(_coordinates(v, params))]
+    r = max(gaps)
     for t, idx in enumerate((0, *_check_permutation(pi, params), params.k)):
-        if idx - coordinate(v, idx, params) == r:
+        if gaps[idx] == r:
             return t, idx
     raise AssertionError("deficiency is attained somewhere by construction")
 

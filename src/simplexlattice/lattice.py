@@ -121,13 +121,9 @@ class Hyperedge(_Frozen):
 
 def coordinate(v: Point, t: int, params: Params) -> int:
     """Coordinate ``v_t`` under the convention ``v_0 = 0`` and ``v_k = q``."""
-    if t < 0 or t > params.k:
-        raise ValueError(f"coordinate index {t} outside [0, {params.k}]")
-    if t == 0:
-        return 0
-    if t == params.k:
-        return params.q
-    return v[t - 1]
+    if type(t) is not int or not 0 <= t <= params.k:  # exact: bool subclasses int
+        raise ValueError(f"coordinate index {t!r} outside [0, {params.k}]")
+    return _coordinates(v, params)[t]
 
 
 def is_lattice_point(v: Point, params: Params) -> bool:
@@ -140,6 +136,14 @@ def is_lattice_point(v: Point, params: Params) -> bool:
             return False
         prev = x
     return prev <= params.q
+
+
+def _coordinates(v: Point, params: Params) -> Point:
+    # v_0..v_k of a lattice point, the virtual v_0 = 0 and v_k = q included;
+    # the one check of a point that the per-point functions make
+    if not is_lattice_point(v, params):
+        raise ValueError(f"not a lattice point of the ({params.k},{params.q}) instance: {v!r}")
+    return (0, *v, params.q)
 
 
 def is_permutation(pi: Perm, params: Params | None = None) -> bool:
@@ -184,21 +188,16 @@ def _prefix_count(lo: int, x: int, q: int, tail: int) -> int:
 
 def vertex_rank(v: Point, params: Params) -> int:
     """Index of ``v`` in the lexicographic enumeration."""
-    if not is_lattice_point(v, params):
-        raise ValueError(f"not a lattice point of the ({params.k},{params.q}) instance: {v!r}")
-    rank = 0
-    lo = 0
-    m = params.k - 1
-    for i, x in enumerate(v):
-        rank += _prefix_count(lo, x, params.q, m - 1 - i)
-        lo = x
-    return rank
+    padded, m = _coordinates(v, params), params.k - 1
+    # each coordinate counts the tuples below it that share the prefix before it
+    return sum(_prefix_count(lo, x, params.q, m - 1 - i)
+               for i, (lo, x) in enumerate(zip(padded, padded[1:-1])))
 
 
 def vertex_unrank(rank: int, params: Params) -> Point:
     """Inverse of :func:`vertex_rank`; digits are recovered by binary search."""
-    if not 0 <= rank < params.num_vertices:
-        raise ValueError(f"rank {rank} outside [0, {params.num_vertices})")
+    if type(rank) is not int or not 0 <= rank < params.num_vertices:
+        raise ValueError(f"rank {rank!r} outside [0, {params.num_vertices})")
     coords = []
     lo = 0
     m = params.k - 1
@@ -281,7 +280,7 @@ def enumerate_facets(params: Params) -> list[tuple[Point, Perm]]:
 
 
 def _tie_mask(v: Point) -> int:
-    # bit i set iff v_i = v_{i+1}, i = 1..len(v)-1: what _inverse_descent_mask may meet
+    # bit i iff v_i = v_{i+1}, i = 1..len(v)-1: a base's tie int in the index, bits 1..k-2
     return sum(1 << i for i in range(1, len(v)) if v[i - 1] == v[i])
 
 
@@ -292,13 +291,6 @@ def _inverse_descent_mask(pi: Perm) -> int:
     return sum(1 << i for i in range(1, len(pi)) if position[i] > position[i + 1])
 
 
-@lru_cache(maxsize=256)
-def _verdict(forbidden: int) -> bytes:
-    # per byte of tie bits 0xFF unless it meets the forbidden ones; at most 256
-    # such tables exist, so every pi shares them instead of building its own
-    return bytes([0 if t & forbidden else 0xFF for t in range(256)])
-
-
 class _InstanceIndex(_Frozen):
     """The geometry of one instance that every module reads, built once.
 
@@ -306,9 +298,10 @@ class _InstanceIndex(_Frozen):
     vertex bit ``c - 1`` iff ``v_c = v_{c-1}`` (``v_0 = 0``, ``v_k = q``):
     the colors inadmissible there, bits ``8p..8p+7`` in byte plane ``p``.
     The base points of ``V_{k,q-1}`` are the vertices with bit ``k - 1``
-    clear, in lexicographic order, and ``pi`` is consistent with a base
-    unless its entry meets :func:`_inverse_descent_mask`, which sets only
-    bits ``1..k-2``.
+    clear, in lexicographic order.  ``_rank_steps`` keeps each base's tie
+    bits as one int, bits ``1..k-2`` its :func:`_tie_mask`; ``pi`` is
+    consistent with the bases whose int misses :func:`_inverse_descent_mask`,
+    and ``_consistent`` marks them once per such mask.
 
     Cells come from rank arithmetic, not from a rank map.  With 0-based
     coordinates, whenever ``v + e_j`` is a lattice point,
@@ -333,6 +326,7 @@ class _InstanceIndex(_Frozen):
     def __init__(self, params: Params, vertices: tuple[Point, ...]) -> None:
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "_keeps", {})
 
     @cached_property
     def _ties(self) -> tuple[bytes, ...]:
@@ -345,14 +339,15 @@ class _InstanceIndex(_Frozen):
                      .to_bytes(n, "little") for p in range(0, k, 8))
 
     @cached_property
-    def _rank_steps(self) -> tuple[list[int], tuple[bytes, ...], list[list[int]]]:
-        # base ranks, tie planes and offsets per coordinate; built on first
-        # use, so a process that only labels never pays for it
+    def _rank_steps(self) -> tuple[list[int], list[int], list[list[int]]]:
+        # base ranks, tie masks as ints and offsets per coordinate; built on
+        # first use, so a process that only labels never pays for it
         k, q = self.params.k, self.params.q
         # v_{k-1} < q: color k's bit clear, in the last plane
         below = list(map(operator.not_, map((1 << (k - 1) % 8).__and__, self._ties[-1])))
         ranks = list(itertools.compress(range(len(below)), below))
-        ties = tuple(bytes(itertools.compress(plane, below)) for plane in self._ties)
+        ties = list(map(int.from_bytes, itertools.compress(zip(*self._ties), below),
+                        itertools.repeat("little")))
         # a base coordinate is below q, so one table of q offsets per
         # coordinate, read through that coordinate's column
         coordinates = list(zip(*map(self.vertices.__getitem__, ranks))) or [()] * (k - 1)
@@ -377,14 +372,12 @@ class _InstanceIndex(_Frozen):
             yield ranks
 
     def _consistent(self, pi: Perm) -> bytes:
-        # per base 0xFF unless pi orders one of its ties the wrong way: a verdict per plane, ANDed
-        ties, forbidden = self._rank_steps[1], _inverse_descent_mask(pi)
-        keep, *more = [plane.translate(_verdict(forbidden >> p & 0xFF))
-                       for p, plane in zip(range(0, max(forbidden.bit_length(), 1), 8), ties)]
-        for verdict in more:
-            keep = (int.from_bytes(keep, "little") & int.from_bytes(verdict, "little")
-                    ).to_bytes(len(keep), "little")
-        return keep
+        # per base 0xFF unless pi orders one of its ties the wrong way; built
+        # once per inverse-descent set, the one thing about pi it depends on
+        forbidden, keeps = _inverse_descent_mask(pi), self._keeps
+        if forbidden not in keeps:
+            keeps[forbidden] = bytes([0 if t & forbidden else 0xFF for t in self._rank_steps[1]])
+        return keeps[forbidden]
 
     def cells(self, pi: Perm | None) -> list[tuple[int, ...]]:
         """The cells of ``pi`` (the identity for None) as tuples of vertex

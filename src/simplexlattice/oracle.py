@@ -29,7 +29,7 @@ for node.
 from __future__ import annotations
 
 from .labeling import Labeling, _pi_descriptor
-from .lattice import Params, Perm, Point, _instance_index, _Record
+from .lattice import Params, Perm, Point, _coordinates, _instance_index, _Record
 
 
 class OracleResult(_Record):
@@ -57,7 +57,7 @@ class OracleResult(_Record):
 def admissible_colors(v: Point, params: Params) -> frozenset[int]:
     """Colors ``c`` with ``v_c > v_{c-1}``; nonempty whenever ``q >= 1``
     because the virtual coordinates rise from 0 to q overall."""
-    padded = (0, *v, params.q)  # v_0 = 0 and v_k = q, as coordinate() reads them
+    padded = _coordinates(v, params)
     return frozenset(c for c in range(1, params.k + 1) if padded[c] > padded[c - 1])
 
 

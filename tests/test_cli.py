@@ -240,6 +240,22 @@ def test_verify_external_labels(tmp_path, capsys):
     assert code == 2 and "--labels" in err and "not UTF-8" in err
 
 
+def test_verify_refuses_a_reading_for_a_labels_file(tmp_path, capsys):
+    # a file is checked as it is, so a reading of the built-in rule has
+    # nothing to apply to; the rule's own runs keep their default reading
+    path = tmp_path / "lab.json"
+    assert run(capsys, "label", "--k", "3", "--q", "4", "--out", str(path))[0] == 0
+    for reading in ("position", "selected-index"):
+        code, out, err = run(capsys, "verify", "--k", "3", "--q", "4", "--labels", str(path),
+                             "--reading", reading)
+        assert code == 2 and out == "" and "--reading" in err, reading
+    default = run(capsys, "verify", "--k", "3", "--q", "4", "--pi", "2,1")
+    explicit = run(capsys, "verify", "--k", "3", "--q", "4", "--pi", "2,1",
+                   "--reading", "selected-index")
+    assert default == explicit and default[0] == 0
+    assert json.loads(default[1])["labeling_rule"] == "pi:2,1"
+
+
 def test_verify_flag_validation(capsys):
     code, _, err = run(capsys, "verify", "--k", "3", "--q", "4", "--threshold", "0")
     assert code == 2 and "--threshold" in err

@@ -81,7 +81,7 @@ from simplexlattice import (
     write_labeling,
 )
 from simplexlattice.labeling import _attaining_masks
-from simplexlattice.lattice import _instance_index
+from simplexlattice.lattice import _instance_index, _inverse_descent_mask, _tie_mask
 from simplexlattice.verify import _class_counts
 
 INSTANCES = [Params(k, q) for k in range(3, 7) for q in range(0, k + 2)]
@@ -293,8 +293,10 @@ def test_inadmissible_bytes_match_admissible_colors():
 
 def test_consistent_bases_match_is_consistent():
     # every pi for k <= 5; at k = 9, 10 and 18, where the inverse descents
-    # reach one, two and three tie planes, a seeded sample and every pi with
-    # one inverse descent
+    # reach bits of one, two and three tie planes, a seeded sample and every pi with
+    # one inverse descent.  A keep mask depends on pi only through its
+    # inverse-descent set, so pis that share one share the bytes object, and
+    # a sweep of every pi leaves one mask per set, 2^(k-2) of them
     rng = random.Random(20261022)
     for params in [Params(k, q) for k in range(3, 6) for q in range(1, 5)] + \
             [Params(9, 2), Params(9, 3), Params(10, 2), Params(10, 3), Params(18, 2)]:
@@ -304,11 +306,15 @@ def test_consistent_bases_match_is_consistent():
         perms = permutations(k) if k <= 5 else \
             [tuple(rng.sample(range(1, k), k - 1)) for _ in range(40)] + \
             [(*range(1, i), i + 1, i, *range(i + 2, k)) for i in range(1, k - 1)]
+        shared = {}
         for pi in perms:
             keep = index._consistent(pi)
             assert type(keep) is bytes
             assert set(keep) <= {0, 0xFF}
             assert list(map(bool, keep)) == [is_consistent(pi, b) for b in bases], (params, pi)
+            assert shared.setdefault(_inverse_descent_mask(pi), keep) is keep, (params, pi)
+        if k <= 5:
+            assert len(index._keeps) == len(shared) == 2 ** (k - 2), params
 
 
 def test_external_labelings_match_reference_bytes():
@@ -400,15 +406,17 @@ def test_files_read_back_build_their_classes_once():
 
 def test_rank_step_offsets_match_the_per_base_formula():
     # the bases are those of V_{k,q-1} in lexicographic order, with their
-    # tie masks at the instance's own q, in the byte planes of the tie table
+    # tie masks at the instance's own q as one int each, whose bits 1..k-2
+    # (those _inverse_descent_mask may set) are the base's _tie_mask
     for k in range(3, 11):
         for q in range(0, 6 if k < 9 else 4):
             params = Params(k, q)
             bases = enumerate_vertices(params.base()) if q else []
             ranks, ties, offsets = _instance_index(params)._rank_steps
             assert list(ranks) == [vertex_rank(b, params) for b in bases], (k, q)
-            assert plane_masks(ties, params, len(bases)) == \
-                [tie_mask(b, params) for b in bases], (k, q)
+            assert type(ties) is list and {type(t) for t in ties} <= {int}, (k, q)
+            assert ties == [tie_mask(b, params) for b in bases], (k, q)
+            assert [t & (1 << k - 1) - 2 for t in ties] == list(map(_tie_mask, bases)), (k, q)
             assert offsets == [
                 [comb(q - b[j] + k - 3 - j, k - 2 - j) for b in bases]
                 for j in range(k - 1)

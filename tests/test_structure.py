@@ -3,8 +3,9 @@
 Every import between the modules of ``simplexlattice`` is listed here, so a
 new dependency between them shows up as a change to this file.  Every name
 a module imports is used there, every private name the package defines is
-used in it, the verifier imports nothing of the rule's cache, and only
-``labeling`` decides whether colors and classes fit a byte.
+used in it, the verifier imports nothing of the rule's cache, only
+``labeling`` decides whether colors and classes fit a byte, and the module
+level holds two caches, the instance index and the rule's classes.
 """
 
 import ast
@@ -141,6 +142,31 @@ def test_verify_reads_the_labeling_not_the_rules_cache():
     tree = ast.parse((PACKAGE / "verify.py").read_text())
     names = {name for module, name, _ in imported_names(tree) if module == ".labeling"}
     assert names == {"READINGS", "Labeling", "_pi_descriptor", "label_all"}
+
+
+def global_caches(tree: ast.AST) -> list[str]:
+    """The functions in ``tree`` that a ``functools`` cache decorates,
+    ``lru_cache`` or ``cache``, called or not, by name or as an attribute."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for decorator in node.decorator_list:
+                target = getattr(decorator, "func", decorator)
+                if getattr(target, "id", getattr(target, "attr", None)) in {"lru_cache", "cache"}:
+                    found.append(node.name)
+    return found
+
+
+def test_the_only_global_caches_are_the_index_and_the_rules_classes():
+    # a cache at module level outlives every instance it serves; what is
+    # built per permutation is kept on the instance's index instead
+    caches = {path.stem: global_caches(ast.parse(path.read_text(), str(path)))
+              for path in sorted(PACKAGE.glob("*.py"))}
+    assert {stem: names for stem, names in caches.items() if names} == \
+        {"labeling": ["_attaining_masks"], "lattice": ["_instance_index"]}
+    probe = "@lru_cache(maxsize=4)\ndef a(): pass\n@functools.cache\ndef b(): pass\n" \
+        "@cached_property\ndef c(self): pass\n"
+    assert global_caches(ast.parse(probe)) == ["a", "b"]
 
 
 def width_tests(tree: ast.AST) -> list[str]:

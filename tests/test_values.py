@@ -25,7 +25,7 @@ from simplexlattice import (
     vertex_rank,
     write_labeling,
 )
-from simplexlattice.lattice import _instance_index, _InstanceIndex
+from simplexlattice.lattice import _instance_index, _InstanceIndex, _tie_mask
 
 
 def test_params():
@@ -135,15 +135,19 @@ def test_instance_index():
     # v_c = v_{c-1} with v_0 = 0 and v_3 = 1: colors {1, 2}, {1, 3}, {2, 3},
     # in one byte plane
     assert twin._ties == (bytes([0b011, 0b101, 0b110]),)
-    # the one base point, (0, 0) of V_{3,0}, with its tie mask
+    # the one base point, (0, 0) of V_{3,0}, with its tie mask as an int:
+    # bit 1 is its _tie_mask, bit 0 the tie v_1 = v_0
     ranks, ties, _ = twin._rank_steps
     assert ranks == [vertex_rank(b, p) for b in enumerate_vertices(p.base())] == [0]
-    assert ties == (b"\x03",)
+    assert ties == [0b11] and ties[0] & 0b10 == _tie_mask((0, 0))
     # colors 9 and 10 go to a second plane: at (10,1) vertex (0, ..., 0)
     # ties everywhere but at color 10
     assert _instance_index(Params(10, 1))._ties[1][0] == 0b01
     assert _instance_index(Params(10, 1))._ties[0][0] == 0xFF
+    # each index keeps its own keep masks, one per inverse-descent set
+    assert twin._keeps == {} and twin._keeps is not index._keeps
     assert twin.cells(None) == index.cells(None) == [(0, 1, 2)]
+    assert twin._keeps == {0: b"\xff"}
 
 
 @pytest.mark.parametrize(
