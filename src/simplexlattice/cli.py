@@ -130,9 +130,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         raise CliError(f"--threshold: must be >= 1, got {args.threshold}")
     if params.q < 1:
         raise CliError("--q: verification needs q >= 1 (no hyperedges otherwise)")
-    if args.labels and args.reading:
+    if args.labels is not None and args.reading:
         raise CliError("--reading: a --labels file is checked as it is; no rule reading applies")
-    external = _load_labels(args.labels, params) if args.labels else None
+    external = None if args.labels is None else _load_labels(args.labels, params)
     reading = args.reading or READING_SELECTED
 
     if args.all_pi:

@@ -62,9 +62,9 @@ class LabelUndefined(ValueError):
 
 class Labeling(_Frozen):
     """A total color assignment, one color per vertex in rank order, kept as
-    a tuple.  No field: ``_classes`` (None for ``k > 255``), the class bytes
-    the scans read with rows by step set and a class -> color table: the
-    rule's where label_all made it from byte classes, else the colors' own."""
+    a tuple, built on first read where label_all kept only ``_classes`` (no
+    field, None for ``k > 255``): class bytes with rows by step set and a
+    class -> color table, the rule's from label_all, else the colors' own."""
 
     _fields = ("params", "colors", "rule")
 
@@ -80,18 +80,20 @@ class Labeling(_Frozen):
         if type(rule) is not str:  # the writers spell it as text, the readers want text
             raise ValueError(f"rule must be a str, got {rule!r}")
         object.__setattr__(self, "params", params)
-        object.__setattr__(self, "colors", colors)
+        object.__setattr__(self, "colors", colors)  # the instance dict wins over the property
         object.__setattr__(self, "rule", rule)
 
     @classmethod
-    def _unchecked(cls, params: Params, colors: bytes | list[int], rule: str,
-                   classes: tuple[bytes, dict[int, bytes], bytes] | None) -> "Labeling":
-        # exact ints in 1..k from label_all's table; without classes, the view builds on use
+    def _unchecked(cls, params: Params, rule: str, view: str, value: tuple) -> "Labeling":
+        # label_all's exact ints in 1..k as one view, "colors" or "_classes", never neither
         self = object.__new__(cls)
-        self.__dict__.update(params=params, colors=tuple(colors), rule=rule)
-        if classes is not None:
-            self.__dict__["_classes"] = classes
+        self.__dict__.update({"params": params, "rule": rule, view: value})
         return self
+
+    @cached_property
+    def colors(self) -> tuple[int, ...]:
+        classes, _, table = self._classes
+        return tuple(classes.translate(table))
 
     @cached_property
     def _classes(self) -> tuple[bytes, dict[int, bytes], bytes] | None:
@@ -170,9 +172,10 @@ def rule_descriptor(pi: Perm | None, reading: str = READING_SELECTED) -> str:
 
     The identity image canonicalizes to "identity": both readings of the
     permutation rule coincide with the plain rule there, so files produced
-    under either name are byte-identical.  Any other ``pi`` must be a
-    permutation image over ``1..len(pi)``, else ValueError.
+    under either name are byte-identical.  Any other ``pi`` not an image
+    over ``1..len(pi)``, or a reading not in READINGS, is a ValueError.
     """
+    _check_reading(reading)
     if pi is None or _check_permutation(pi) == tuple(range(1, len(pi) + 1)):
         return "identity"
     text = _pi_descriptor(pi)
@@ -201,7 +204,8 @@ def _attaining_masks(params: Params) -> tuple[bytes | tuple[int, ...], frozenset
     deficiency ``max{t - v_t}``, and is 0 where the deficiency is 0: index
     0 attains it there, and every scan order tries 0 first.  Only the
     tie-break among a class's members depends on the permutation, so every
-    rule's labeling is constant on a class.  The classes are bytes where they
+    rule's labeling is constant on a class, and none is defined on class
+    ``1 << k - 1``, index ``k`` alone.  The classes are bytes where they
     fit: at every ``q`` for ``k <= 8``, and for ``q >= k = 9``."""
     k, q = params.k, params.q
     classes = []
@@ -222,33 +226,30 @@ def label_all(params: Params, pi: Perm | None = None,
               reading: str = READING_SELECTED) -> Labeling:
     """Apply a rule to the whole lattice, colors in vertex rank order.
 
-    Total for ``q >= k``; below that, the first undefined vertex raises
-    :class:`LabelUndefined` (the exception names it).
+    Total for ``q >= k``; below that, :class:`LabelUndefined` names the
+    first vertex whose class is index ``k`` alone.
 
     Equal pointwise to :func:`label` and :func:`label_pi`, but the classes
     of :func:`_attaining_masks` are worked out once per instance, so only
     the tie-break of the scan order is worked out per rule: one walk of
     the scan order settles each class present at the first index it holds,
-    then each vertex looks its class up.  Where the classes fit a byte
-    that look-up is one ``bytes.translate`` of the class bytes, and the
-    labeling keeps the classes, their rows and that table as ``_classes``.
+    then each vertex looks its class up.  Where the classes fit a byte the
+    labeling keeps them, their rows and that table as ``_classes``, and
+    looks up at the first read of its colors, one ``bytes.translate``.
     """
-    _check_reading(reading)
     k = params.k
-    if pi is None:
-        order = range(1, k + 1)
-    else:
-        pi = _check_permutation(pi, params)
-        order = (*pi, k)
+    pi = None if pi is None else _check_permutation(pi, params)
+    rule = rule_descriptor(pi, reading)  # refuses an unknown reading before any work
     classes, present, rows = _attaining_masks(params)
+    if 1 << k - 1 in present:  # index k alone attains: no color there (see label_pi)
+        raise LabelUndefined(_instance_index(params).vertices[classes.index(1 << k - 1)], params)
     fits = type(classes) is bytes
-    table = bytearray(256) if fits else {}  # color per class; 0 where only index k attains
+    table = bytearray(256) if fits else {}  # color per class
     table[0] = 1  # index 0 is first in every scan order
     pending = [c for c in present if c]
-    for t, idx in enumerate(order, 1):
-        # on the identity order t == idx, so both readings agree; index k
-        # has no color (see label_pi)
-        color = 0 if idx == k else (t if reading == READING_POSITION else idx) + 1
+    for t, idx in enumerate(range(1, k) if pi is None else pi, 1):
+        # on the identity order t == idx, so both readings agree
+        color = (t if reading == READING_POSITION else idx) + 1
         bit, rest = 1 << idx - 1, []
         for c in pending:
             if c & bit:
@@ -256,8 +257,6 @@ def label_all(params: Params, pi: Perm | None = None,
             else:
                 rest.append(c)
         pending = rest
-    colors = classes.translate(table) if fits else list(map(table.__getitem__, classes))
-    if 0 in colors:
-        raise LabelUndefined(_instance_index(params).vertices[colors.index(0)], params)
-    return Labeling._unchecked(params, colors, rule_descriptor(pi, reading),
-                               (classes, rows, bytes(table)) if fits else None)
+    if fits:
+        return Labeling._unchecked(params, rule, "_classes", (classes, rows, bytes(table)))
+    return Labeling._unchecked(params, rule, "colors", tuple(map(table.__getitem__, classes)))

@@ -180,14 +180,15 @@ def check_colors(labeling: Labeling, pi: Perm | None = None,
     index = _instance_index(params)
     perm = identity_permutation(params) if pi is None else _check_permutation(pi, params)
     counts = _class_counts(labeling, index, perm)
-    color = labeling.colors.__getitem__
     if counts is None:  # colors past a byte: a set per cell
+        color = labeling.colors.__getitem__  # read here only: a rule labeling builds it on use
         counts = [len(set(map(color, cell))) for cell in index.cells(perm)]
     histogram = {n: count for n in range(1, params.k + 1) if (count := counts.count(n))}
     max_colors = max(histogram, default=0)
     violating = ()
     if max_colors > threshold:
         # the cells one at a time off pi's chain: a list of them all costs more
+        color = labeling.colors.__getitem__
         violating = tuple(
             (index.vertices[cell[0]], perm, tuple(sorted(set(map(color, cell)))))
             for cell, n in zip(zip(*index._chain(perm, index._consistent(perm))), counts)

@@ -240,6 +240,14 @@ def test_verify_external_labels(tmp_path, capsys):
     assert code == 2 and "--labels" in err and "not UTF-8" in err
 
 
+@pytest.mark.parametrize("extra", [(), ("--reading", "position")])
+def test_verify_reads_an_empty_labels_path_as_a_path(capsys, extra):
+    # "" names no file, so it is refused like any other such path, not taken
+    # for an absent --labels that would verify the built-in rule
+    code, out, err = run(capsys, "verify", "--k", "3", "--q", "4", "--labels", "", *extra)
+    assert code == 2 and out == "" and "--labels" in err, extra
+
+
 def test_verify_refuses_a_reading_for_a_labels_file(tmp_path, capsys):
     # a file is checked as it is, so a reading of the built-in rule has
     # nothing to apply to; the rule's own runs keep their default reading

@@ -83,6 +83,9 @@ P = Params(4, 3)
         (vertex_unrank, (1.0, P), 1.0),
         (vertex_unrank, (2.5, P), 2.5),
         (coordinate, ((0, 1, 2), True, P), True),
+        # a reading label_all refuses: its rule has no descriptor either
+        (rule_descriptor, ((2, 1, 3), "bogus"), "bogus"),
+        (rule_descriptor, (None, "bogus"), "bogus"),
     ],
     ids=lambda value: getattr(value, "__name__", None),
 )

@@ -18,8 +18,9 @@ functions (``label``, ``label_pi``, ``pi_hyperedge``, ``is_consistent``,
 ``admissible_colors``) use neither, so they serve as the reference here,
 over every permutation of every ``k <= 6`` and ``q`` from 0 (a single
 point) to ``k + 1``, which takes in the ``q < k`` range where the rule is
-partial; the cells are also compared at ``k = 7`` and ``8``.  The tie
-table, each permutation's consistent bases and the scans keep one bit per
+partial, and on sampled permutations at ``q < k = 9`` and ``10``, where the
+classes pass a byte; the cells are also compared at ``k = 7`` and ``8``.
+The tie table, each permutation's consistent bases and the scans keep one bit per
 color in ``ceil(k / 8)`` byte planes at every ``k``, checked with one for
 ``k <= 8``, two at ``k = 9`` and ``10``, three at ``k = 17`` and ``18``
 and 32 at ``k = 255`` and ``256``.
@@ -30,8 +31,9 @@ at ``k = 3..10``, over every threshold from 1 to ``k`` and subdivisions of
 through class bytes kept per step set, whatever made it: a labeling that
 ``label_all`` made carries the rule's classes and their rows from the
 rule's cache where those fit a byte (``k <= 8``, and ``k = 9`` at
-``q >= 9``), and every other labeling takes its colors as its own
-classes, keeps rows of its own and never builds the rule's.  The tests
+``q >= 9``), building its colors from them only when they are read, which
+a passing report never does, and every other labeling takes its colors as
+its own classes, keeps rows of its own and never builds the rule's.  The tests
 check that the rows are read exactly for ``k <= 255``, and compare rule
 labelings on every step set at ``k = 7`` and ``8``, files read back and
 swept over every permutation, random colorings of the classes with and
@@ -173,6 +175,16 @@ def test_label_all_matches_per_point_rules():
     for params in INSTANCES:
         assert index_colors(params, None, READINGS[0]) == reference_colors(params, None, None)
         for pi in permutations(params.k):
+            for reading in READINGS:
+                assert index_colors(params, pi, reading) == \
+                    reference_colors(params, pi, reading), (params, pi, reading)
+    # at q < k = 9 and 10 the classes are a tuple holding 1 << k - 1 (256 or
+    # 512), where index k alone attains: both readings of sampled pi
+    rng = random.Random(20261026)
+    for params in (Params(9, 3), Params(10, 2)):
+        classes, present, _ = _attaining_masks(params)
+        assert type(classes) is tuple and 1 << params.k - 1 in present, params
+        for pi in [None, *sample_permutations(rng, params.k, 2)]:
             for reading in READINGS:
                 assert index_colors(params, pi, reading) == \
                     reference_colors(params, pi, reading), (params, pi, reading)
@@ -362,6 +374,9 @@ def test_label_all_builds_what_the_checking_constructor_builds():
         for pi in [None, *perms]:
             for reading in READINGS:
                 labeling = label_all(params, pi, reading)
+                # one view until the colors are read: byte classes, else colors
+                assert ("colors" in vars(labeling)) == (params.k == 10), params
+                assert ("_classes" in vars(labeling)) == (params.k < 10), params
                 copy = Labeling(params, labeling.colors, labeling.rule)
                 assert labeling == copy and hash(labeling) == hash(copy)
                 assert repr(labeling) == repr(copy)
@@ -378,6 +393,20 @@ def test_label_all_builds_what_the_checking_constructor_builds():
                     assert type(_attaining_masks(params)[0]) is tuple, params
                     assert "_classes" not in vars(labeling), params
                     assert labeling._classes == copy._classes, params
+
+
+def test_a_passing_report_never_builds_the_rule_labelings_colors():
+    # label_all's byte classes stand in for its colors in every scan, so a
+    # sweep that passes never builds the tuple: the identity and a pi with
+    # descents, each on its own cells
+    for k in range(3, 9):
+        params = Params(k, k)
+        for pi in (None, tuple(range(k - 1, 0, -1))):
+            labeling = label_all(params, pi)
+            assert full_report(labeling, pi).passed, (params, pi)
+            assert "colors" not in vars(labeling), (params, pi)
+            assert labeling.colors == reference_colors(params, pi, READINGS[0]), (params, pi)
+            assert "colors" in vars(labeling), (params, pi)
 
 
 def test_files_read_back_build_their_classes_once():

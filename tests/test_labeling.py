@@ -115,8 +115,8 @@ def test_label_pi_readings_differ():
     p = Params(3, 4)
     assert label_pi((0, 0), (2, 1), p, READING_SELECTED) == 3
     assert label_pi((0, 0), (2, 1), p, READING_POSITION) == 2
-    # one check, one message: label_all checks the reading before it
-    # branches on pi, so the identity labeling is no answer to a bad reading
+    # one check, one message: label_all refuses the reading before it
+    # labels anything, so the identity labeling is no answer to a bad reading
     with pytest.raises(ValueError, match="^unknown reading 'literal'"):
         label_pi((0, 0), (2, 1), p, "literal")
     for pi in (None, (2, 1)):

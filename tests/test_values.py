@@ -6,7 +6,9 @@ them construct by position and by keyword, compare by value (the index by
 identity), and print their fields by name.
 """
 
+import copy
 import functools
+import pickle
 
 import pytest
 
@@ -22,6 +24,7 @@ from simplexlattice import (
     label_all,
     min_max_colors,
     read_labeling,
+    rule_descriptor,
     vertex_rank,
     write_labeling,
 )
@@ -96,6 +99,27 @@ def test_labeling():
             assert read_labeling(write_labeling(made, fmt)) == made, (given, fmt)
     with pytest.raises(TypeError):
         Labeling(p, (3, 2, 1))
+    # label_all keeps byte classes and builds its colors on their first
+    # read; at (10,10) the classes pass a byte and it keeps the colors.  Each
+    # is the labeling Labeling builds from those colors, before and after
+    # that read, under ==, hash, repr, pickle and deepcopy, and stays frozen
+    same = [
+        lambda made, twin: made == twin and twin == made,
+        lambda made, twin: hash(made) == hash(twin),
+        lambda made, twin: repr(made) == repr(twin),
+        lambda made, twin: pickle.loads(pickle.dumps(made)) == twin,
+        lambda made, twin: copy.deepcopy(made) == twin,
+    ]
+    for params, pi in ((Params(4, 5), None), (Params(4, 5), (3, 1, 2)), (Params(10, 10), None)):
+        twin = Labeling(params, label_all(params, pi).colors, rule_descriptor(pi))
+        for check in same:
+            made = label_all(params, pi)
+            with pytest.raises(AttributeError):
+                made.colors = twin.colors
+            assert ("colors" in vars(made)) == (params.k == 10), params
+            assert check(made, twin), (params, pi)
+            assert type(made.colors) is tuple and "colors" in vars(made), (params, pi)
+            assert check(made, twin), (params, pi)
 
 
 @pytest.mark.parametrize(
