@@ -15,7 +15,6 @@ from simplexlattice import (
     enumerate_facets,
     enumerate_hyperedges,
     enumerate_vertices,
-    hyperedge,
     is_consistent,
     pi_hyperedge,
     vertex_rank,

@@ -61,10 +61,10 @@ class LabelUndefined(ValueError):
 
 
 class Labeling(_Frozen):
-    """A total color assignment, one color per vertex in rank order, kept as
-    a tuple, built on first read where label_all kept only ``_classes`` (no
-    field, None for ``k > 255``): class bytes with rows by step set and a
-    class -> color table, the rule's from label_all, else the colors' own."""
+    """Colors, one per vertex in rank order, as a tuple.  label_all's byte
+    classes keep ``_classes`` alone (no field) and build it on first read;
+    the checked constructor makes the rest (files, witnesses, label_all past
+    a byte, copies), whose ``_classes`` are their own colors, or None."""
 
     _fields = ("params", "colors", "rule")
 
@@ -84,11 +84,14 @@ class Labeling(_Frozen):
         object.__setattr__(self, "rule", rule)
 
     @classmethod
-    def _unchecked(cls, params: Params, rule: str, view: str, value: tuple) -> "Labeling":
-        # label_all's exact ints in 1..k as one view, "colors" or "_classes", never neither
+    def _unchecked(cls, params: Params, rule: str, classes: tuple) -> "Labeling":
+        # label_all's byte classes, whose table holds exact ints in 1..k
         self = object.__new__(cls)
-        self.__dict__.update({"params": params, "rule": rule, view: value})
+        self.__dict__.update({"params": params, "rule": rule, "_classes": classes})
         return self
+
+    def __reduce__(self) -> tuple:  # a copy is its fields: none of the rule's tables or rows
+        return Labeling, (self.params, self.colors, self.rule)
 
     @cached_property
     def colors(self) -> tuple[int, ...]:
@@ -198,7 +201,7 @@ def _parse_image(text: str, params: Params) -> Perm:
 def _attaining_masks(params: Params) -> tuple[bytes | tuple[int, ...], frozenset[int],
                                                dict[int, bytes]]:
     """Per vertex in rank order its class, the set of classes present, and
-    the color scan's class rows by step set (see ``verify._class_counts``).
+    the color scan's class rows by step set (see ``verify._cell_counts``).
 
     A class has bit ``t - 1`` for each ``t`` in ``[1, k]`` attaining the
     deficiency ``max{t - v_t}``, and is 0 where the deficiency is 0: index
@@ -234,8 +237,8 @@ def label_all(params: Params, pi: Perm | None = None,
     the tie-break of the scan order is worked out per rule: one walk of
     the scan order settles each class present at the first index it holds,
     then each vertex looks its class up.  Where the classes fit a byte the
-    labeling keeps them, their rows and that table as ``_classes``, and
-    looks up at the first read of its colors, one ``bytes.translate``.
+    labeling keeps them, their rows and that table, to look up on the first
+    read of its colors; past a byte it is ``Labeling`` of the colors looked up.
     """
     k = params.k
     pi = None if pi is None else _check_permutation(pi, params)
@@ -258,5 +261,5 @@ def label_all(params: Params, pi: Perm | None = None,
                 rest.append(c)
         pending = rest
     if fits:
-        return Labeling._unchecked(params, rule, "_classes", (classes, rows, bytes(table)))
-    return Labeling._unchecked(params, rule, "colors", tuple(map(table.__getitem__, classes)))
+        return Labeling._unchecked(params, rule, (classes, rows, bytes(table)))
+    return Labeling(params, map(table.__getitem__, classes), rule)

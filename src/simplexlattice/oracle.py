@@ -110,12 +110,10 @@ def _search(domains, reads, writes, num_cells, threshold, node_budget):
     n = len(domains)
     colors = [0] * num_cells
     limit = [-1] * num_cells
-    # Per depth: the allowed colors above the one taken, that color, and the
-    # cells it entered, packed as e + 1 in `width` bits each.  Ints only, so
-    # a deep search leaves no containers for the garbage collector to scan.
-    rest, chosen, entered_at = [0] * n, [0] * n, [0] * n
-    width = num_cells.bit_length()
-    mask = (1 << width) - 1
+    # Per depth: the allowed colors above the one taken, that color, and how
+    # many cells `entered` held before it: one stack of the cells each color
+    # entered, deepest last, so the search makes no container per depth.
+    rest, chosen, start, entered = [0] * n, [0] * n, [0] * n, []
     nodes = 0
     i = 0
     untried = allowed = domains[0]
@@ -125,15 +123,14 @@ def _search(domains, reads, writes, num_cells, threshold, node_budget):
             nodes += (untried & (c - 1)).bit_count() + 1
             if nodes > node_budget:
                 return None, node_budget, False
-            entered = 0
+            rest[i], chosen[i], start[i] = allowed & (allowed - 1), c, len(entered)
             for e in writes[i]:
                 s = colors[e]
                 if not s & c:
                     colors[e] = s = s | c
-                    entered = entered << width | e + 1
+                    entered.append(e)
                     if s.bit_count() == threshold:
                         limit[e] = s
-            rest[i], chosen[i], entered_at[i] = allowed & (allowed - 1), c, entered
             i += 1
             if i == n:
                 return [c.bit_length() - 1 for c in chosen], nodes, True
@@ -148,11 +145,10 @@ def _search(domains, reads, writes, num_cells, threshold, node_budget):
             i -= 1
             if i < 0:
                 return None, nodes, True
-            allowed, c, entered = rest[i], chosen[i], entered_at[i]
+            allowed, c = rest[i], chosen[i]
             untried = domains[i] & -(c << 1)
-            while entered:
-                e = (entered & mask) - 1
-                entered >>= width
+            while len(entered) > start[i]:
+                e = entered.pop()
                 colors[e] ^= c
                 limit[e] = -1
 

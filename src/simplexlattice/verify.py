@@ -10,7 +10,7 @@ A color is one bit of a byte plane (plane ``p`` holds colors ``8p + 1`` to
 ``8p + 8``), and so is a cell's set of colors, so the scans read one-hot
 bytes in C, a plane at a time.  A labeling whose colors fit a byte is
 constant on classes it carries with a class -> color table: the rule's
-where ``label_all`` made them, else its colors as their own.  Admissibility
+where ``label_all`` kept them, else its colors as their own.  Admissibility
 is one AND per plane of the classes' one-hot colors with the index's tie
 planes, which mark the colors inadmissible at each vertex.  A cell's count
 is the popcount of the OR of its vertices' one-hot colors, summed over the
@@ -19,9 +19,9 @@ planes: the ``t``-th vertex of the cell of ``pi`` at base ``b`` is
 ``S`` over all bases are a row, built off one chain of ranks when a ``pi``
 first needs it and kept with the classes, and each ``pi`` ORs ``k`` rows,
 one-hot, masked to its consistent bases.  Colors past a byte (``k > 255``)
-count a set per cell, the way the tests' reference report is built from
-the per-point functions, and test each vertex's tie bit in a loop, which
-is how every failing labeling lists its violations.
+have no classes: the same count is a set per cell, as the tests' reference
+report builds it, and each vertex's tie bit is tested in a loop, which is
+how every failing labeling lists its violations.
 """
 
 from __future__ import annotations
@@ -134,10 +134,10 @@ def check_sperner(labeling: Labeling) -> VerificationReport:
     )
 
 
-def _class_counts(labeling: Labeling, index: _InstanceIndex, perm: Perm) -> bytes | None:
-    # each cell's color count in lexicographic base order; None past a byte
+def _cell_counts(labeling: Labeling, index: _InstanceIndex, perm: Perm) -> bytes | list[int]:
+    # each cell's color count in lexicographic base order; past a byte a set per cell
     if labeling._classes is None:
-        return None
+        return [len(set(map(labeling.colors.__getitem__, cell))) for cell in index.cells(perm)]
     classes, rows, table = labeling._classes
     # the t-th vertex of a cell at base b is b + e_S, S the last t images of
     # pi; its class bytes over every base are kept by S alone, and the rows
@@ -179,10 +179,7 @@ def check_colors(labeling: Labeling, pi: Perm | None = None,
         raise ValueError(f"threshold must be an int >= 1, got {threshold!r}")
     index = _instance_index(params)
     perm = identity_permutation(params) if pi is None else _check_permutation(pi, params)
-    counts = _class_counts(labeling, index, perm)
-    if counts is None:  # colors past a byte: a set per cell
-        color = labeling.colors.__getitem__  # read here only: a rule labeling builds it on use
-        counts = [len(set(map(color, cell))) for cell in index.cells(perm)]
+    counts = _cell_counts(labeling, index, perm)
     histogram = {n: count for n in range(1, params.k + 1) if (count := counts.count(n))}
     max_colors = max(histogram, default=0)
     violating = ()

@@ -84,7 +84,7 @@ from simplexlattice import (
 )
 from simplexlattice.labeling import _attaining_masks
 from simplexlattice.lattice import _instance_index, _inverse_descent_mask, _tie_mask
-from simplexlattice.verify import _class_counts
+from simplexlattice.verify import _cell_counts
 
 INSTANCES = [Params(k, q) for k in range(3, 7) for q in range(0, k + 2)]
 # cells only: k! permutations make the label and report sweeps too slow here
@@ -361,12 +361,12 @@ def test_external_labelings_match_reference_bytes():
 
 
 def test_label_all_builds_what_the_checking_constructor_builds():
-    # label_all skips Labeling's checks; its colors must pass them anyway.
+    # label_all's byte classes skip Labeling's checks; their colors must pass.
     # Where the rule's classes fit a byte (k <= 8, and k = 9 at q >= 9) the
     # labeling carries the rule's cached classes and rows (the same objects)
     # with the class -> color table, and a copy built with Labeling its
-    # colors as its own classes; at (10,10) they do not, and the rule's
-    # labeling takes its colors as its own classes too.  The view is no field
+    # colors as its own classes; at (10,10) they do not, and label_all
+    # builds its labeling with Labeling too.  The classes are no field
     for params in INSTANCES + [Params(7, 7), Params(8, 8), Params(9, 9), Params(10, 10)]:
         if params.q < params.k:
             continue
@@ -531,7 +531,7 @@ def takes_class_path(labeling):
     attaining indices, checked against the definition."""
     params = labeling.params
     index, perm = _instance_index(params), tuple(range(1, params.k))
-    got = _class_counts(labeling, index, perm) is not None
+    got = type(_cell_counts(labeling, index, perm)) is bytes
     assert got == (params.k < 256), (params, labeling.colors)
     if got:
         classes, _, table = labeling._classes

@@ -6,7 +6,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from simplexlattice import (
-    Hyperedge,
     InconsistentPair,
     Params,
     coordinate,

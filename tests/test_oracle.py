@@ -11,7 +11,6 @@ from simplexlattice import (
     enumerate_vertices,
     full_report,
     label,
-    label_all,
     min_max_colors,
 )
 from simplexlattice.labeling import LabelUndefined

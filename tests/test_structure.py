@@ -2,14 +2,16 @@
 
 Every import between the modules of ``simplexlattice`` is listed here, so a
 new dependency between them shows up as a change to this file.  Every name
-a module imports is used there, every private name the package defines is
-used in it, the verifier imports nothing of the rule's cache, only
-``labeling`` decides whether colors and classes fit a byte, and the module
-level holds two caches, the instance index and the rule's classes.
+a module, test or demo imports is used there, each of those files compiles
+without a warning, every private name the package defines is used in it,
+the verifier imports nothing of the rule's cache, only ``labeling`` decides
+whether colors and classes fit a byte, and the module level holds two
+caches, the instance index and the rule's classes.
 """
 
 import ast
 import json
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -20,7 +22,8 @@ from simplexlattice import Params, cli, lattice
 from simplexlattice.labeling import READING_SELECTED, LabelUndefined
 
 PACKAGE = Path(simplexlattice.__file__).resolve().parent
-TRACED_PASS = Path(__file__).resolve().parents[1] / "bench" / "traced_pass.py"
+REPO = Path(__file__).resolve().parents[1]
+TRACED_PASS = REPO / "bench" / "traced_pass.py"
 
 IMPORTS = {
     "__init__": {"_version", "io", "labeling", "lattice", "oracle", "verify"},
@@ -81,19 +84,39 @@ def imported_names(tree: ast.AST) -> list[tuple[str, str, str]]:
     return found
 
 
+def source_files() -> list[Path]:
+    """Every Python file of the package, the tests and the demos."""
+    return sorted(path for name in ("src", "tests", "demos")
+                  for path in (REPO / name).rglob("*.py"))
+
+
 def test_every_imported_name_is_used():
-    # no lint tool runs on the package, so an import a change leaves behind
-    # shows up here; __init__ imports names to re-export them
+    # no lint tool runs on the repo, so an import a change leaves behind
+    # shows up here; the package's __init__ imports names to re-export them
     unused = {}
-    for path in sorted(PACKAGE.glob("*.py")):
-        if path.stem == "__init__":
+    for path in source_files():
+        if path.name == "__init__.py":
             continue
         tree = ast.parse(path.read_text(), str(path))
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         names = {bound for _, _, bound in imported_names(tree)} - used
         if names:
-            unused[path.stem] = sorted(names)
+            unused[str(path.relative_to(REPO))] = sorted(names)
     assert unused == {}
+
+
+def test_every_source_file_compiles_without_warnings():
+    # an invalid escape or an `is` against a literal only warns, once, when
+    # the file is compiled; here it fails, as the two probes show
+    files = source_files()
+    assert {"lattice.py", "test_structure.py", "01_lattice_tour.py"} <= {p.name for p in files}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for probe in ("s = '\\d'", "same = x is 1"):
+            with pytest.raises(SyntaxError):
+                compile(probe, "probe", "exec")
+        for path in files:
+            compile(path.read_text(), str(path), "exec")
 
 
 def private_definitions(tree: ast.AST) -> list[tuple[str, ast.AST]]:

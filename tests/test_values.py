@@ -28,7 +28,7 @@ from simplexlattice import (
     vertex_rank,
     write_labeling,
 )
-from simplexlattice.lattice import _instance_index, _InstanceIndex, _tie_mask
+from simplexlattice.lattice import _instance_index, _InstanceIndex, _permutations, _tie_mask
 
 
 def test_params():
@@ -100,7 +100,7 @@ def test_labeling():
     with pytest.raises(TypeError):
         Labeling(p, (3, 2, 1))
     # label_all keeps byte classes and builds its colors on their first
-    # read; at (10,10) the classes pass a byte and it keeps the colors.  Each
+    # read; at (10,10) the classes pass a byte and Labeling makes it.  Each
     # is the labeling Labeling builds from those colors, before and after
     # that read, under ==, hash, repr, pickle and deepcopy, and stays frozen
     same = [
@@ -120,6 +120,24 @@ def test_labeling():
             assert check(made, twin), (params, pi)
             assert type(made.colors) is tuple and "colors" in vars(made), (params, pi)
             assert check(made, twin), (params, pi)
+
+
+def test_a_labeling_copies_as_its_three_fields():
+    # a labeling is made two ways: label_all's byte classes, which share the
+    # rule's rows (one per step set any scanned pi needed), or Labeling.  A
+    # pickle or copy of either is Labeling of its fields, and none of the
+    # rows: after a sweep over 126 pis it pickles byte for byte as Labeling
+    # of its colors does.  Past a byte label_all makes that labeling itself
+    params = Params(8, 8)
+    made = label_all(params)
+    for pi in _permutations(params)[:126]:
+        full_report(made, pi)
+    twin = Labeling(params, made.colors, made.rule)
+    assert pickle.dumps(made) == pickle.dumps(twin)
+    for copied in (copy.copy(made), copy.deepcopy(made), pickle.loads(pickle.dumps(made))):
+        assert copied == twin and list(vars(copied)) == ["params", "colors", "rule"]
+    wide = label_all(Params(10, 10))
+    assert list(vars(wide)) == list(vars(Labeling(wide.params, wide.colors, wide.rule)))
 
 
 @pytest.mark.parametrize(
