@@ -28,8 +28,8 @@ from .io import (
     write_oracle_result,
     write_report,
 )
-from .labeling import READING_SELECTED, READINGS, Labeling, LabelUndefined, _parse_image, label_all
-from .lattice import Params, Perm, _permutations, enumerate_facets
+from .labeling import READING_SELECTED, READINGS, Labeling, LabelUndefined, label_all
+from .lattice import Params, Perm, _permutations, enumerate_facets, is_permutation
 from .oracle import min_max_colors
 from .verify import full_report
 
@@ -75,12 +75,17 @@ def _check_size(params: Params, facets: bool = False) -> Params:
 
 
 def _parse_pi(text: str | None, params: Params) -> Perm | None:
+    """The permutation that ``a,b,...`` spells, ``int`` per entry."""
     if text is None:
         return None  # the identity rule and cells
     try:
-        return _parse_image(text, params)
-    except ValueError as exc:
-        raise CliError(f"--pi: {exc}") from None
+        image = tuple(int(part) for part in text.split(","))
+    except ValueError:
+        raise CliError(f"--pi: expected a comma-separated image like 2,1,3; "
+                       f"got {text!r}") from None
+    if not is_permutation(image, params):
+        raise CliError(f"--pi: {text!r} is not a permutation of 1..{params.k - 1}")
+    return image
 
 
 def _emit(data: bytes, out: str | None) -> None:

@@ -39,7 +39,6 @@ from .lattice import (
     _Frozen,
     _instance_index,
     identity_permutation,
-    is_permutation,
     vertex_rank,
 )
 
@@ -183,18 +182,6 @@ def rule_descriptor(pi: Perm | None, reading: str = READING_SELECTED) -> str:
         return "identity"
     text = _pi_descriptor(pi)
     return text + ":position" if reading == READING_POSITION else text
-
-
-def _parse_image(text: str, params: Params) -> Perm:
-    """The permutation that ``a,b,...`` spells, ``int`` per entry.  The
-    ValueError for any other text leaves the caller to say where it was."""
-    try:
-        image = tuple(int(part) for part in text.split(","))
-    except ValueError:
-        raise ValueError(f"expected a comma-separated image like 2,1,3; got {text!r}") from None
-    if not is_permutation(image, params):
-        raise ValueError(f"{text!r} is not a permutation of 1..{params.k - 1}")
-    return image
 
 
 @lru_cache(maxsize=4)

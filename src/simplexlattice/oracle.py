@@ -18,12 +18,13 @@ nodes (``(6, 6)``, 462 vertices; ``(3, 50)``, 1326 vertices), while
 ``(6, 4)`` with 126 vertices spends the default budget of a million nodes
 without finishing.
 
-The search keeps each cell's colors as a bit set, which decides all of a
-vertex's colors with one AND instead of trying them one by one, and counts
-the nodes that trying them would have taken (see :func:`_search`).  The
-plainly auditable spelling, a color-by-color loop over Python sets, is kept
-in ``tests/test_oracle.py`` as the reference this search must replay node
-for node.
+Each threshold stage is one :func:`_search` call returning ``(assignment or
+None, nodes, completed)``: no assignment with ``completed`` true makes the
+previous threshold exact, and ``completed`` false leaves a bound.  The
+search keeps each cell's colors as a bit set, deciding all of a vertex's
+colors with one AND, and counts the nodes that trying them one by one
+would have taken.  The auditable color-by-color loop over Python sets that
+it replays node for node is the reference in ``tests/test_oracle.py``.
 """
 
 from __future__ import annotations
@@ -156,14 +157,13 @@ def min_max_colors(params: Params, pi: Perm | None = None,
                    budget: int = 1_000_000) -> OracleResult:
     """Exact minimum of the per-cell color count over admissible labelings.
 
-    Strategy: threshold k is feasible outright (a cell has only k vertices),
-    then re-search at threshold - 1 until infeasible; the last feasible
-    threshold is the exact answer.  This is slower than branch and bound but
-    each stage is a plain yes/no search that is easy to audit.
-
-    The budget caps color-assignment attempts across all stages.  On
-    exhaustion the result carries the best bound found so far and
-    ``exhausted=False``; no exception escapes.
+    Strategy: threshold k is feasible outright (a cell has only k vertices);
+    each stage re-searches one threshold lower with one plain yes/no
+    :func:`_search` call, which returns ``(assignment or None, nodes,
+    completed)``.  The first stage with no assignment ends the descent: its
+    ``completed`` true makes the previous threshold exact (``exhausted``),
+    false leaves a bound.  The budget caps color-assignment attempts across
+    all stages; no exception escapes when it runs out.
     """
     if params.q < 1:
         raise ValueError("oracle needs q >= 1 (no edges otherwise)")
@@ -171,32 +171,17 @@ def min_max_colors(params: Params, pi: Perm | None = None,
         raise ValueError(f"budget must be an int >= 0, got {budget!r}")
 
     tables = _search_tables(params, pi)
-
     nodes_total = 0
-    best = params.k  # k-uniform cells never exceed k colors
-    witness_colors = None
-    exhausted = False
-
-    threshold = params.k
-    while threshold >= 1:
-        solution, nodes, completed = _search(*tables, threshold, budget - nodes_total)
+    best, witness_colors = params.k, None  # k-uniform cells never exceed k colors
+    for threshold in range(params.k, 0, -1):
+        solution, nodes, exhausted = _search(*tables, threshold, budget - nodes_total)
         nodes_total += nodes
-        if not completed:
-            break
         if solution is None:
-            exhausted = True  # infeasible here, so the previous level is exact
             break
-        best = threshold
-        witness_colors = solution
-        threshold -= 1
-    else:
-        exhausted = True  # feasible all the way down to one color
+        best, witness_colors = threshold, solution
 
-    witness = (
-        Labeling(params, tuple(witness_colors), "oracle-witness")
-        if witness_colors is not None
-        else None
-    )
+    witness = (None if witness_colors is None
+               else Labeling(params, tuple(witness_colors), "oracle-witness"))
     return OracleResult(
         params=params,
         edge_rule=_pi_descriptor(pi),

@@ -41,6 +41,13 @@ def test_version(capsys):
     assert "0.1.0" in out
 
 
+def test_version_is_spelled_alike_in_pyproject():
+    # an install reads pyproject.toml; --version and labeling files read _version.py
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads(PYPROJECT.read_text())["project"]
+    assert project["version"] == simplexlattice.__version__
+
+
 def test_label_writes_parseable_file(tmp_path, capsys):
     path = tmp_path / "lab.json"
     code, _, _ = run(capsys, "label", "--k", "3", "--q", "4", "--out", str(path))

@@ -105,6 +105,23 @@ def reference_tables(params, pi):
     return domains, incidence, len(cells)
 
 
+def reference_descent(params, budget):
+    """(value, witness colors, nodes, exhausted) of the threshold descent
+    over ``reference_search``: from threshold k down to the first stage with
+    no assignment, whose completed flag says whether the value is exact."""
+    tables = reference_tables(params, None)
+    value, witness, nodes = params.k, None, 0
+    threshold = params.k
+    while threshold >= 1:
+        assignment, used, completed = reference_search(*tables, threshold, budget - nodes)
+        nodes += used
+        if assignment is None:
+            return value, witness, nodes, completed
+        value, witness = threshold, tuple(assignment)
+        threshold -= 1
+    return value, witness, nodes, True
+
+
 def three_pis(k):
     """The identity, the reversed image and a rotation of ``1..k-1``."""
     return [None, tuple(range(k - 1, 0, -1)), (*range(2, k), 1)]
@@ -230,6 +247,18 @@ def test_budget_exhaustion_returns_partial_result():
     assert starved.min_max_colors == 3  # trivially valid bound, nothing proven
     zero = min_max_colors(Params(3, 2), budget=0)
     assert not zero.exhausted and zero.nodes_explored == 0 and zero.witness is None
+
+
+def test_descent_matches_the_reference_at_every_budget():
+    # every budget that stops a stage, at each threshold of the descent,
+    # and the first budgets that let it finish
+    for k, q in [(3, 1), (3, 2), (3, 4), (4, 2), (4, 3), (5, 3)]:
+        params = Params(k, q)
+        for budget in range(min_max_colors(params).nodes_explored + 2):
+            result = min_max_colors(params, budget=budget)
+            witness = None if result.witness is None else result.witness.colors
+            assert (result.min_max_colors, witness, result.nodes_explored, result.exhausted) \
+                == reference_descent(params, budget), (k, q, budget)
 
 
 def test_search_node_counts_are_pinned():

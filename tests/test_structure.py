@@ -3,8 +3,9 @@
 Every import between the modules of ``simplexlattice`` is listed here, so a
 new dependency between them shows up as a change to this file.  Every name
 a module, test or demo imports is used there, each of those files compiles
-without a warning, every private name the package defines is used in it,
-the verifier imports nothing of the rule's cache, only ``labeling`` decides
+without a warning, every private name the package defines is used in it
+and lives in a module that uses it, unless two or more others share it, the
+verifier imports nothing of the rule's cache, only ``labeling`` decides
 whether colors and classes fit a byte, and the module level holds two
 caches, the instance index and the rule's classes.
 """
@@ -157,6 +158,34 @@ def test_every_private_name_is_used():
     unused = [name for name, nodes in sorted(definitions.items())
               if total[name] == sum(mentions(node)[name] for node in nodes)]
     assert unused == []
+
+
+def helpers_used_by_one_other_module(trees: dict[str, ast.AST]) -> list[str]:
+    """``module.name`` of each private name a module defines but never uses
+    outside its definitions, while exactly one other module uses it."""
+    counts = {module: mentions(tree) for module, tree in trees.items()}
+    found = []
+    for module, tree in sorted(trees.items()):
+        definitions = {}
+        for name, node in private_definitions(tree):
+            definitions.setdefault(name, []).append(node)
+        for name, nodes in sorted(definitions.items()):
+            if counts[module][name] > sum(mentions(node)[name] for node in nodes):
+                continue  # its own module uses it
+            if sum(1 for other in counts if other != module and counts[other][name]) == 1:
+                found.append(f"{module}.{name}")
+    return found
+
+
+def test_a_private_helper_lives_in_the_module_that_uses_it():
+    # a helper only one other module calls belongs in that module: defined
+    # elsewhere, it is a layer its one caller reads through
+    trees = {path.stem: ast.parse(path.read_text(), str(path))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert helpers_used_by_one_other_module(trees) == []
+    probe = {"a": ast.parse("def _once(): pass\ndef _own(): pass\n_own()\n"),
+             "b": ast.parse("from .a import _once, _own\n_once()\n_own()\n")}
+    assert helpers_used_by_one_other_module(probe) == ["a._once"]
 
 
 def test_verify_reads_the_labeling_not_the_rules_cache():
