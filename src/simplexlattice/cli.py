@@ -39,6 +39,9 @@ MAX_ALL_PI_K = 8  # (k-1)! sweeps; 7! = 5040 is the most that stays interactive
 # permutation) pairs that listing facets tests.  Peak memory was measured at
 # up to 1.3 kB per vertex for k <= 10 (render at k = 3), about 0.5 GB here.
 MAX_SIZE = 1_000_000
+# The most bytes --labels reads: write_labeling spends at most 25.6 bytes on
+# each of the MAX_SIZE numbers a valid file holds (JSON at (3,814)).
+MAX_LABELS_BYTES = 32 * MAX_SIZE
 MAX_COUNT_DIGITS = 4300  # the most int -> str writes by default, for facets --count-only
 
 
@@ -101,7 +104,12 @@ def _emit(data: bytes, out: str | None) -> None:
 
 def _load_labels(path: str, params: Params):
     try:
-        labeling = read_labeling(Path(path).read_bytes())
+        with open(path, "rb") as file:
+            data = file.read(MAX_LABELS_BYTES + 1)  # a FIFO that sends nothing blocks here
+        if len(data) > MAX_LABELS_BYTES:
+            raise CliError(f"--labels: {path} is over {MAX_LABELS_BYTES:,} bytes, "
+                           "more than a labeling file for any allowed --k/--q")
+        labeling = read_labeling(data)
     except OSError as exc:
         raise CliError(f"--labels: cannot read {path}: {exc}") from None
     except LabelingFormatError as exc:

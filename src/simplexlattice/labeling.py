@@ -60,10 +60,10 @@ class LabelUndefined(ValueError):
 
 
 class Labeling(_Frozen):
-    """Colors, one per vertex in rank order, as a tuple.  label_all's byte
-    classes keep ``_classes`` alone (no field) and build it on first read;
-    the checked constructor makes the rest (files, witnesses, label_all past
-    a byte, copies), whose ``_classes`` are their own colors, or None."""
+    """Colors, one per vertex in rank order, as a tuple.  label_all keeps
+    ``_classes`` alone (no field) and builds it on first read; the checked
+    constructor makes the rest (files, witnesses, user code, copies), whose
+    ``_classes`` are their own colors, or None."""
 
     _fields = ("params", "colors", "rule")
 
@@ -84,7 +84,7 @@ class Labeling(_Frozen):
 
     @classmethod
     def _unchecked(cls, params: Params, rule: str, classes: tuple) -> "Labeling":
-        # label_all's byte classes, whose table holds exact ints in 1..k
+        # label_all's classes, whose table holds exact ints in 1..k
         self = object.__new__(cls)
         self.__dict__.update({"params": params, "rule": rule, "_classes": classes})
         return self
@@ -225,7 +225,8 @@ def label_all(params: Params, pi: Perm | None = None,
     the scan order settles each class present at the first index it holds,
     then each vertex looks its class up.  Where the classes fit a byte the
     labeling keeps them, their rows and that table, to look up on the first
-    read of its colors; past a byte it is ``Labeling`` of the colors looked up.
+    read of its colors; past a byte it keeps the colors looked up as its
+    classes, as a labeling of those colors would build them.
     """
     k = params.k
     pi = None if pi is None else _check_permutation(pi, params)
@@ -233,8 +234,7 @@ def label_all(params: Params, pi: Perm | None = None,
     classes, present, rows = _attaining_masks(params)
     if 1 << k - 1 in present:  # index k alone attains: no color there (see label_pi)
         raise LabelUndefined(_instance_index(params).vertices[classes.index(1 << k - 1)], params)
-    fits = type(classes) is bytes
-    table = bytearray(256) if fits else {}  # color per class
+    table = bytearray(256) if type(classes) is bytes else {}  # color per class
     table[0] = 1  # index 0 is first in every scan order
     pending = [c for c in present if c]
     for t, idx in enumerate(range(1, k) if pi is None else pi, 1):
@@ -247,6 +247,6 @@ def label_all(params: Params, pi: Perm | None = None,
             else:
                 rest.append(c)
         pending = rest
-    if fits:
-        return Labeling._unchecked(params, rule, (classes, rows, bytes(table)))
-    return Labeling(params, map(table.__getitem__, classes), rule)
+    if type(classes) is tuple:  # past a byte: the colors are the classes
+        classes, rows, table = bytes(map(table.__getitem__, classes)), {}, range(256)
+    return Labeling._unchecked(params, rule, (classes, rows, bytes(table)))

@@ -255,6 +255,53 @@ def test_verify_reads_an_empty_labels_path_as_a_path(capsys, extra):
     assert code == 2 and out == "" and "--labels" in err, extra
 
 
+# Runs the CLI under a cap on its own address space, so that an unbounded
+# read fails at the cap instead of growing until the machine runs out.
+CAPPED_MAIN = """\
+import resource, sys
+cap = int(sys.argv.pop(1))
+resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+from simplexlattice.cli import main
+raise SystemExit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")
+def test_verify_reads_no_more_of_labels_than_the_bound():
+    pytest.importorskip("resource")
+    proc = subprocess.run([sys.executable, "-c", CAPPED_MAIN, str(600 << 20), "verify",
+                           "--k", "3", "--q", "4", "--labels", "/dev/zero"],
+                          capture_output=True, text=True, env=CHILD_ENV, timeout=60)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: --labels: /dev/zero is over 32,000,000 bytes")
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
+
+def test_labels_one_byte_over_the_bound_are_refused(tmp_path, capsys):
+    # a sparse file of NUL bytes: at the bound it is read and refused as no
+    # labeling, one byte over it is refused unparsed
+    path = tmp_path / "big.csv"
+    for size, message in ((cli.MAX_LABELS_BYTES, "header is missing 'k'"),
+                          (cli.MAX_LABELS_BYTES + 1, f"over {cli.MAX_LABELS_BYTES:,} bytes")):
+        with open(path, "wb") as file:
+            file.truncate(size)
+        code, out, err = run(capsys, "verify", "--k", "3", "--q", "4", "--labels", str(path))
+        assert (code, out) == (2, "") and err.startswith("error: --labels: "), size
+        assert message in err, size
+
+
+def test_the_largest_labeling_file_fits_the_bound():
+    # write_labeling spends the most bytes per number at k = 3 (three per
+    # row, beside the row's punctuation), most at the largest q the size
+    # guard allows, and most on the longest rule
+    assert cli._check_size(Params(3, 814))
+    with pytest.raises(cli.CliError):
+        cli._check_size(Params(3, 815))
+    labeling = label_all(Params(3, 814), (2, 1), "position")
+    assert len(write_labeling(labeling, "json")) <= cli.MAX_LABELS_BYTES
+    assert len(write_labeling(labeling, "csv")) <= cli.MAX_LABELS_BYTES
+
+
 def test_verify_refuses_a_reading_for_a_labels_file(tmp_path, capsys):
     # a file is checked as it is, so a reading of the built-in rule has
     # nothing to apply to; the rule's own runs keep their default reading

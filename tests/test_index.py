@@ -188,6 +188,19 @@ def test_label_all_matches_per_point_rules():
             for reading in READINGS:
                 assert index_colors(params, pi, reading) == \
                     reference_colors(params, pi, reading), (params, pi, reading)
+    # at (10,10) the classes pass a byte and every vertex has a color: the
+    # colors label_all keeps as its classes are the per-point rule's, and so
+    # is the report counted through them
+    params = Params(10, 10)
+    assert type(_attaining_masks(params)[0]) is tuple
+    first, second = sample_permutations(rng, params.k, 2)
+    for pi, reading in ((None, READINGS[0]), (first, READINGS[0]),
+                        (second, READINGS[0]), (second, READINGS[1])):
+        assert index_colors(params, pi, reading) == \
+            reference_colors(params, pi, reading), (pi, reading)
+    want = reference_report(params, reference_colors(params, first, READINGS[0]),
+                            rule_descriptor(first), first, 2)
+    assert serialized(full_report(label_all(params, first), first)) == serialized(want)
 
 
 def test_undefined_vertex_is_first_in_rank_order():
@@ -366,7 +379,8 @@ def test_label_all_builds_what_the_checking_constructor_builds():
     # labeling carries the rule's cached classes and rows (the same objects)
     # with the class -> color table, and a copy built with Labeling its
     # colors as its own classes; at (10,10) they do not, and label_all
-    # builds its labeling with Labeling too.  The classes are no field
+    # keeps its colors as classes of their own, as that copy builds them.
+    # The classes are no field
     for params in INSTANCES + [Params(7, 7), Params(8, 8), Params(9, 9), Params(10, 10)]:
         if params.q < params.k:
             continue
@@ -374,9 +388,9 @@ def test_label_all_builds_what_the_checking_constructor_builds():
         for pi in [None, *perms]:
             for reading in READINGS:
                 labeling = label_all(params, pi, reading)
-                # one view until the colors are read: byte classes, else colors
-                assert ("colors" in vars(labeling)) == (params.k == 10), params
-                assert ("_classes" in vars(labeling)) == (params.k < 10), params
+                # one view until the colors are read: the classes
+                assert "colors" not in vars(labeling), params
+                assert "_classes" in vars(labeling), params
                 copy = Labeling(params, labeling.colors, labeling.rule)
                 assert labeling == copy and hash(labeling) == hash(copy)
                 assert repr(labeling) == repr(copy)
@@ -391,8 +405,7 @@ def test_label_all_builds_what_the_checking_constructor_builds():
                     assert classes.translate(table) == bytes(labeling.colors), params
                 else:
                     assert type(_attaining_masks(params)[0]) is tuple, params
-                    assert "_classes" not in vars(labeling), params
-                    assert labeling._classes == copy._classes, params
+                    assert vars(labeling)["_classes"] == copy._classes, params
 
 
 def test_a_passing_report_never_builds_the_rule_labelings_colors():

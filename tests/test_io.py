@@ -320,12 +320,14 @@ def test_header_sizes_are_checked_before_enumerating():
 
 
 SMALL_FILES = [write_labeling(label_all(Params(3, 3)), fmt) for fmt in ("json", "csv")]
+# a wider instance: three coordinates a row, colors up to 4
+WIDER_FILES = [write_labeling(label_all(Params(4, 5)), fmt) for fmt in ("json", "csv")]
 # a quote, sign, digit or separator that a CSV parser or int() reads past
 SPELLINGS = [b'"', b'""', b"+", b"0", b" ", b"_", "\u0663".encode()]
 
 
 @st.composite
-def mutated_files(draw, files=SMALL_FILES):
+def mutated_files(draw, files=SMALL_FILES + WIDER_FILES):
     data = draw(st.sampled_from(files))
     # cut anywhere, or where a line or an entry starts
     starts = [0, *(i + 1 for i, byte in enumerate(data) if byte in b",\n")]

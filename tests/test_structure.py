@@ -6,8 +6,9 @@ a module, test or demo imports is used there, each of those files compiles
 without a warning, every private name the package defines is used in it
 and lives in a module that uses it, unless two or more others share it, the
 verifier imports nothing of the rule's cache, only ``labeling`` decides
-whether colors and classes fit a byte, and the module level holds two
-caches, the instance index and the rule's classes.
+whether colors and classes fit a byte, only the file readers and the
+oracle's witness call the checked ``Labeling`` constructor, and the module
+level holds two caches, the instance index and the rule's classes.
 """
 
 import ast
@@ -247,6 +248,36 @@ def test_the_width_cut_is_decided_in_labeling_alone():
         ["k <= 8", "9 > k", "c < 256", "len(p) == 1"]
     assert width_tests(ast.parse("if len(p) == 2 or n == 1: pass")) == []
     assert width_tests(ast.parse((PACKAGE / "labeling.py").read_text())) != []
+
+
+def constructor_calls(tree: ast.AST) -> list[int]:
+    """The line of each call of ``Labeling`` by name in ``tree``."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Labeling"]
+
+
+def returns(tree: ast.AST, function: str) -> int:
+    """How many ``return`` statements the function ``function`` holds."""
+    body = next(node for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef) and node.name == function)
+    return sum(isinstance(node, ast.Return) for node in ast.walk(body))
+
+
+def test_the_checked_constructor_is_left_to_data_the_rule_did_not_make():
+    # label_all's table holds exact ints in 1..k, so at every width its
+    # labeling skips Labeling's checks, through one return; the checked
+    # constructor is left to the file readers and the oracle's witness (a
+    # copy hands the class to pickle from __reduce__, uncalled)
+    trees = {path.stem: ast.parse(path.read_text(), str(path))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert {stem for stem, tree in trees.items() if constructor_calls(tree)} <= {"io", "oracle"}
+    assert returns(trees["labeling"], "label_all") == 1
+    # label_all as it was while the classes past a byte went through Labeling
+    probe = ast.parse("def __reduce__(self):\n    return Labeling, (p, c, r)\n"
+                      "def label_all(p, r):\n    if fits:\n"
+                      "        return Labeling._unchecked(p, r, (c, {}, t))\n"
+                      "    return Labeling(p, map(t.__getitem__, c), r)\n")
+    assert constructor_calls(probe) == [6] and returns(probe, "label_all") == 2
 
 
 PUBLIC = [

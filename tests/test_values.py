@@ -99,8 +99,8 @@ def test_labeling():
             assert read_labeling(write_labeling(made, fmt)) == made, (given, fmt)
     with pytest.raises(TypeError):
         Labeling(p, (3, 2, 1))
-    # label_all keeps byte classes and builds its colors on their first
-    # read; at (10,10) the classes pass a byte and Labeling makes it.  Each
+    # label_all keeps classes and builds its colors on their first read; at
+    # (10,10), past a byte, the classes are the colors themselves.  Each
     # is the labeling Labeling builds from those colors, before and after
     # that read, under ==, hash, repr, pickle and deepcopy, and stays frozen
     same = [
@@ -116,18 +116,18 @@ def test_labeling():
             made = label_all(params, pi)
             with pytest.raises(AttributeError):
                 made.colors = twin.colors
-            assert ("colors" in vars(made)) == (params.k == 10), params
+            assert "colors" not in vars(made), params
             assert check(made, twin), (params, pi)
             assert type(made.colors) is tuple and "colors" in vars(made), (params, pi)
             assert check(made, twin), (params, pi)
 
 
 def test_a_labeling_copies_as_its_three_fields():
-    # a labeling is made two ways: label_all's byte classes, which share the
+    # a labeling is made two ways: label_all's classes, which share the
     # rule's rows (one per step set any scanned pi needed), or Labeling.  A
     # pickle or copy of either is Labeling of its fields, and none of the
     # rows: after a sweep over 126 pis it pickles byte for byte as Labeling
-    # of its colors does.  Past a byte label_all makes that labeling itself
+    # of its colors does.  Past a byte the copy is the same Labeling
     params = Params(8, 8)
     made = label_all(params)
     for pi in _permutations(params)[:126]:
@@ -137,7 +137,8 @@ def test_a_labeling_copies_as_its_three_fields():
     for copied in (copy.copy(made), copy.deepcopy(made), pickle.loads(pickle.dumps(made))):
         assert copied == twin and list(vars(copied)) == ["params", "colors", "rule"]
     wide = label_all(Params(10, 10))
-    assert list(vars(wide)) == list(vars(Labeling(wide.params, wide.colors, wide.rule)))
+    assert pickle.dumps(wide) == pickle.dumps(Labeling(wide.params, wide.colors, wide.rule))
+    assert list(vars(pickle.loads(pickle.dumps(wide)))) == ["params", "colors", "rule"]
 
 
 @pytest.mark.parametrize(
