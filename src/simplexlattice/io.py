@@ -164,7 +164,7 @@ def _check_rows(rows: list[tuple[Point, int, int]], params: Params,
     return tuple(c for _, c, _ in rows)
 
 
-def _read_json(text: str) -> Labeling:
+def _read_json(text: str) -> tuple[Params, str, list, int]:
     try:
         data = json.loads(text)
     except (ValueError, RecursionError) as exc:
@@ -189,11 +189,10 @@ def _read_json(text: str) -> Labeling:
                 i,
             )
         rows.append((tuple(entry["v"]), entry["color"], i))
-    colors = _check_rows(rows, params, len(rows) + 1)
-    return Labeling(params, colors, rule)
+    return params, rule, rows, len(rows) + 1
 
 
-def _read_csv(text: str) -> Labeling:
+def _read_csv(text: str) -> tuple[Params, str, list, int]:
     lines = text.splitlines()
     fields = {}
     at = 0  # 0-based index of the line being read; its row number is at + 1
@@ -229,8 +228,7 @@ def _read_csv(text: str) -> Labeling:
         if None in numbers:
             raise LabelingFormatError(f"malformed row: non-integer entry in {cells}", lineno)
         rows.append((tuple(numbers[:-1]), numbers[-1], lineno))
-    colors = _check_rows(rows, params, len(lines) + 1)
-    return Labeling(params, colors, rule)
+    return params, rule, rows, len(lines) + 1
 
 
 def read_labeling(data: bytes) -> Labeling:
@@ -248,9 +246,9 @@ def read_labeling(data: bytes) -> Labeling:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise LabelingFormatError(f"not UTF-8 text: {exc}") from None
-    if text.lstrip()[:1] in ("{", "[", "\ufeff"):
-        return _read_json(text)
-    return _read_csv(text)
+    read = _read_json if text.lstrip()[:1] in ("{", "[", "\ufeff") else _read_csv
+    params, rule, rows, end_row = read(text)
+    return Labeling(params, _check_rows(rows, params, end_row), rule)
 
 
 def report_to_dict(report, max_violations: int = 100) -> dict:

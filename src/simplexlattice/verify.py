@@ -149,20 +149,17 @@ def _cell_counts(labeling: Labeling, index: _InstanceIndex, perm: Perm) -> bytes
             rows[s] = bytes(map(classes.__getitem__, ranks))
     keep = index._consistent(perm)
     mask, n = int.from_bytes(keep, "little"), len(keep)
-    planes = []
+    # a count is at most k < 256, so no byte of the planes' sum carries, and
+    # every cell shows a color, so the zero counts are the bases pi leaves out
+    counts = 0
     for one_hot in _ONE_HOT[:len(index._ties)]:
         class_one_hot = table.translate(one_hot)
         union = 0
         for s in steps:
             union |= int.from_bytes(rows[s].translate(class_one_hot), "little")
-        planes.append((union & mask).to_bytes(n, "little").translate(_POPCOUNT))
-    # a count is at most k < 256, so no byte of the planes' sum carries, and
-    # every cell shows a color, so the zero counts are the bases pi leaves out
-    counts, *more = planes
-    for plane in more:
-        counts = (int.from_bytes(counts, "little") + int.from_bytes(plane, "little")
-                  ).to_bytes(n, "little")
-    return counts.translate(None, b"\0")
+        counts += int.from_bytes((union & mask).to_bytes(n, "little").translate(_POPCOUNT),
+                                 "little")
+    return counts.to_bytes(n, "little").translate(None, b"\0")
 
 
 def check_colors(labeling: Labeling, pi: Perm | None = None,

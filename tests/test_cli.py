@@ -564,3 +564,35 @@ def test_outputs_match_the_recorded_hashes(tmp_path, monkeypatch):
     for name, argv in calls.items():
         assert main([*argv, "--out", name]) == 0, name
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == hashes[name], name
+
+
+def test_outputs_past_a_byte_are_pinned(tmp_path, monkeypatch, capsysbinary):
+    # At k = 10 the rule's classes pass a byte (bit k - 1 is 9), so its
+    # labelings keep their colors as their classes: the label files, the
+    # reports of the identity, one descent and the reversed pi under both
+    # readings, and the identity file read back against the reversed pi, as
+    # exit code and sha256 of stdout or --out.
+    inst = ("--k", "10", "--q", "10")
+    reverse = ("--pi", "9,8,7,6,5,4,3,2,1")
+    pinned = [
+        (("label", *inst, "--out", "F.json"), 0,
+         "3c26d45950cd419473440623859fb4dbb1ae40ede00cfa9acadc1b18ba9a0efe"),
+        (("label", *inst, "--format", "csv", "--out", "F.csv"), 0,
+         "463eed2532d45516ad866473fc4f7e1a983d0f5a5e74dd7c9adc13c8f8c25fe4"),
+        (("verify", *inst), 0,
+         "cf29371d8c302ce98a1ae41d92efff4c46ce1edf9d3bf2a83131c49da12201a2"),
+        (("verify", *inst, "--pi", "2,1,3,4,5,6,7,8,9"), 0,
+         "74081662fe9eb693a3d480a633c43ee07188dc79f5d5e327b539e18dfae2ac24"),
+        (("verify", *inst, *reverse), 0,
+         "4f0c102b1d569d4c21cf4d3c9cb83a6ff67e6edb4671a2d26efed8613e8f0ef8"),
+        (("verify", *inst, *reverse, "--reading", "position"), 1,
+         "d206ee8864be91c8b5fc7fa2c34ef8ff8bab5725a4cfdcf55d33436a25d76559"),
+        (("verify", *inst, "--labels", "F.csv", *reverse), 1,
+         "6f809005ee390a26fe7596c75f4f8f818ea3b464daa855e1f9aca79e12c826bf"),
+    ]
+    monkeypatch.chdir(tmp_path)
+    for argv, code, digest in pinned:
+        assert main(list(argv)) == code, argv
+        out = capsysbinary.readouterr().out
+        data = (tmp_path / argv[-1]).read_bytes() if "--out" in argv else out
+        assert hashlib.sha256(data).hexdigest() == digest, argv

@@ -296,6 +296,26 @@ def test_csv_errors():
     expect_error(b"# k: 3\n# q: 4\n# rule: external\n", "missing column header")
 
 
+def test_blank_lines_among_csv_rows_are_skipped_and_still_numbered():
+    # data rows at lines 7-10, blank lines 11-12, the fifth data row at line
+    # 13, and two blank lines after the last data row
+    def spaced(mutate=lambda lines: None):
+        def _mut(lines):
+            lines[10:10] = ["", "   "]
+            lines += ["", "\t"]
+            mutate(lines)
+
+        return _mangled_csv(_mut)
+
+    assert read_labeling(spaced()) == label_all(Params(3, 4))
+    expect_error(spaced(lambda lines: lines.__setitem__(12, "0,x,3")),
+                 "malformed row: non-integer entry", row=13)
+    # 6 header lines, 14 data rows and 4 blank lines: the count error names
+    # the line after the last
+    expect_error(spaced(lambda lines: lines.pop(-3)),
+                 "wrong row count: expected 15 vertices, got 14", row=25)
+
+
 def test_undecodable_input_is_a_format_error():
     expect_error(b"\xff\xfe", "not UTF-8")
     csv_file = write_labeling(label_all(Params(3, 4)), "csv")

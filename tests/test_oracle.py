@@ -262,12 +262,21 @@ def test_descent_matches_the_reference_at_every_budget():
 
 
 def test_search_node_counts_are_pinned():
-    # (value, nodes) as the earlier recursive search gave them; a changed
-    # count means a changed node sequence.  (3, 50) has 1326 vertices, deeper
-    # than the default recursion limit: the recursive search needed a raised
-    # limit to finish it.
-    pinned = {(5, 3): (3, 1994), (6, 6): (2, 2607), (3, 40): (2, 1803), (3, 50): (2, 2753)}
+    # (value, nodes) at every instance whose exact value is known; a changed
+    # count means a changed node sequence.  The first four are as the earlier
+    # recursive search gave them; (3, 50) has 1326 vertices, deeper than the
+    # default recursion limit: the recursive search needed a raised limit to
+    # finish it.  Each value is 1 + ceil((k - 1) / q).
+    pinned = {(5, 3): (3, 1994), (6, 6): (2, 2607), (3, 40): (2, 1803), (3, 50): (2, 2753),
+              (3, 1): (3, 6), (4, 1): (4, 8), (6, 1): (6, 12),
+              (3, 2): (2, 17), (3, 3): (2, 27), (4, 3): (2, 74), (4, 4): (2, 122),
+              (4, 5): (2, 188), (5, 4): (2, 332), (5, 5): (2, 568), (5, 6): (2, 917),
+              (6, 5): (2, 1490), (7, 6): (2, 6581), (8, 7): (2, 28674), (8, 8): (2, 51536),
+              (4, 2): (3, 52), (5, 2): (3, 80), (6, 3): (3, 2128), (7, 3): (3, 2355),
+              (6, 2): (4, 896), (7, 2): (4, 951), (8, 2): (5, 187795), (9, 2): (5, 187886)}
+    assert len(pinned) == 27
     for (k, q), (value, nodes) in pinned.items():
+        assert value == 1 + -(-(k - 1) // q), (k, q)
         result = min_max_colors(Params(k, q))
         assert (result.min_max_colors, result.exhausted, result.nodes_explored) == \
             (value, True, nodes), (k, q)

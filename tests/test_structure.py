@@ -6,9 +6,9 @@ a module, test or demo imports is used there, each of those files compiles
 without a warning, every private name the package defines is used in it
 and lives in a module that uses it, unless two or more others share it, the
 verifier imports nothing of the rule's cache, only ``labeling`` decides
-whether colors and classes fit a byte, only the file readers and the
-oracle's witness call the checked ``Labeling`` constructor, and the module
-level holds two caches, the instance index and the rule's classes.
+whether colors and classes fit a byte, only the file reader and the
+oracle's witness call the checked ``Labeling`` constructor, once each, and
+the module level holds two caches, the instance index and the rule's classes.
 """
 
 import ast
@@ -266,12 +266,17 @@ def returns(tree: ast.AST, function: str) -> int:
 def test_the_checked_constructor_is_left_to_data_the_rule_did_not_make():
     # label_all's table holds exact ints in 1..k, so at every width its
     # labeling skips Labeling's checks, through one return; the checked
-    # constructor is left to the file readers and the oracle's witness (a
-    # copy hands the class to pickle from __reduce__, uncalled)
+    # constructor is left to read_labeling, once for both formats, and the
+    # oracle's witness (a copy hands the class to pickle from __reduce__, uncalled)
     trees = {path.stem: ast.parse(path.read_text(), str(path))
              for path in sorted(PACKAGE.glob("*.py"))}
     assert {stem for stem, tree in trees.items() if constructor_calls(tree)} <= {"io", "oracle"}
+    assert len(constructor_calls(trees["io"])) == len(constructor_calls(trees["oracle"])) == 1
     assert returns(trees["labeling"], "label_all") == 1
+    # the readers as they were while each format built its own labeling
+    readers = ast.parse("def _read_json(text):\n    return Labeling(p, _check_rows(j), r)\n"
+                        "def _read_csv(text):\n    return Labeling(p, _check_rows(c), r)\n")
+    assert constructor_calls(readers) == [2, 4]
     # label_all as it was while the classes past a byte went through Labeling
     probe = ast.parse("def __reduce__(self):\n    return Labeling, (p, c, r)\n"
                       "def label_all(p, r):\n    if fits:\n"
