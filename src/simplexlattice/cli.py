@@ -11,8 +11,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections.abc import Iterable
 from math import comb, factorial
-from pathlib import Path
 
 from ._version import __version__
 from .io import (
@@ -91,13 +91,14 @@ def _parse_pi(text: str | None, params: Params) -> Perm | None:
     return image
 
 
-def _emit(data: bytes, out: str | None) -> None:
+def _emit(chunks: Iterable[bytes], out: str | None) -> None:
     if out is None:
         sys.stdout.flush()  # anything printed before goes first
-        sys.stdout.buffer.write(data)
+        sys.stdout.buffer.writelines(chunks)
         return
     try:
-        Path(out).write_bytes(data)
+        with open(out, "wb") as file:
+            file.writelines(chunks)
     except OSError as exc:
         raise CliError(f"--out: cannot write {out}: {exc}") from None
 
@@ -133,7 +134,7 @@ def _cmd_label(args: argparse.Namespace) -> int:
     params = _check_size(_params(args))
     pi = _parse_pi(args.pi, params)
     labeling = _label(params, pi, args.reading)
-    _emit(write_labeling(labeling, args.format), args.out)
+    _emit([write_labeling(labeling, args.format)], args.out)
     return 0
 
 
@@ -158,24 +159,20 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     else:
         perms = [_parse_pi(args.pi, params)]
 
-    outputs, passed = [], True
+    chunks, passed = [], True
     for pi in perms:
         labeling = _label(params, pi, reading) if external is None else external
         report = full_report(labeling, pi, args.threshold)
         passed = passed and report.passed
         # all-pi holds the bytes of each report's capped view, not the report
-        outputs.append(_report_json(report_to_dict(report), 2).encode() if args.all_pi
-                       else report)
+        chunks += ([b",\n  ", _report_json(report_to_dict(report), 2).encode()] if args.all_pi
+                   else [write_report(report)])
 
     if args.all_pi:
-        # json.dumps(views, indent=2): each view two spaces in, one per line;
-        # the brackets go on the end views, so that the one join is the
-        # only copy of the payload beside the views
-        outputs[0] = b"[\n  " + outputs[0]
-        outputs[-1] += b"\n]\n"
-        _emit(b",\n  ".join(outputs), args.out)
-    else:
-        _emit(write_report(outputs[0]), args.out)
+        # json.dumps(views, indent=2) and a newline, each view written as it is
+        chunks[0] = b"[\n  "
+        chunks.append(b"\n]\n")
+    _emit(chunks, args.out)
     return 0 if passed else 1
 
 
@@ -188,14 +185,12 @@ def _cmd_facets(args: argparse.Namespace) -> int:
         if (k - 1) * (q.bit_length() - 1) >= limit.bit_length() or q ** (k - 1) >= limit:
             raise CliError(f"--k/--q: k={k}, q={q} is too large: the facet count "
                            f"q**(k-1) has more than {MAX_COUNT_DIGITS} digits")
-        print(q ** (k - 1))
+        _emit([b"%d\n" % (q ** (k - 1))], None)
         return 0
     _check_size(params, facets=True)
     facets = enumerate_facets(params) if params.q >= 1 else []
-    for v, pi in facets:
-        base = ",".join(map(str, v))
-        image = ",".join(map(str, pi))
-        print(f"base=({base}) pi=({image})")
+    _emit((f"base=({','.join(map(str, v))}) pi=({','.join(map(str, pi))})\n".encode()
+           for v, pi in facets), None)
     return 0
 
 
@@ -206,7 +201,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     if args.budget < 0:
         raise CliError(f"--budget: must be nonnegative, got {args.budget}")
     result = min_max_colors(params, budget=args.budget)
-    _emit(write_oracle_result(result), args.out)
+    _emit([write_oracle_result(result)], args.out)
     return 0 if result.exhausted else 1
 
 
@@ -216,7 +211,7 @@ def _cmd_render(args: argparse.Namespace) -> int:
         _check_renderable(params)  # before labeling, which may fail at small q
     except UnsupportedDimension as exc:
         raise CliError(f"--k: {exc}") from None
-    _emit(render_svg(_label(params, None, READING_SELECTED)), args.out)
+    _emit([render_svg(_label(params, None, READING_SELECTED))], args.out)
     return 0
 
 

@@ -7,8 +7,9 @@ without a warning, every private name the package defines is used in it
 and lives in a module that uses it, unless two or more others share it, the
 verifier imports nothing of the rule's cache, only ``labeling`` decides
 whether colors and classes fit a byte, only the file reader and the
-oracle's witness call the checked ``Labeling`` constructor, once each, and
-the module level holds two caches, the instance index and the rule's classes.
+oracle's witness call the checked ``Labeling`` constructor, once each, the
+module level holds two caches, the instance index and the rule's classes,
+and the CLI writes its output through ``cli._emit`` alone.
 """
 
 import ast
@@ -283,6 +284,52 @@ def test_the_checked_constructor_is_left_to_data_the_rule_did_not_make():
                       "        return Labeling._unchecked(p, r, (c, {}, t))\n"
                       "    return Labeling(p, map(t.__getitem__, c), r)\n")
     assert constructor_calls(probe) == [6] and returns(probe, "label_all") == 2
+
+
+def output_outside_emit(tree: ast.AST) -> list[str]:
+    """Each way ``tree`` writes output other than through ``_emit``: a
+    ``print`` with no ``file=`` other than stdout, and, outside ``_emit``,
+    a write to ``sys.stdout`` or a file opened for writing."""
+    emit = [node for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and node.name == "_emit"]
+    inside = {id(node) for function in emit for node in ast.walk(function)}
+    found = []
+    for node in ast.walk(tree):
+        name = getattr(getattr(node, "func", None), "id", None)
+        if name == "print":
+            target = next((kw.value for kw in node.keywords if kw.arg == "file"), None)
+            if target is None or ast.unparse(target) == "sys.stdout":
+                found.append(ast.unparse(node))
+        elif id(node) in inside:
+            continue
+        elif isinstance(node, ast.Attribute) and ast.unparse(node.value) == "sys.stdout":
+            if node.attr in {"buffer", "write", "writelines"}:
+                found.append(ast.unparse(node))
+        elif name == "open":
+            modes = node.args[1:2] + [kw.value for kw in node.keywords if kw.arg == "mode"]
+            mode = getattr(modes[0], "value", "w") if modes else "r"
+            if not isinstance(mode, str) or set(mode) & set("wax+"):
+                found.append(ast.unparse(node))
+    return found
+
+
+def test_the_cli_writes_its_output_through_emit_alone():
+    # every command hands _emit the chunks it made, so the bytes a command
+    # writes, and how a closed pipe or an unwritable --out ends, have one
+    # path; print is left to stderr
+    assert output_outside_emit(ast.parse((PACKAGE / "cli.py").read_text())) == []
+    # _cmd_facets as it was while it printed each line, beside what stays allowed
+    probe = ast.parse(
+        "def _emit(data, out):\n    sys.stdout.buffer.writelines(data)\n"
+        "    with open(out, 'wb') as file: pass\n"
+        "def _cmd_facets(args):\n    for v, pi in facets:\n"
+        "        print(f'base=({base}) pi=({image})')\n"
+        "    print('error', file=sys.stderr)\n    print(n, file=sys.stdout)\n"
+        "    open(path, 'rb'), open(path), open(path, mode='a'), open(path, m)\n"
+        "    sys.stdout.flush(), sys.stdout.write(text), sys.stdout.buffer\n")
+    assert sorted(output_outside_emit(probe)) == [
+        "open(path, m)", "open(path, mode='a')", "print(f'base=({base}) pi=({image})')",
+        "print(n, file=sys.stdout)", "sys.stdout.buffer", "sys.stdout.write"]
 
 
 PUBLIC = [
