@@ -28,16 +28,17 @@ from .io import (
     write_oracle_result,
     write_report,
 )
-from .labeling import READING_SELECTED, READINGS, Labeling, LabelUndefined, label_all
-from .lattice import Params, Perm, _permutations, enumerate_facets, is_permutation
+from .labeling import READING_SELECTED, READINGS, LabelUndefined, label_all
+from .lattice import Params, Perm, _facets, _permutations, is_permutation
 from .oracle import min_max_colors
 from .verify import full_report
 
 MAX_ALL_PI_K = 8  # (k-1)! sweeps; 7! = 5040 is the most that stays interactive
-# The most one command builds, checked from closed forms by _check_size: k
-# entries per vertex row (k - 1 coordinates and a color), or the (base,
-# permutation) pairs that listing facets tests.  Peak memory was measured at
-# up to 1.3 kB per vertex for k <= 10 (render at k = 3), about 0.5 GB here.
+# The most one command builds, checked from closed forms: k entries per
+# vertex row (k - 1 coordinates and a color) in _check_size, or the (base,
+# permutation) pairs that listing facets tests in _cmd_facets.  Peak memory
+# was measured at up to 1.3 kB per vertex for k <= 10 (render at k = 3),
+# about 0.5 GB here.
 MAX_SIZE = 1_000_000
 # The most bytes --labels reads: write_labeling spends at most 25.6 bytes on
 # each of the MAX_SIZE numbers a valid file holds (JSON at (3,814)).
@@ -56,24 +57,14 @@ def _params(args: argparse.Namespace) -> Params:
         raise CliError(f"--k/--q: {exc}") from None
 
 
-def _check_size(params: Params, facets: bool = False) -> Params:
-    """Refuse an instance too large to build, from closed forms alone.
-
-    Commands that build the vertex list hold |V| * k entries.  Listing
-    facets tests each of the (k-1)! permutations at each base point of
-    V_{k,q-1}.  A huge instance is settled by a floor before any large
-    binomial or factorial is formed: |V| >= 2**min(k-1, q), and
-    n! >= 2**n for n >= 4.
-    """
-    k, q, bits = params.k, params.q, MAX_SIZE.bit_length()
-    if facets:
-        ok = q == 0 or (k - 1 < bits and comb(q + k - 2, k - 1) * factorial(k - 1) <= MAX_SIZE)
-        what = "listing facets tests (k-1)! permutations at C(q+k-2, k-1) base points"
-    else:
-        ok = min(k - 1, q) < bits and params.num_vertices * k <= MAX_SIZE
-        what = "C(q+k-1, k-1) vertex rows of k entries"
-    if not ok:
-        raise CliError(f"--k/--q: k={k}, q={q} is too large: {what}, over {MAX_SIZE:,}")
+def _check_size(params: Params) -> Params:
+    """Refuse an instance whose |V| * k vertex-row entries are too many to
+    build, settled by the floor |V| >= 2**min(k-1, q) before any large
+    binomial is formed."""
+    k, q = params.k, params.q
+    if min(k - 1, q) >= MAX_SIZE.bit_length() or params.num_vertices * k > MAX_SIZE:
+        raise CliError(f"--k/--q: k={k}, q={q} is too large: "
+                       f"C(q+k-1, k-1) vertex rows of k entries, over {MAX_SIZE:,}")
     return params
 
 
@@ -107,14 +98,12 @@ def _load_labels(path: str, params: Params):
     try:
         with open(path, "rb") as file:
             data = file.read(MAX_LABELS_BYTES + 1)  # a FIFO that sends nothing blocks here
-        if len(data) > MAX_LABELS_BYTES:
-            raise CliError(f"--labels: {path} is over {MAX_LABELS_BYTES:,} bytes, "
-                           "more than a labeling file for any allowed --k/--q")
-        labeling = read_labeling(data)
     except OSError as exc:
         raise CliError(f"--labels: cannot read {path}: {exc}") from None
-    except LabelingFormatError as exc:
-        raise CliError(f"--labels: {exc}") from None
+    if len(data) > MAX_LABELS_BYTES:
+        raise CliError(f"--labels: {path} is over {MAX_LABELS_BYTES:,} bytes, "
+                       "more than a labeling file for any allowed --k/--q")
+    labeling = read_labeling(data)
     if labeling.params != params:
         raise CliError(
             f"--labels: file is for k={labeling.params.k}, q={labeling.params.q}; "
@@ -123,17 +112,10 @@ def _load_labels(path: str, params: Params):
     return labeling
 
 
-def _label(params: Params, pi: Perm | None, reading: str) -> Labeling:
-    try:
-        return label_all(params, pi, reading)
-    except LabelUndefined as exc:
-        raise CliError(f"--q: {exc}") from None
-
-
 def _cmd_label(args: argparse.Namespace) -> int:
     params = _check_size(_params(args))
     pi = _parse_pi(args.pi, params)
-    labeling = _label(params, pi, args.reading)
+    labeling = label_all(params, pi, args.reading)
     _emit([write_labeling(labeling, args.format)], args.out)
     return 0
 
@@ -144,10 +126,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         raise CliError(f"--threshold: must be >= 1, got {args.threshold}")
     if params.q < 1:
         raise CliError("--q: verification needs q >= 1 (no hyperedges otherwise)")
-    if args.labels is not None and args.reading:
-        raise CliError("--reading: a --labels file is checked as it is; no rule reading applies")
     external = None if args.labels is None else _load_labels(args.labels, params)
-    reading = args.reading or READING_SELECTED
 
     if args.all_pi:
         if params.k > MAX_ALL_PI_K:
@@ -161,7 +140,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
     chunks, passed = [], True
     for pi in perms:
-        labeling = _label(params, pi, reading) if external is None else external
+        labeling = label_all(params, pi, args.reading) if external is None else external
         report = full_report(labeling, pi, args.threshold)
         passed = passed and report.passed
         # all-pi holds the bytes of each report's capped view, not the report
@@ -178,19 +157,24 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_facets(args: argparse.Namespace) -> int:
     params = _params(args)
+    k, q = params.k, params.q
     if args.count_only:
         # the facets tile the q-dilated simplex: q**(k-1) of them, 0 at q = 0; the
         # floor q**(k-1) >= 2**((k-1) * (bits(q) - 1)) refuses a huge count unformed
-        k, q, limit = params.k, params.q, 10 ** MAX_COUNT_DIGITS
+        limit = 10 ** MAX_COUNT_DIGITS
         if (k - 1) * (q.bit_length() - 1) >= limit.bit_length() or q ** (k - 1) >= limit:
             raise CliError(f"--k/--q: k={k}, q={q} is too large: the facet count "
                            f"q**(k-1) has more than {MAX_COUNT_DIGITS} digits")
         _emit([b"%d\n" % (q ** (k - 1))], None)
         return 0
-    _check_size(params, facets=True)
-    facets = enumerate_facets(params) if params.q >= 1 else []
+    # the listing tests each of the (k-1)! permutations at each base point of
+    # V_{k,q-1}; the floor n! >= 2**n for n >= 4 refuses a huge k unformed
+    if q and (k - 1 >= MAX_SIZE.bit_length()
+              or comb(q + k - 2, k - 1) * factorial(k - 1) > MAX_SIZE):
+        raise CliError(f"--k/--q: k={k}, q={q} is too large: listing facets tests (k-1)! "
+                       f"permutations at C(q+k-2, k-1) base points, over {MAX_SIZE:,}")
     _emit((f"base=({','.join(map(str, v))}) pi=({','.join(map(str, pi))})\n".encode()
-           for v, pi in facets), None)
+           for v, pi in (_facets(params) if q else ())), None)
     return 0
 
 
@@ -207,11 +191,8 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 def _cmd_render(args: argparse.Namespace) -> int:
     params = _check_size(_params(args))
-    try:
-        _check_renderable(params)  # before labeling, which may fail at small q
-    except UnsupportedDimension as exc:
-        raise CliError(f"--k: {exc}") from None
-    _emit([render_svg(_label(params, None, READING_SELECTED))], args.out)
+    _check_renderable(params)  # before labeling, which may fail at small q
+    _emit([render_svg(label_all(params, None, READING_SELECTED))], args.out)
     return 0
 
 
@@ -244,8 +225,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="sweep every permutation (k <= 8)")
     p.add_argument("--threshold", type=int, default=2,
                    help="max colors allowed per edge (default 2)")
-    p.add_argument("--labels", help="verify this labeling file instead of the built-in rule")
-    p.add_argument("--reading", choices=READINGS)  # default READING_SELECTED, not with --labels
+    group = p.add_mutually_exclusive_group()  # a file is checked as it is, with no reading
+    group.add_argument("--labels", help="verify this labeling file instead of the built-in rule")
+    group.add_argument("--reading", choices=READINGS, default=READING_SELECTED)
     p.add_argument("--out", help="write the report here instead of stdout")
     p.set_defaults(handler=_cmd_verify)
 
@@ -280,14 +262,21 @@ def main(argv: list[str] | None = None) -> int:
         sys.stdout.flush()  # a closed pipe is seen here, not at interpreter exit
         return code
     except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        message = str(exc)
+    # the library errors that each blame one flag
+    except LabelUndefined as exc:  # the rule is partial below q = k
+        message = f"--q: {exc}"
+    except LabelingFormatError as exc:
+        message = f"--labels: {exc}"
+    except UnsupportedDimension as exc:
+        message = f"--k: {exc}"
     except BrokenPipeError as exc:
         # the reader closed stdout; what is still buffered goes to devnull, so
         # the flush at interpreter exit cannot raise a second time
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print(f"error: stdout: {exc}", file=sys.stderr)
-        return 2
+        message = f"stdout: {exc}"
+    print(f"error: {message}", file=sys.stderr)
+    return 2
 
 
 def run() -> None:

@@ -272,11 +272,17 @@ def enumerate_facets(params: Params) -> list[tuple[Point, Perm]]:
     count always comes out to ``q**(k-1)``, which the tests confirm against
     this very enumeration.
     """
-    base_points = enumerate_vertices(params.base())
-    perms = _permutations(params)
+    return list(_facets(params))
+
+
+def _facets(params: Params) -> Iterator[tuple[Point, Perm]]:
+    # enumerate_facets' pairs in its order, made one base point at a time from
+    # the iterator enumerate_vertices lists; params.base() is checked at the call
+    base, perms = params.base(), _permutations(params)
     forbidden = list(map(_inverse_descent_mask, perms))
-    return [(v, pi) for v, ties in zip(base_points, map(_tie_mask, base_points))
-            for pi, mask in zip(perms, forbidden) if not mask & ties]
+    bases = itertools.combinations_with_replacement(range(base.q + 1), base.k - 1)
+    return ((v, pi) for v, ties in ((v, _tie_mask(v)) for v in bases)
+            for pi, mask in zip(perms, forbidden) if not mask & ties)
 
 
 def _tie_mask(v: Point) -> int:

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import os
 import shutil
@@ -177,6 +178,21 @@ def test_all_pi_peak_memory_stays_near_the_output_size(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 1.75 * out.stat().st_size
+
+
+def test_facets_listing_peak_memory_stays_near_the_output_size(monkeypatch):
+    # each line is written as it is made, so the peak is about the output the
+    # buffer keeps; listing the pairs whole first held three to five times it
+    for k, q in [(3, 300), (4, 40), (5, 15)]:
+        buffer = io.BytesIO()
+        monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(buffer))
+        tracemalloc.start()
+        try:
+            assert main(["facets", "--k", str(k), "--q", str(q)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * len(buffer.getvalue()), (k, q)
 
 
 # Runs cli.main on argv with --out the last argument and then without it,
@@ -362,7 +378,7 @@ def test_facets_count_only_is_closed_form(capsys, monkeypatch):
     def refuse(params):
         raise AssertionError("--count-only enumerated the facets")
 
-    monkeypatch.setattr(cli, "enumerate_facets", refuse)
+    monkeypatch.setattr(cli, "_facets", refuse)
     for k, q in [(3, 2), (4, 3), (3, 0), (3, 1)]:
         assert run(capsys, "facets", "--k", str(k), "--q", str(q), "--count-only") == \
             (0, f"{q ** (k - 1)}\n", "")
@@ -384,7 +400,7 @@ def test_size_guard_refuses_before_enumerating(tmp_path, capsys, monkeypatch):
         raise AssertionError(f"enumerated an instance over the size limit: {params}")
 
     monkeypatch.setattr(lattice, "enumerate_vertices", refuse)
-    monkeypatch.setattr(cli, "enumerate_facets", refuse)
+    monkeypatch.setattr(cli, "_facets", refuse)
     out = str(tmp_path / "out")
     for argv in (
         ["label", "--k", "40", "--q", "40", "--out", out],  # |V| = C(79, 39), about 5e22
@@ -404,14 +420,20 @@ def test_size_guard_refuses_before_enumerating(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "out").exists()
 
 
-def test_size_guard_limit():
+def test_size_guard_limit(capsys, monkeypatch):
     # closed forms only: no instance at the limit is built here
     def fits(k, q, facets=False):
+        if facets:  # facets checks its own bound; the listing is patched to be empty
+            code, out, err = run(capsys, "facets", "--k", str(k), "--q", str(q))
+            assert out == "" and (code == 2) == err.startswith("error: --k/--q: "), (k, q)
+            return code == 0
         try:
-            cli._check_size(Params(k, q), facets)
+            cli._check_size(Params(k, q))
         except cli.CliError:
             return False
         return True
+
+    monkeypatch.setattr(cli, "_facets", lambda params: ())
 
     limit = cli.MAX_SIZE
     for k in range(3, 12):
@@ -478,6 +500,31 @@ def test_render(tmp_path, capsys):
     code, _, err = run(capsys, "render", "--k", "4", "--q", "2",
                        "--out", str(tmp_path / "no.svg"))
     assert code == 2 and err == "error: --k: rendering needs k=3, got k=4\n"
+
+
+UNDEFINED_AT_4_3 = ("--q: labeling rule is undefined at (1, 2, 3): the deficiency is attained "
+                    "only at index 4 (possible only for q <= k; here q=3)")
+BAD_ROWS = "--labels: row 3: wrong row count: expected at least 2**2 vertices, got 2"
+
+
+@pytest.mark.parametrize("argv, message", [
+    ("label --k 3 --q 2 --out F", "--q: labeling rule is undefined at (1, 2): the deficiency is "
+     "attained only at index 3 (possible only for q <= k; here q=2)"),
+    ("verify --k 4 --q 3 --all-pi", UNDEFINED_AT_4_3),
+    ("verify --k 4 --q 3 --pi 2,1,3", UNDEFINED_AT_4_3),
+    ("render --k 3 --q 1 --out F", "--q: labeling rule is undefined at (0, 1): the deficiency is "
+     "attained only at index 3 (possible only for q <= k; here q=1)"),
+    ("verify --k 3 --q 2 --labels BAD", BAD_ROWS),
+    ("verify --k 3 --q 2 --labels BAD --all-pi", BAD_ROWS),
+], ids=str)
+def test_library_errors_name_their_flag(argv, message, tmp_path, monkeypatch, capsys):
+    # main turns each error the library raises into the flag it blames
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "BAD").write_text(json.dumps(
+        {"k": 3, "q": 2, "rule": "x", "labels": [{"v": [0, 0], "color": 2},
+                                                 {"v": [0, 1], "color": 9}]}))
+    assert run(capsys, *argv.split()) == (2, "", f"error: {message}\n")
+    assert not (tmp_path / "F").exists()
 
 
 def test_out_flag_redirects_report(tmp_path, capsys):

@@ -9,7 +9,8 @@ verifier imports nothing of the rule's cache, only ``labeling`` decides
 whether colors and classes fit a byte, only the file reader and the
 oracle's witness call the checked ``Labeling`` constructor, once each, the
 module level holds two caches, the instance index and the rule's classes,
-and the CLI writes its output through ``cli._emit`` alone.
+the CLI writes its output through ``cli._emit`` alone, and only
+``cli.main`` turns a library error into a usage error.
 """
 
 import ast
@@ -330,6 +331,43 @@ def test_the_cli_writes_its_output_through_emit_alone():
     assert sorted(output_outside_emit(probe)) == [
         "open(path, m)", "open(path, mode='a')", "print(f'base=({base}) pi=({image})')",
         "print(n, file=sys.stdout)", "sys.stdout.buffer", "sys.stdout.write"]
+
+
+# the library errors that blame one flag, which main names in its message
+LIBRARY_ERRORS = {"LabelUndefined", "LabelingFormatError", "UnsupportedDimension"}
+
+
+def library_errors_caught(tree: ast.AST) -> tuple[list[str], set[str]]:
+    """The handlers naming a library error outside ``main``, as written,
+    and the library errors ``main`` names in its own handlers."""
+    inside = {id(node) for function in ast.walk(tree)
+              if isinstance(function, ast.FunctionDef) and function.name == "main"
+              for node in ast.walk(function)}
+    outside, in_main = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            named = mentions(node.type).keys() & LIBRARY_ERRORS
+            if id(node) in inside:
+                in_main |= named
+            elif named:
+                outside.append(ast.unparse(node.type))
+    return outside, in_main
+
+
+def test_only_main_turns_a_library_error_into_a_usage_error():
+    # every usage error leaves through main, which names the flag each
+    # library error blames; a helper that only re-raises is one step more
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    assert library_errors_caught(tree) == ([], LIBRARY_ERRORS)
+    # _label as it was, beside a handler main may hold
+    probe = ast.parse(
+        "def _label(params, pi, reading):\n    try:\n"
+        "        return label_all(params, pi, reading)\n"
+        "    except LabelUndefined as exc:\n"
+        "        raise CliError(f'--q: {exc}') from None\n"
+        "def main(argv):\n    try:\n        pass\n"
+        "    except (io.UnsupportedDimension, CliError):\n        pass\n")
+    assert library_errors_caught(probe) == (["LabelUndefined"], {"UnsupportedDimension"})
 
 
 PUBLIC = [
