@@ -4,58 +4,6 @@ hyperedge property, an exact brute-force oracle, file formats, and a CLI.
 """
 
 from ._version import __version__
-from .io import (
-    LabelingFormatError,
-    UnsupportedDimension,
-    oracle_result_to_dict,
-    read_labeling,
-    render_svg,
-    report_to_dict,
-    write_labeling,
-    write_oracle_result,
-    write_report,
-)
-from .labeling import (
-    READING_POSITION,
-    READING_SELECTED,
-    READINGS,
-    Labeling,
-    LabelUndefined,
-    argmin_index,
-    deficiency,
-    label,
-    label_all,
-    label_pi,
-    rule_descriptor,
-    selected_index_pi,
-)
-from .lattice import (
-    Hyperedge,
-    InconsistentPair,
-    Params,
-    coordinate,
-    enumerate_facets,
-    enumerate_hyperedges,
-    enumerate_vertices,
-    hyperedge,
-    identity_permutation,
-    is_consistent,
-    is_lattice_point,
-    is_permutation,
-    pi_hyperedge,
-    vertex_rank,
-    vertex_unrank,
-)
-from .oracle import OracleResult, admissible_colors, min_max_colors
-from .verify import (
-    VerificationReport,
-    check_all_pi,
-    check_colors,
-    check_sperner,
-    compare_pi_readings,
-    edge_colors,
-    full_report,
-)
 
 __all__ = [
     "__version__",
@@ -106,3 +54,67 @@ __all__ = [
     "write_oracle_result",
     "write_report",
 ]
+
+
+def __getattr__(name: str):
+    """Load the modules behind the public names on the first access to any
+    of them (PEP 562), so that importing one module, as the CLI does, loads
+    no other."""
+    if name not in __all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .io import (
+        LabelingFormatError,
+        UnsupportedDimension,
+        oracle_result_to_dict,
+        read_labeling,
+        render_svg,
+        report_to_dict,
+        write_labeling,
+        write_oracle_result,
+        write_report,
+    )
+    from .labeling import (
+        READING_POSITION,
+        READING_SELECTED,
+        READINGS,
+        Labeling,
+        LabelUndefined,
+        argmin_index,
+        deficiency,
+        label,
+        label_all,
+        label_pi,
+        rule_descriptor,
+        selected_index_pi,
+    )
+    from .lattice import (
+        Hyperedge,
+        InconsistentPair,
+        Params,
+        coordinate,
+        enumerate_facets,
+        enumerate_hyperedges,
+        enumerate_vertices,
+        hyperedge,
+        identity_permutation,
+        is_consistent,
+        is_lattice_point,
+        is_permutation,
+        pi_hyperedge,
+        vertex_rank,
+        vertex_unrank,
+    )
+    from .oracle import OracleResult, admissible_colors, min_max_colors
+    from .verify import (
+        VerificationReport,
+        check_all_pi,
+        check_colors,
+        check_sperner,
+        compare_pi_readings,
+        edge_colors,
+        full_report,
+    )
+
+    names = locals()
+    globals().update((key, names[key]) for key in __all__ if key in names)
+    return globals()[name]

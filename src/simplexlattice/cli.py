@@ -21,6 +21,7 @@ from .io import (
     UnsupportedDimension,
     _check_renderable,
     _report_json,
+    _written_header,
     read_labeling,
     render_svg,
     report_to_dict,
@@ -30,8 +31,6 @@ from .io import (
 )
 from .labeling import READING_SELECTED, READINGS, LabelUndefined, label_all
 from .lattice import Params, Perm, _facets, _permutations, is_permutation
-from .oracle import min_max_colors
-from .verify import full_report
 
 MAX_ALL_PI_K = 8  # (k-1)! sweeps; 7! = 5040 is the most that stays interactive
 # The most one command builds, checked from closed forms: k entries per
@@ -44,6 +43,21 @@ MAX_SIZE = 1_000_000
 # each of the MAX_SIZE numbers a valid file holds (JSON at (3,814)).
 MAX_LABELS_BYTES = 32 * MAX_SIZE
 MAX_COUNT_DIGITS = 4300  # the most int -> str writes by default, for facets --count-only
+
+
+# verify and oracle load on a command's first call into them: no command
+# needs both, and label and render need neither.  These stay two functions
+# that import on every call, so that a wrapper put in their place sees each one.
+def full_report(*args, **kwargs):
+    """:func:`simplexlattice.verify.full_report`."""
+    from .verify import full_report
+    return full_report(*args, **kwargs)
+
+
+def min_max_colors(*args, **kwargs):
+    """:func:`simplexlattice.oracle.min_max_colors`."""
+    from .oracle import min_max_colors
+    return min_max_colors(*args, **kwargs)
 
 
 class CliError(Exception):
@@ -103,13 +117,18 @@ def _load_labels(path: str, params: Params):
     if len(data) > MAX_LABELS_BYTES:
         raise CliError(f"--labels: {path} is over {MAX_LABELS_BYTES:,} bytes, "
                        "more than a labeling file for any allowed --k/--q")
+    header = _written_header(data)
+    if header is not None:  # where the writer puts it, the header is read before any row
+        _check_instance(header[1], params)
     labeling = read_labeling(data)
-    if labeling.params != params:
-        raise CliError(
-            f"--labels: file is for k={labeling.params.k}, q={labeling.params.q}; "
-            f"flags say k={params.k}, q={params.q}"
-        )
+    _check_instance(labeling.params, params)
     return labeling
+
+
+def _check_instance(found: Params, params: Params) -> None:
+    if found != params:
+        raise CliError(f"--labels: file is for k={found.k}, q={found.q}; "
+                       f"flags say k={params.k}, q={params.q}")
 
 
 def _cmd_label(args: argparse.Namespace) -> int:

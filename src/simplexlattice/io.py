@@ -9,6 +9,7 @@ verified later.
 from __future__ import annotations
 
 import json
+import re
 
 from ._version import __version__ as TOOL_VERSION
 from .labeling import Labeling
@@ -40,29 +41,52 @@ def _check_renderable(params: Params) -> None:
         raise UnsupportedDimension(f"rendering needs k=3, got k={params.k}")
 
 
-def _labeling_json(labeling: Labeling, indent: int = 0) -> str:
+def _labeling_json(params: Params, colors: tuple[int, ...], rule: str,
+                   indent: int = 0) -> str:
     """A labeling's JSON object (``k``, ``q``, ``rule``, ``version``, then
     ``labels``: ``{"v": [...], "color": c}`` per vertex in rank order) as
     ``json.dumps(indent=2)`` lays it out, each line after the first shifted
     right by ``indent`` spaces, as it reads nested at that depth.  The rows
     come from one ``%d`` template, the text ``json.dumps`` gives the exact
     ints a Labeling holds, without the pure-Python encoder ``indent`` picks."""
-    params, pad = labeling.params, " " * indent
+    pad = " " * indent
     coords = f",\n{pad}        ".join(["%d"] * (params.k - 1))
     row = (f'{pad}    {{\n{pad}      "v": [\n{pad}        {coords}\n{pad}      ],\n'
            f'{pad}      "color": %d\n{pad}    }}')
     rows = ",\n".join([row % (*v, c) for v, c in
-                       zip(_instance_index(params).vertices, labeling.colors)])
-    return (
-        f'{{\n{pad}  "k": {params.k},\n{pad}  "q": {params.q},\n'
-        f'{pad}  "rule": {json.dumps(labeling.rule)},\n'
-        f'{pad}  "version": {json.dumps(TOOL_VERSION)},\n'
-        f'{pad}  "labels": [\n{rows}\n{pad}  ]\n{pad}}}'
-    )
+                       zip(_instance_index(params).vertices, colors)])
+    return f'{_header_text(params, rule, "json", pad)}{rows}\n{pad}  ]\n{pad}}}'
+
+
+def _header_text(params: Params, rule: str, format: str, pad: str = "") -> str:
+    """The six lines :func:`write_labeling` writes above the rows, each with
+    its line break; in JSON each line after the first shifted right by ``pad``."""
+    if format == "json":
+        return (f'{{\n{pad}  "k": {params.k},\n{pad}  "q": {params.q},\n'
+                f'{pad}  "rule": {json.dumps(rule)},\n'
+                f'{pad}  "version": {json.dumps(TOOL_VERSION)},\n{pad}  "labels": [\n')
+    return (f"# simplexlattice labeling\n# version: {TOOL_VERSION}\n# k: {params.k}\n"
+            f"# q: {params.q}\n# rule: {rule}\n{_column_row(params.k)}\n")
 
 
 def _column_row(k: int) -> str:
     return ",".join([f"v{i}" for i in range(1, k)] + ["color"])
+
+
+def _fits_csv_header(rule: str) -> bool:
+    # a CSV header line holds no line break, and the reader strips its ends
+    return rule == rule.strip() and len(f"{rule}.".splitlines()) == 1
+
+
+def _labeling_text(params: Params, colors: tuple[int, ...], rule: str, format: str) -> bytes:
+    """What :func:`write_labeling` writes for a labeling with these fields."""
+    if format == "json":
+        return (_labeling_json(params, colors, rule) + "\n").encode()
+    if not _fits_csv_header(rule):
+        raise ValueError(f"rule {rule!r} does not fit a CSV header line; write JSON")
+    row = ",".join(["%d"] * params.k)  # str(n) for the exact ints Labeling holds
+    rows = [row % (*v, c) for v, c in zip(_instance_index(params).vertices, colors)]
+    return (_header_text(params, rule, "csv") + "\n".join(rows) + "\n").encode()
 
 
 def write_labeling(labeling: Labeling, format: str = "json") -> bytes:
@@ -75,23 +99,7 @@ def write_labeling(labeling: Labeling, format: str = "json") -> bytes:
     """
     if format not in FORMATS:
         raise ValueError(f"unknown format {format!r}; expected one of {FORMATS}")
-    if format == "json":
-        return (_labeling_json(labeling) + "\n").encode()
-
-    params, rule = labeling.params, labeling.rule
-    if rule != rule.strip() or len(f"{rule}.".splitlines()) > 1:
-        raise ValueError(f"rule {rule!r} does not fit a CSV header line; write JSON")
-    lines = [
-        "# simplexlattice labeling",
-        f"# version: {TOOL_VERSION}",
-        f"# k: {params.k}",
-        f"# q: {params.q}",
-        f"# rule: {rule}",
-        _column_row(params.k),
-    ]
-    row = ",".join(["%d"] * params.k)  # str(n) for the exact ints Labeling holds
-    lines += [row % (*v, c) for v, c in zip(_instance_index(params).vertices, labeling.colors)]
-    return ("\n".join(lines) + "\n").encode()
+    return _labeling_text(labeling.params, labeling.colors, labeling.rule, format)
 
 
 def _int(text: str) -> int | None:
@@ -231,24 +239,102 @@ def _read_csv(text: str) -> tuple[Params, str, list, int]:
     return params, rule, rows, len(lines) + 1
 
 
-def read_labeling(data: bytes) -> Labeling:
-    """Parse a labeling file written by :func:`write_labeling`.
+# Where write_labeling puts k, q and the rule: on three lines from the
+# second (JSON) or the third (CSV), each behind its key and, in JSON, before
+# a comma; the rows follow the header's six lines.
+_HEADER = {"json": (1, b'  "%s": ', b","), "csv": (2, b"# %s: ", b"")}
+# what precedes each color where write_labeling puts it, up to its line's end
+_COLOR = {"json": rb'"color": ([0-9]+)\n', "csv": rb",([0-9]+)\n"}
 
-    The format is sniffed: JSON when the first character after any
-    leading whitespace is ``{``, ``[`` or a byte order mark, CSV otherwise,
-    so that a JSON file of the wrong shape, or one behind a byte order
-    mark, is refused as JSON.  Raises LabelingFormatError with the
-    offending row number for malformed rows, wrong row counts, out-of-range
-    colors, and duplicate vertices; any other undecodable input raises it
-    too.
-    """
+
+def _written_header(data: bytes) -> tuple[str, Params, str, bytes] | None:
+    """The format, instance and rule of a labeling file, read off the lines
+    where :func:`write_labeling` puts them, and the header's six lines; None
+    where those lines say otherwise.  Never raises."""
+    stop = -1
+    for _ in range(6):  # the header alone is copied, not the rows
+        stop = data.find(b"\n", stop + 1)
+        if stop < 0:
+            return None
+    head = data[:stop + 1]
+    fmt = "json" if head[:1] == b"{" else "csv"
+    first, key, end = _HEADER[fmt]
+    values = []
+    for name, line in zip((b"k", b"q", b"rule"), head.split(b"\n")[first:first + 3]):
+        start = key % name
+        if not (line.startswith(start) and line.endswith(end)):
+            return None
+        values.append(line[len(start):len(line) - len(end)])
+    try:
+        k, q, rule = [value.decode() for value in values]
+        rule = json.loads(rule) if fmt == "json" else rule
+        params = Params(_int(k), _int(q))  # an int's own spelling, or None
+    except (ValueError, RecursionError):  # UnicodeDecodeError and JSONDecodeError included
+        return None
+    return (fmt, params, rule, head) if type(rule) is str else None
+
+
+def _read_written(data: bytes) -> tuple[Params, tuple[int, ...], str] | None:
+    """The fields of the labeling that :func:`write_labeling` writes as
+    exactly ``data``, or None.  The header is compared with the writer's,
+    the colors are taken from where the writer puts them and checked as
+    :func:`_check_rows` checks a file's rows, and the whole is written again
+    and compared with ``data``; so what it returns is what the row reader
+    makes of ``data``.  Never raises."""
+    header = _written_header(data)
+    if header is None:
+        return None
+    fmt, params, rule, head = header
+    # the width first, as _read_csv has it: k comes from the header and may be huge
+    if fmt == "csv" and (head.split(b"\n")[5].count(b",") + 1 != params.k
+                         or not _fits_csv_header(rule)):  # the writer raises on those
+        return None
+    if head != _header_text(params, rule, fmt).encode():
+        return None
+    spelled = re.compile(_COLOR[fmt]).findall(data, len(head))
+    # the floor first, as _check_rows has it, so that no binomial is formed
+    # before it holds; then each of the writer's rows spends at least two
+    # bytes on each of its k entries, so no vertex is enumerated for a file
+    # too short to hold them
+    if (min(params.k - 1, params.q) >= len(spelled).bit_length()
+            or len(spelled) != params.num_vertices
+            or len(spelled) * params.k > len(data)):
+        return None
+    try:
+        colors = tuple(map(int, spelled))
+    except ValueError:  # more digits than int() reads
+        return None
+    if (not 1 <= min(colors) <= max(colors) <= params.k
+            or _labeling_text(params, colors, rule, fmt) != data):
+        return None
+    return params, colors, rule
+
+
+def _read_rows(data: bytes) -> tuple[Params, tuple[int, ...], str]:
+    """The fields of the labeling in ``data``, parsed row by row."""
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise LabelingFormatError(f"not UTF-8 text: {exc}") from None
     read = _read_json if text.lstrip()[:1] in ("{", "[", "\ufeff") else _read_csv
     params, rule, rows, end_row = read(text)
-    return Labeling(params, _check_rows(rows, params, end_row), rule)
+    return params, _check_rows(rows, params, end_row), rule
+
+
+def read_labeling(data: bytes) -> Labeling:
+    """Parse a labeling file written by :func:`write_labeling`.
+
+    Bytes that are exactly what this version's writer writes are read back
+    by one comparison; any other file is parsed row by row, to the same
+    labeling or the same error.  The format is sniffed: JSON when the first
+    character after any leading whitespace is ``{``, ``[`` or a byte order
+    mark, CSV otherwise, so that a JSON file of the wrong shape, or one
+    behind a byte order mark, is refused as JSON.  Raises
+    LabelingFormatError with the offending row number for malformed rows,
+    wrong row counts, out-of-range colors, and duplicate vertices; any other
+    undecodable input raises it too.
+    """
+    return Labeling(*(_read_written(data) or _read_rows(data)))
 
 
 def report_to_dict(report, max_violations: int = 100) -> dict:
@@ -309,7 +395,8 @@ def write_oracle_result(result) -> bytes:
     head = json.dumps(dict(k=params.k, q=params.q, edge_rule=result.edge_rule,
                            min_max_colors=result.min_max_colors, exhausted=result.exhausted,
                            nodes_explored=result.nodes_explored), indent=2)[:-2]  # without "\n}"
-    witness = "null" if result.witness is None else _labeling_json(result.witness, 2)
+    w = result.witness
+    witness = "null" if w is None else _labeling_json(w.params, w.colors, w.rule, 2)
     return f'{head},\n  "witness": {witness}\n}}\n'.encode()
 
 
@@ -330,10 +417,11 @@ def render_svg(labeling: Labeling) -> bytes:
     size, margin = 480.0, 40.0
     scale = (size - 2 * margin) / max(params.q, 1)
 
-    def place(v: Point) -> tuple[str, str]:
-        x = margin + v[0] * scale
-        y = size - margin - v[1] * scale
-        return f"{x:.1f}", f"{y:.1f}"
+    index = _instance_index(params)
+    # each vertex's x and y text, once, by rank
+    placed = [(f"{margin + v[0] * scale:.1f}", f"{size - margin - v[1] * scale:.1f}")
+              for v in index.vertices]
+    point = [f"{x},{y}" for x, y in placed]
 
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -341,17 +429,15 @@ def render_svg(labeling: Labeling) -> bytes:
         f'width="{size:.0f}" height="{size:.0f}" '
         f'viewBox="0 0 {size:.0f} {size:.0f}">',
     ]
-    index = _instance_index(params)
     # by base rank; the stable sort keeps (1,2) before (2,1) as enumerate_facets does
     for cell in sorted(index.cells((1, 2)) + index.cells((2, 1)), key=lambda cell: cell[0]):
-        points = " ".join(",".join(place(index.vertices[r])) for r in cell)
+        points = " ".join([point[r] for r in cell])
         parts.append(
             f'  <polygon points="{points}" fill="none" '
             f'stroke="#888888" stroke-width="1"/>'
         )
     radius = min(6.0, scale * 0.3)
-    for v, c in zip(index.vertices, labeling.colors):
-        x, y = place(v)
+    for (x, y), c in zip(placed, labeling.colors):
         parts.append(
             f'  <circle cx="{x}" cy="{y}" r="{radius:.1f}" '
             f'fill="{PALETTE[c]}" stroke="#333333" stroke-width="1"/>'

@@ -262,6 +262,22 @@ def test_verify_external_labels(tmp_path, capsys):
     assert code == 2 and "--labels" in err and "not UTF-8" in err
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_labels_for_another_instance_are_refused_from_their_header(fmt, tmp_path, capsys,
+                                                                   monkeypatch):
+    # the header where the writer puts it names the instance; no row is parsed
+    path = tmp_path / f"k3q300.{fmt}"
+    path.write_bytes(write_labeling(label_all(Params(3, 300)), fmt))
+
+    def unread(data):
+        pytest.fail("read_labeling was called")
+
+    monkeypatch.setattr(cli, "read_labeling", unread)
+    code, out, err = run(capsys, "verify", "--k", "3", "--q", "4", "--labels", str(path))
+    assert (code, out, err) == (2, "", "error: --labels: file is for k=3, q=300; "
+                                       "flags say k=3, q=4\n")
+
+
 @pytest.mark.parametrize("extra", [(), ("--reading", "position")])
 def test_verify_reads_an_empty_labels_path_as_a_path(capsys, extra):
     # "" names no file, so it is refused like any other such path, not taken

@@ -1,4 +1,5 @@
 import json
+import time
 from math import comb
 
 import pytest
@@ -28,6 +29,9 @@ from simplexlattice import (
     write_oracle_result,
     write_report,
 )
+import simplexlattice.io
+from simplexlattice import lattice
+from simplexlattice.io import _header_text, _read_rows, _read_written, _written_header
 
 
 def roundtrip(labeling, fmt):
@@ -360,10 +364,91 @@ def mutated_files(draw, files=SMALL_FILES + WIDER_FILES):
 @given(st.one_of(st.binary(max_size=256), mutated_files()))
 def test_any_bytes_give_a_labeling_or_a_format_error(data):
     try:
+        fields = _read_rows(data)
+    except LabelingFormatError:
+        fields = None
+    assert _read_written(data) in (None, fields)  # one comparison agrees, or steps aside
+    try:
         labeling = read_labeling(data)
     except LabelingFormatError:
         return
     assert isinstance(labeling, Labeling)
+
+
+WRITTEN = [
+    *(label_all(Params(k, q)) for k, q in ((3, 4), (4, 5), (6, 10), (8, 8), (10, 10))),
+    label_all(Params(4, 5), (2, 3, 1)),
+    min_max_colors(Params(3, 2)).witness,  # rule "oracle-witness"
+    *(Labeling(Params(3, 3), label_all(Params(3, 3)).colors, rule)
+      for rule in ('say "two"', "back\\slash", "na\u00efve \u2603", "line\u2028break")),
+]
+
+
+@pytest.mark.parametrize("labeling", WRITTEN, ids=lambda labeling: labeling.rule)
+def test_written_files_are_read_back_by_one_comparison(labeling):
+    fields = (labeling.params, labeling.colors, labeling.rule)
+    formats = ["json", "csv"] if "\u2028" not in labeling.rule else ["json"]
+    for fmt in formats:
+        data = write_labeling(labeling, fmt)
+        assert _read_written(data) == _read_rows(data) == fields, fmt
+        assert read_labeling(data) == labeling
+    # the same labeling in a layout the writer does not make goes row by row
+    json_data = write_labeling(labeling).replace(__version__.encode(), b"0.0.0", 1)
+    assert _read_written(json_data) is None and _read_rows(json_data) == fields
+    if "csv" in formats:
+        crlf = write_labeling(labeling, "csv").replace(b"\n", b"\r\n")
+        assert _read_written(crlf) is None and _read_rows(crlf) == fields
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_a_huge_header_is_refused_unformed(fmt, monkeypatch):
+    # no binomial C(2 * 10**6 - 1, 10**6 - 1) is formed on the way to the refusal
+    def no_binomial(*args):
+        pytest.fail("a binomial was formed")
+
+    data = write_labeling(label_all(Params(3, 3)), fmt)
+    for key in ("k", "q"):
+        line = f'  "{key}": 3,\n' if fmt == "json" else f"# {key}: 3\n"
+        assert line.encode() in data
+        data = data.replace(line.encode(), line.replace("3", "1000000").encode(), 1)
+    monkeypatch.setattr(lattice, "comb", no_binomial)
+    start = time.perf_counter()
+    assert _read_written(data) is None
+    with pytest.raises(LabelingFormatError):
+        read_labeling(data)
+    assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_a_wide_header_over_short_rows_is_refused_unenumerated(fmt, monkeypatch):
+    # C(20000, 19999) = 20000 short rows pass the row-count checks; the
+    # writer's rows for k = 20000 would fill some 800 MB, so no vertex of
+    # V_{20000,1} is enumerated on the way to the refusal
+    def no_vertices(*args):
+        pytest.fail("vertices were enumerated")
+
+    k = 20000
+    row = b'      "color": 1\n' if fmt == "json" else b"0,1\n"
+    data = _header_text(Params(k, 1), "identity", fmt).encode() + row * k
+    assert _written_header(data)[1] == Params(k, 1)
+    monkeypatch.setattr(lattice, "enumerate_vertices", no_vertices)
+    assert _read_written(data) is None
+    with pytest.raises(LabelingFormatError):
+        read_labeling(data)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_another_versions_file_goes_to_the_row_reader_unwritten(fmt, monkeypatch):
+    # a header that differs from this version's writer is found out before
+    # the colors are gathered and the file is written again
+    def unwritten(*args):
+        pytest.fail("the file was written again")
+
+    labeling = label_all(Params(8, 8))
+    data = write_labeling(labeling, fmt).replace(__version__.encode(), b"0.0.0", 1)
+    monkeypatch.setattr(simplexlattice.io, "_labeling_text", unwritten)
+    assert _read_written(data) is None
+    assert read_labeling(data) == labeling
 
 
 def _data_rows(data: bytes) -> list[str]:

@@ -9,12 +9,16 @@ verifier imports nothing of the rule's cache, only ``labeling`` decides
 whether colors and classes fit a byte, only the file reader and the
 oracle's witness call the checked ``Labeling`` constructor, once each, the
 module level holds two caches, the instance index and the rule's classes,
-the CLI writes its output through ``cli._emit`` alone, and only
-``cli.main`` turns a library error into a usage error.
+the CLI writes its output through ``cli._emit`` alone, only
+``cli.main`` turns a library error into a usage error, each command loads
+only the modules it runs, and the benchmark tracer's wrappers see every call.
 """
 
 import ast
 import json
+import os
+import subprocess
+import sys
 import warnings
 from collections import Counter
 from pathlib import Path
@@ -442,3 +446,55 @@ def test_benchmark_tracer_call_shapes_reach_the_package():
                 assert json.loads(cli.write_report(report)) == cli.report_to_dict(report)
             assert cli.render_svg(labeling).startswith(b"<?xml")
         assert len(lattice.enumerate_facets(params)) == q ** (k - 1)
+
+
+def test_benchmark_tracer_wrappers_see_every_call(capsys, monkeypatch):
+    # the traced pass puts wrappers in place of cli's names before the first
+    # call; a name that put the loaded function in its own place on that call
+    # would hand every later call past the wrapper
+    for name, argv, calls in (
+            ("full_report", ["verify", "--k", "4", "--q", "5", "--all-pi"], 6),  # one per pi
+            ("min_max_colors", ["oracle", "--k", "3", "--q", "3"], 1)):
+        seen = []
+
+        def counting(*args, inner=getattr(cli, name), seen=seen, **kwargs):
+            seen.append(args)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, counting)
+        assert cli.main(argv) == 0
+        assert len(seen) == calls, name
+        capsys.readouterr()
+
+
+# Runs the CLI, or imports the package when no argument is given, and writes
+# to stderr the package modules that are loaded afterwards.
+LOADED = """\
+import runpy, sys
+if len(sys.argv) > 1:
+    try:
+        runpy.run_module("simplexlattice.cli", run_name="__main__")
+    except SystemExit as exc:
+        assert exc.code == 0, exc.code
+else:
+    import simplexlattice
+print(" ".join(sorted(name.partition(".")[2] for name in sys.modules
+                      if name.startswith("simplexlattice."))), file=sys.stderr)
+"""
+
+
+def test_each_command_loads_only_the_modules_it_needs(tmp_path):
+    # no command needs both verify and oracle, and label and render need
+    # neither; the package on its own loads nothing but its version
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    base = "_version io labeling lattice"
+    for argv, loaded in (
+            ([], "_version"),
+            (["label", "--k", "4", "--q", "5", "--out", "l.csv", "--format", "csv"], base),
+            (["render", "--k", "3", "--q", "4", "--out", "r.svg"], base),
+            (["verify", "--k", "4", "--q", "5", "--labels", "l.csv", "--out", "v.json"],
+             f"{base} verify"),
+            (["oracle", "--k", "3", "--q", "3", "--out", "o.json"], f"{base} oracle")):
+        proc = subprocess.run([sys.executable, "-c", LOADED, *argv], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, loaded + "\n"), argv
