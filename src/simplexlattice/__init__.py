@@ -65,8 +65,6 @@ def __getattr__(name: str):
     from .io import (
         LabelingFormatError,
         UnsupportedDimension,
-        oracle_result_to_dict,
-        read_labeling,
         render_svg,
         report_to_dict,
         write_labeling,
@@ -79,41 +77,41 @@ def __getattr__(name: str):
         READINGS,
         Labeling,
         LabelUndefined,
-        argmin_index,
-        deficiency,
-        label,
         label_all,
-        label_pi,
         rule_descriptor,
-        selected_index_pi,
     )
     from .lattice import (
-        Hyperedge,
-        InconsistentPair,
         Params,
-        coordinate,
         enumerate_facets,
-        enumerate_hyperedges,
         enumerate_vertices,
-        hyperedge,
         identity_permutation,
-        is_consistent,
         is_lattice_point,
         is_permutation,
-        pi_hyperedge,
         vertex_rank,
-        vertex_unrank,
     )
-    from .oracle import OracleResult, admissible_colors, min_max_colors
-    from .verify import (
-        VerificationReport,
-        check_all_pi,
-        check_colors,
+    from .oracle import OracleResult, min_max_colors
+    from .readers import read_labeling
+    from .reference import (
+        Hyperedge,
+        InconsistentPair,
+        admissible_colors,
+        argmin_index,
         check_sperner,
         compare_pi_readings,
+        coordinate,
+        deficiency,
         edge_colors,
-        full_report,
+        enumerate_hyperedges,
+        hyperedge,
+        is_consistent,
+        label,
+        label_pi,
+        oracle_result_to_dict,
+        pi_hyperedge,
+        selected_index_pi,
+        vertex_unrank,
     )
+    from .verify import VerificationReport, check_all_pi, check_colors, full_report
 
     names = locals()
     globals().update((key, names[key]) for key in __all__ if key in names)

@@ -21,8 +21,6 @@ from .io import (
     UnsupportedDimension,
     _check_renderable,
     _report_json,
-    _written_header,
-    read_labeling,
     render_svg,
     report_to_dict,
     write_labeling,
@@ -45,9 +43,10 @@ MAX_LABELS_BYTES = 32 * MAX_SIZE
 MAX_COUNT_DIGITS = 4300  # the most int -> str writes by default, for facets --count-only
 
 
-# verify and oracle load on a command's first call into them: no command
-# needs both, and label and render need neither.  These stay two functions
-# that import on every call, so that a wrapper put in their place sees each one.
+# verify, oracle and the file readers load on a command's first call into
+# them: no command needs both verify and oracle, label and render need
+# neither, and only verify --labels reads a file.  These stay functions that
+# import on every call, so that a wrapper put in their place sees each one.
 def full_report(*args, **kwargs):
     """:func:`simplexlattice.verify.full_report`."""
     from .verify import full_report
@@ -58,6 +57,12 @@ def min_max_colors(*args, **kwargs):
     """:func:`simplexlattice.oracle.min_max_colors`."""
     from .oracle import min_max_colors
     return min_max_colors(*args, **kwargs)
+
+
+def read_labeling(data):
+    """:func:`simplexlattice.readers.read_labeling`."""
+    from .readers import read_labeling
+    return read_labeling(data)
 
 
 class CliError(Exception):
@@ -117,6 +122,7 @@ def _load_labels(path: str, params: Params):
     if len(data) > MAX_LABELS_BYTES:
         raise CliError(f"--labels: {path} is over {MAX_LABELS_BYTES:,} bytes, "
                        "more than a labeling file for any allowed --k/--q")
+    from .readers import _written_header
     header = _written_header(data)
     if header is not None:  # where the writer puts it, the header is read before any row
         _check_instance(header[1], params)

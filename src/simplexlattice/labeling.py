@@ -15,7 +15,7 @@ scan order, and that is where the permutation variants differ:
 The selected-index reading is the one with the guarantee (its color always
 satisfies the admissibility constraint ``v_c > v_{c-1}``).  The position
 reading is kept only so the verifier can demonstrate that it breaks
-admissibility; see :func:`simplexlattice.verify.compare_pi_readings`.
+admissibility; see :func:`simplexlattice.reference.compare_pi_readings`.
 
 Whenever ``q >= k`` the rules are total.  For ``q < k`` some points attain
 their deficiency only at index ``k``, where no color exists; those raise
@@ -35,10 +35,8 @@ from .lattice import (
     Perm,
     Point,
     _check_permutation,
-    _coordinates,
     _Frozen,
     _instance_index,
-    identity_permutation,
     vertex_rank,
 )
 
@@ -105,62 +103,9 @@ class Labeling(_Frozen):
         return self.colors[vertex_rank(v, self.params)]
 
 
-def deficiency(v: Point, params: Params) -> int:
-    """``max{t - v_t}`` over the extended index range [0, k]; never negative."""
-    return max(t - x for t, x in enumerate(_coordinates(v, params)))
-
-
-def argmin_index(v: Point, params: Params) -> int:
-    """Smallest index attaining the deficiency; 0 exactly when it is 0."""
-    return selected_index_pi(v, identity_permutation(params), params)
-
-
-def label(v: Point, params: Params) -> int:
-    """The identity-rule color ``argmin_index(v) + 1``.
-
-    The returned color ``c`` always satisfies ``v_c > v_{c-1}``: an index
-    attaining the maximum of ``t - v_t`` has a strictly larger successor
-    coordinate, otherwise the successor would exceed the maximum.
-    """
-    return label_pi(v, identity_permutation(params), params)
-
-
-def _scan(v: Point, pi: Perm, params: Params) -> tuple[int, int]:
-    # first scan position whose index attains the deficiency -> (position, index)
-    gaps = [t - x for t, x in enumerate(_coordinates(v, params))]
-    r = max(gaps)
-    for t, idx in enumerate((0, *_check_permutation(pi, params), params.k)):
-        if gaps[idx] == r:
-            return t, idx
-    raise AssertionError("deficiency is attained somewhere by construction")
-
-
-def selected_index_pi(v: Point, pi: Perm, params: Params) -> int:
-    """The attaining coordinate index found first in the scan order
-    ``0, pi(1), ..., pi(k-1), k``; equals :func:`argmin_index` for the
-    identity permutation."""
-    return _scan(v, pi, params)[1]
-
-
 def _check_reading(reading: str) -> None:
     if reading not in READINGS:
         raise ValueError(f"unknown reading {reading!r}; expected one of {READINGS}")
-
-
-def label_pi(v: Point, pi: Perm, params: Params, reading: str = READING_SELECTED) -> int:
-    """The permutation-rule color.
-
-    With the default selected-index reading the admissibility constraint
-    holds for the returned color, same argument as for :func:`label`.  The
-    position reading does not carry that guarantee.
-    """
-    _check_reading(reading)
-    t, idx = _scan(v, pi, params)
-    if idx == params.k:
-        # both readings run out of colors in the same situation: the scan
-        # found the deficiency nowhere before position k
-        raise LabelUndefined(v, params)
-    return idx + 1 if reading == READING_SELECTED else t + 1
 
 
 def _pi_descriptor(pi: Perm | None) -> str:
@@ -219,7 +164,7 @@ def label_all(params: Params, pi: Perm | None = None,
     Total for ``q >= k``; below that, :class:`LabelUndefined` names the
     first vertex whose class is index ``k`` alone.
 
-    Equal pointwise to :func:`label` and :func:`label_pi`, but the classes
+    Equal pointwise to ``reference.label`` and ``label_pi``, but the classes
     of :func:`_attaining_masks` are worked out once per instance, so only
     the tie-break of the scan order is worked out per rule: one walk of
     the scan order settles each class present at the first index it holds,
@@ -232,7 +177,7 @@ def label_all(params: Params, pi: Perm | None = None,
     pi = None if pi is None else _check_permutation(pi, params)
     rule = rule_descriptor(pi, reading)  # refuses an unknown reading before any work
     classes, present, rows = _attaining_masks(params)
-    if 1 << k - 1 in present:  # index k alone attains: no color there (see label_pi)
+    if 1 << k - 1 in present:  # index k alone attains: no color there (see reference.label_pi)
         raise LabelUndefined(_instance_index(params).vertices[classes.index(1 << k - 1)], params)
     table = bytearray(256) if type(classes) is bytes else {}  # color per class
     table[0] = 1  # index 0 is first in every scan order

@@ -4,7 +4,7 @@ Conventions used throughout the package:
 
 * An instance is a pair ``(k, q)``.  Points live in ``Z^(k-1)`` and satisfy
   ``0 <= v_1 <= ... <= v_{k-1} <= q``.  Two virtual coordinates are fixed,
-  ``v_0 = 0`` and ``v_k = q``; :func:`coordinate` applies that convention.
+  ``v_0 = 0`` and ``v_k = q``; ``_coordinates`` applies that convention.
 * Points and permutations are plain tuples of ints.  A permutation is stored
   in one-line image notation ``(p(1), ..., p(k-1))`` over ``{1, ..., k-1}``.
 * Every enumeration is lexicographic.  Nothing about the mathematics forces
@@ -27,18 +27,13 @@ Point = tuple[int, ...]
 Perm = tuple[int, ...]
 
 
-class InconsistentPair(ValueError):
-    """A (point, permutation) pair that is not a cell of the subdivision."""
-
-
 class _Record:
     """A record of named fields: ``==`` between instances of one class
-    compares the fields in ``_fields`` order, and ``repr`` lists those in
-    ``_shown`` by name.  Mutable records are unhashable."""
+    compares the fields in ``_fields`` order, and ``repr`` lists them by
+    name.  Mutable records are unhashable."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
-    _shown: tuple[str, ...] | None = None  # None shows every field
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])
@@ -51,8 +46,7 @@ class _Record:
     __hash__ = None
 
     def __repr__(self) -> str:
-        shown = self._fields if self._shown is None else self._shown
-        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in shown])
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
         return f"{type(self).__qualname__}({fields})"
 
 
@@ -100,30 +94,6 @@ class Params(_Frozen):
         if self.q < 1:
             raise ValueError("base lattice requires q >= 1")
         return Params(self.k, self.q - 1)
-
-
-class Hyperedge(_Frozen):
-    """An ordered k-vertex cell of the subdivision.
-
-    ``vertices[0]`` is the base point; ``vertices[j]`` adds the unit vectors
-    ``e_{perm(k-1)}, ..., e_{perm(k-j)}`` to it.  Instances compare and hash
-    by value.
-    """
-
-    __slots__ = _fields = ("base", "perm", "vertices")
-    _shown = ("base", "perm")
-
-    def __init__(self, base: Point, perm: Perm, vertices: tuple[Point, ...]) -> None:
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "perm", perm)
-        object.__setattr__(self, "vertices", vertices)
-
-
-def coordinate(v: Point, t: int, params: Params) -> int:
-    """Coordinate ``v_t`` under the convention ``v_0 = 0`` and ``v_k = q``."""
-    if type(t) is not int or not 0 <= t <= params.k:  # exact: bool subclasses int
-        raise ValueError(f"coordinate index {t!r} outside [0, {params.k}]")
-    return _coordinates(v, params)[t]
 
 
 def is_lattice_point(v: Point, params: Params) -> bool:
@@ -192,77 +162,6 @@ def vertex_rank(v: Point, params: Params) -> int:
     # each coordinate counts the tuples below it that share the prefix before it
     return sum(_prefix_count(lo, x, params.q, m - 1 - i)
                for i, (lo, x) in enumerate(zip(padded, padded[1:-1])))
-
-
-def vertex_unrank(rank: int, params: Params) -> Point:
-    """Inverse of :func:`vertex_rank`; digits are recovered by binary search."""
-    if type(rank) is not int or not 0 <= rank < params.num_vertices:
-        raise ValueError(f"rank {rank!r} outside [0, {params.num_vertices})")
-    coords = []
-    lo = 0
-    m = params.k - 1
-    for i in range(m):
-        tail = m - 1 - i
-        # largest digit x with _prefix_count(lo, x, ...) <= rank
-        low, high = lo, params.q
-        while low < high:
-            mid = (low + high + 1) // 2
-            if _prefix_count(lo, mid, params.q, tail) <= rank:
-                low = mid
-            else:
-                high = mid - 1
-        rank -= _prefix_count(lo, low, params.q, tail)
-        coords.append(low)
-        lo = low
-    return tuple(coords)
-
-
-def is_consistent(pi: Perm, v: Point) -> bool:
-    """Whether ``i`` precedes ``i + 1`` in ``pi`` wherever ``v_i = v_{i+1}``.
-
-    Exactly the consistent pairs index cells of the subdivision; the
-    identity permutation is consistent with every point.  Raises
-    ValueError unless ``pi`` is a permutation image over ``1..len(pi)``
-    and ``v`` has ``len(pi)`` coordinates.
-    """
-    pi = _check_permutation(pi)
-    if len(v) != len(pi):
-        raise ValueError(f"point {v!r} does not have the {len(pi)} coordinates of {pi!r}")
-    return not _inverse_descent_mask(pi) & _tie_mask(v)
-
-
-def pi_hyperedge(v: Point, pi: Perm, params: Params) -> Hyperedge:
-    """The cell based at ``v`` with increments applied in order
-    ``e_{pi(k-1)}, e_{pi(k-2)}, ..., e_{pi(1)}``.
-
-    Raises :class:`InconsistentPair` when the pair is not a cell: an
-    inconsistent pair would step outside the lattice, and silently admitting
-    it would corrupt cell counts downstream.
-    """
-    base_params = params.base()
-    if not is_lattice_point(v, base_params):
-        raise ValueError(
-            f"base point must lie in the ({params.k},{params.q - 1}) lattice: {v!r}"
-        )
-    pi = _check_permutation(pi, params)
-    if _inverse_descent_mask(pi) & _tie_mask(v):
-        raise InconsistentPair(f"permutation {pi} is not consistent with {v}")
-    current = list(v)
-    vertices = [tuple(current)]
-    for t in range(params.k - 1, 0, -1):
-        current[pi[t - 1] - 1] += 1
-        vertices.append(tuple(current))
-    return Hyperedge(v, pi, tuple(vertices))
-
-
-def hyperedge(v: Point, params: Params) -> Hyperedge:
-    """The identity-permutation cell based at ``v``."""
-    return pi_hyperedge(v, identity_permutation(params), params)
-
-
-def enumerate_hyperedges(params: Params) -> list[Hyperedge]:
-    """One identity cell per base point, in lexicographic base order."""
-    return [hyperedge(v, params) for v in enumerate_vertices(params.base())]
 
 
 def enumerate_facets(params: Params) -> list[tuple[Point, Perm]]:
@@ -387,7 +286,7 @@ class _InstanceIndex(_Frozen):
 
     def cells(self, pi: Perm | None) -> list[tuple[int, ...]]:
         """The cells of ``pi`` (the identity for None) as tuples of vertex
-        ranks: the vertices and order of :func:`pi_hyperedge` over the
+        ranks: the vertices and order of ``reference.pi_hyperedge`` over the
         consistent base points in lexicographic order."""
         params = self.params
         pi = identity_permutation(params) if pi is None else _check_permutation(pi, params)

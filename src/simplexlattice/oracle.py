@@ -30,7 +30,7 @@ it replays node for node is the reference in ``tests/test_oracle.py``.
 from __future__ import annotations
 
 from .labeling import Labeling, _pi_descriptor
-from .lattice import Params, Perm, Point, _coordinates, _instance_index, _Record
+from .lattice import Params, Perm, _instance_index, _Record
 
 
 class OracleResult(_Record):
@@ -53,13 +53,6 @@ class OracleResult(_Record):
         self.witness = witness
         self.nodes_explored = nodes_explored
         self.exhausted = exhausted
-
-
-def admissible_colors(v: Point, params: Params) -> frozenset[int]:
-    """Colors ``c`` with ``v_c > v_{c-1}``; nonempty whenever ``q >= 1``
-    because the virtual coordinates rise from 0 to q overall."""
-    padded = _coordinates(v, params)
-    return frozenset(c for c in range(1, params.k + 1) if padded[c] > padded[c - 1])
 
 
 def _search_tables(params: Params, pi: Perm | None):

@@ -29,9 +29,8 @@ from __future__ import annotations
 import itertools
 import operator
 
-from .labeling import READINGS, Labeling, _pi_descriptor, label_all
+from .labeling import Labeling, _pi_descriptor, label_all
 from .lattice import (
-    Hyperedge,
     Params,
     Perm,
     Point,
@@ -94,11 +93,6 @@ class VerificationReport(_Record):
         return True
 
 
-def edge_colors(edge: Hyperedge, labeling: Labeling) -> frozenset[int]:
-    """The set of colors a labeling puts on one cell's vertices."""
-    return frozenset(labeling.color_of(u) for u in edge.vertices)
-
-
 # per byte plane of bits p..p+7: color c -> bit c - 1 - p there, else 0; a byte -> its popcount
 _ONE_HOT = [(bytes(p + 1) + bytes([1, 2, 4, 8, 16, 32, 64, 128])).ljust(256, b"\0")[:256]
             for p in range(0, 256, 8)]
@@ -117,21 +111,6 @@ def _sperner_scan(labeling: Labeling) -> tuple[tuple[Point, int], ...]:
         return tuple((v, c) for r, (v, c) in enumerate(zip(index.vertices, labeling.colors))
                      if ties[c - 1 >> 3][r] >> (c - 1 & 7) & 1)
     return ()
-
-
-def check_sperner(labeling: Labeling) -> VerificationReport:
-    """Does every vertex satisfy ``v_c > v_{c-1}`` for its color ``c``?
-
-    Violations are listed exhaustively in vertex rank order.
-    """
-    violations = _sperner_scan(labeling)
-    return VerificationReport(
-        params=labeling.params,
-        labeling_rule=labeling.rule,
-        edge_rule="none",
-        sperner_ok=not violations,
-        sperner_violations=violations,
-    )
 
 
 def _cell_counts(labeling: Labeling, index: _InstanceIndex, perm: Perm) -> bytes | list[int]:
@@ -219,14 +198,3 @@ def check_all_pi(params: Params, threshold: int = 2) -> list[VerificationReport]
     return [full_report(label_all(params, pi), pi, threshold) for pi in _permutations(params)]
 
 
-def compare_pi_readings(params: Params, pi: Perm,
-                        threshold: int = 2) -> tuple[VerificationReport, VerificationReport]:
-    """Side-by-side verification of the two readings of the permutation rule.
-
-    Returns (selected-index report, position report), both against the
-    permutation's own edge set.  For the identity permutation the two
-    labelings coincide pointwise; for others the position reading is
-    expected to lose admissibility, and the reports show where.
-    """
-    return tuple(full_report(label_all(params, pi, reading), pi, threshold)
-                 for reading in READINGS)

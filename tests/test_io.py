@@ -29,9 +29,10 @@ from simplexlattice import (
     write_oracle_result,
     write_report,
 )
-import simplexlattice.io
+import simplexlattice.readers
 from simplexlattice import lattice
-from simplexlattice.io import _header_text, _read_rows, _read_written, _written_header
+from simplexlattice.io import _header_text
+from simplexlattice.readers import _read_rows, _read_written, _written_header
 
 
 def roundtrip(labeling, fmt):
@@ -446,7 +447,7 @@ def test_another_versions_file_goes_to_the_row_reader_unwritten(fmt, monkeypatch
 
     labeling = label_all(Params(8, 8))
     data = write_labeling(labeling, fmt).replace(__version__.encode(), b"0.0.0", 1)
-    monkeypatch.setattr(simplexlattice.io, "_labeling_text", unwritten)
+    monkeypatch.setattr(simplexlattice.readers, "_labeling_text", unwritten)
     assert _read_written(data) is None
     assert read_labeling(data) == labeling
 

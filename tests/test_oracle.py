@@ -14,8 +14,9 @@ from simplexlattice import (
     min_max_colors,
 )
 from simplexlattice.labeling import LabelUndefined
-from simplexlattice.lattice import _instance_index, coordinate
+from simplexlattice.lattice import _instance_index
 from simplexlattice.oracle import _search, _search_tables
+from simplexlattice.reference import coordinate
 
 
 def brute_force_min_max(params):

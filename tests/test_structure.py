@@ -11,7 +11,8 @@ oracle's witness call the checked ``Labeling`` constructor, once each, the
 module level holds two caches, the instance index and the rule's classes,
 the CLI writes its output through ``cli._emit`` alone, only
 ``cli.main`` turns a library error into a usage error, each command loads
-only the modules it runs, and the benchmark tracer's wrappers see every call.
+only the modules it runs, the per-point reference API reads only the
+fast-path names pinned here, and the benchmark tracer's wrappers see every call.
 """
 
 import ast
@@ -34,13 +35,16 @@ REPO = Path(__file__).resolve().parents[1]
 TRACED_PASS = REPO / "bench" / "traced_pass.py"
 
 IMPORTS = {
-    "__init__": {"_version", "io", "labeling", "lattice", "oracle", "verify"},
+    "__init__": {"_version", "io", "labeling", "lattice", "oracle", "readers", "reference",
+                 "verify"},
     "_version": set(),
-    "cli": {"_version", "io", "labeling", "lattice", "oracle", "verify"},
+    "cli": {"_version", "io", "labeling", "lattice", "oracle", "readers", "verify"},
     "io": {"_version", "labeling", "lattice"},
     "labeling": {"lattice"},
     "lattice": set(),
     "oracle": {"labeling", "lattice"},
+    "readers": {"io", "labeling", "lattice"},
+    "reference": {"io", "labeling", "lattice", "verify"},
     "verify": {"labeling", "lattice"},
 }
 
@@ -200,7 +204,30 @@ def test_verify_reads_the_labeling_not_the_rules_cache():
     # made, so nothing of the rule's cache is imported into the verifier
     tree = ast.parse((PACKAGE / "verify.py").read_text())
     names = {name for module, name, _ in imported_names(tree) if module == ".labeling"}
-    assert names == {"READINGS", "Labeling", "_pi_descriptor", "label_all"}
+    assert names == {"Labeling", "_pi_descriptor", "label_all"}
+
+
+# The fast-path names the per-point reference API reads, by module.  None
+# is the instance index or the rule's classes, so the references the tests
+# compare the cells, the rule and the domains with are second paths; only
+# check_sperner and compare_pi_readings wrap the fast path's own reports.
+REFERENCE_READS = {
+    ".io": {"write_oracle_result"},
+    ".labeling": {"READING_SELECTED", "READINGS", "LabelUndefined", "Labeling",
+                  "_check_reading", "label_all"},
+    ".lattice": {"Params", "Perm", "Point", "_Frozen", "_check_permutation", "_coordinates",
+                 "_inverse_descent_mask", "_prefix_count", "_tie_mask", "enumerate_vertices",
+                 "identity_permutation", "is_lattice_point"},
+    ".verify": {"VerificationReport", "_sperner_scan", "full_report"},
+}
+
+
+def test_the_reference_api_reads_only_the_pinned_fast_path_names():
+    tree = ast.parse((PACKAGE / "reference.py").read_text())
+    reads = {}
+    for module, name, _ in imported_names(tree):
+        reads.setdefault(module, set()).add(name)
+    assert reads == {"json": {"json"}, **REFERENCE_READS}
 
 
 def global_caches(tree: ast.AST) -> list[str]:
@@ -276,8 +303,9 @@ def test_the_checked_constructor_is_left_to_data_the_rule_did_not_make():
     # oracle's witness (a copy hands the class to pickle from __reduce__, uncalled)
     trees = {path.stem: ast.parse(path.read_text(), str(path))
              for path in sorted(PACKAGE.glob("*.py"))}
-    assert {stem for stem, tree in trees.items() if constructor_calls(tree)} <= {"io", "oracle"}
-    assert len(constructor_calls(trees["io"])) == len(constructor_calls(trees["oracle"])) == 1
+    assert {stem for stem, tree in trees.items() if constructor_calls(tree)} <= \
+        {"readers", "oracle"}
+    assert len(constructor_calls(trees["readers"])) == len(constructor_calls(trees["oracle"])) == 1
     assert returns(trees["labeling"], "label_all") == 1
     # the readers as they were while each format built its own labeling
     readers = ast.parse("def _read_json(text):\n    return Labeling(p, _check_rows(j), r)\n"
@@ -448,13 +476,16 @@ def test_benchmark_tracer_call_shapes_reach_the_package():
         assert len(lattice.enumerate_facets(params)) == q ** (k - 1)
 
 
-def test_benchmark_tracer_wrappers_see_every_call(capsys, monkeypatch):
+def test_benchmark_tracer_wrappers_see_every_call(capsys, monkeypatch, tmp_path):
     # the traced pass puts wrappers in place of cli's names before the first
     # call; a name that put the loaded function in its own place on that call
     # would hand every later call past the wrapper
+    labels = str(tmp_path / "l.csv")
+    assert cli.main(["label", "--k", "4", "--q", "5", "--out", labels, "--format", "csv"]) == 0
     for name, argv, calls in (
             ("full_report", ["verify", "--k", "4", "--q", "5", "--all-pi"], 6),  # one per pi
-            ("min_max_colors", ["oracle", "--k", "3", "--q", "3"], 1)):
+            ("min_max_colors", ["oracle", "--k", "3", "--q", "3"], 1),
+            ("read_labeling", ["verify", "--k", "4", "--q", "5", "--labels", labels], 1)):
         seen = []
 
         def counting(*args, inner=getattr(cli, name), seen=seen, **kwargs):
@@ -484,8 +515,9 @@ print(" ".join(sorted(name.partition(".")[2] for name in sys.modules
 
 
 def test_each_command_loads_only_the_modules_it_needs(tmp_path):
-    # no command needs both verify and oracle, and label and render need
-    # neither; the package on its own loads nothing but its version
+    # no command needs both verify and oracle, label and render need
+    # neither, only verify --labels reads a file, and no command runs the
+    # per-point reference API; the package on its own loads nothing but its version
     env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
     base = "_version io labeling lattice"
     for argv, loaded in (
@@ -493,8 +525,13 @@ def test_each_command_loads_only_the_modules_it_needs(tmp_path):
             (["label", "--k", "4", "--q", "5", "--out", "l.csv", "--format", "csv"], base),
             (["render", "--k", "3", "--q", "4", "--out", "r.svg"], base),
             (["verify", "--k", "4", "--q", "5", "--labels", "l.csv", "--out", "v.json"],
-             f"{base} verify"),
+             f"{base} readers verify"),
+            (["verify", "--k", "4", "--q", "5", "--out", "v.json"], f"{base} verify"),
+            (["verify", "--k", "4", "--q", "5", "--all-pi", "--out", "v.json"], f"{base} verify"),
+            (["facets", "--k", "3", "--q", "4"], base),
             (["oracle", "--k", "3", "--q", "3", "--out", "o.json"], f"{base} oracle")):
         proc = subprocess.run([sys.executable, "-c", LOADED, *argv], cwd=tmp_path, env=env,
                               capture_output=True, text=True, timeout=60)
         assert (proc.returncode, proc.stderr) == (0, loaded + "\n"), argv
+        modules = proc.stderr.split()
+        assert ("readers" in modules) == ("--labels" in argv) and "reference" not in modules
