@@ -62,57 +62,9 @@ def __getattr__(name: str):
     no other."""
     if name not in __all__:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from .io import (
-        LabelingFormatError,
-        UnsupportedDimension,
-        render_svg,
-        report_to_dict,
-        write_labeling,
-        write_oracle_result,
-        write_report,
-    )
-    from .labeling import (
-        READING_POSITION,
-        READING_SELECTED,
-        READINGS,
-        Labeling,
-        LabelUndefined,
-        label_all,
-        rule_descriptor,
-    )
-    from .lattice import (
-        Params,
-        enumerate_facets,
-        enumerate_vertices,
-        identity_permutation,
-        is_lattice_point,
-        is_permutation,
-        vertex_rank,
-    )
-    from .oracle import OracleResult, min_max_colors
-    from .readers import read_labeling
-    from .reference import (
-        Hyperedge,
-        InconsistentPair,
-        admissible_colors,
-        argmin_index,
-        check_sperner,
-        compare_pi_readings,
-        coordinate,
-        deficiency,
-        edge_colors,
-        enumerate_hyperedges,
-        hyperedge,
-        is_consistent,
-        label,
-        label_pi,
-        oracle_result_to_dict,
-        pi_hyperedge,
-        selected_index_pi,
-        vertex_unrank,
-    )
-    from .verify import VerificationReport, check_all_pi, check_colors, full_report
+    from . import io, labeling, lattice, oracle, readers, reference, verify
 
-    names = locals()
-    globals().update((key, names[key]) for key in __all__ if key in names)
+    for module in (io, labeling, lattice, oracle, readers, reference, verify):
+        names = vars(module)
+        globals().update((key, names[key]) for key in __all__ if key in names)
     return globals()[name]

@@ -122,9 +122,9 @@ def _load_labels(path: str, params: Params):
     if len(data) > MAX_LABELS_BYTES:
         raise CliError(f"--labels: {path} is over {MAX_LABELS_BYTES:,} bytes, "
                        "more than a labeling file for any allowed --k/--q")
-    from .readers import _written_header
-    header = _written_header(data)
-    if header is not None:  # where the writer puts it, the header is read before any row
+    from .readers import _header
+    header = _header(data)
+    if header is not None:  # in any layout, the header is read before any row
         _check_instance(header[1], params)
     labeling = read_labeling(data)
     _check_instance(labeling.params, params)

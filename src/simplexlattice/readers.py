@@ -3,12 +3,15 @@ the commands, only ``verify --labels`` loads them."""
 
 from __future__ import annotations
 
+import codecs
 import json
 import re
 
-from .io import LabelingFormatError, _column_row, _fits_csv_header, _header_text, _labeling_text
+from .io import LabelingFormatError, _column_row, _header_text, _labeling_text
 from .labeling import Labeling
 from .lattice import Params, Point, _instance_index, vertex_rank
+
+_UTF8 = codecs.getincrementaldecoder("utf-8")  # holds back a character cut at the end
 
 
 def _int(text: str) -> int | None:
@@ -21,12 +24,13 @@ def _int(text: str) -> int | None:
     return n if str(n) == text else None
 
 
-def _parse_header(fields: dict, as_int) -> tuple[Params, str]:
-    """``Params`` and the rule from a file's header fields; ``as_int``
-    returns a value as an int, or None where the format spells no int."""
+def _parse_header(fields: dict, fmt: str) -> tuple[Params, str]:
+    """``Params`` and the rule from a file's header fields: ints spelled as
+    the writer spells them in CSV, exact ints in JSON (not bool)."""
     for key in ("k", "q", "rule"):
         if key not in fields:
             raise LabelingFormatError(f"header is missing {key!r}")
+    as_int = _int if fmt == "csv" else lambda x: x if type(x) is int else None
     k, q, rule = as_int(fields["k"]), as_int(fields["q"]), fields["rule"]
     if k is None or q is None or type(rule) is not str:
         raise LabelingFormatError("bad header: k and q must be integers, rule a string")
@@ -35,6 +39,58 @@ def _parse_header(fields: dict, as_int) -> tuple[Params, str]:
     except ValueError as exc:
         raise LabelingFormatError(f"bad header: {exc}") from exc
     return params, rule
+
+
+def _csv_header(data: str | bytes) -> tuple[dict, int | None]:
+    """The ``# key: value`` fields of the comment and blank lines that open a CSV
+    file's text or bytes, and the 0-based index of the column row, or None; read
+    off a prefix that doubles until the column row starts in it (bytes decoded)."""
+    size = 1024
+    while True:
+        head, fields = data[:size], {}
+        lines = (head if type(head) is str else _UTF8().decode(head)).splitlines()
+        for at, line in enumerate(lines):
+            if line.strip() and not line.startswith("#"):
+                return fields, at
+            key, sep, value = line.lstrip("#").partition(":")
+            if sep:
+                fields[key.strip()] = value.strip()
+        if size >= len(data):
+            return fields, None
+        size *= 2
+
+
+# in JSON's whitespace: the "{" or "," before a key and its opening quote; the ":" after it
+_KEY = re.compile(r'[ \t\n\r]*([{,])[ \t\n\r]*"')
+_COLON = re.compile(r"[ \t\n\r]*:[ \t\n\r]*")
+
+
+def _json_members(data: bytes) -> dict:
+    """The members before the ``"labels"`` key of the JSON object that the bytes
+    of ``data`` up to its first ``"labels"`` open; {} where they reach no such key."""
+    end = data.find(b'"labels"')
+    text = data[:end + len('"labels"')].decode() if end >= 0 else ""
+    members, at, decode = {}, 0, json.JSONDecoder().raw_decode
+    while (key := _KEY.match(text, at)) and key[1] == ("," if at else "{"):
+        name, at = json.decoder.scanstring(text, key.end())
+        if name == "labels":
+            return members
+        colon = _COLON.match(text, at)
+        if colon is None:
+            break
+        members[name], at = decode(text, colon.end())
+    return {}
+
+
+def _header(data: bytes) -> tuple[str, Params, str] | None:
+    """The format, instance and rule that a labeling file's header names, read
+    off the header alone in any layout, or None.  Never raises."""
+    try:
+        if re.match(rb"[ \t\n\r]*[{[]", data):  # JSON as json.loads takes it
+            return "json", *_parse_header(_json_members(data), "json")
+        return "csv", *_parse_header(_csv_header(data)[0], "csv")
+    except (ValueError, RecursionError):  # UnicodeDecodeError and JSONDecodeError included
+        return None
 
 
 def _check_rows(rows: list[tuple[Point, int, int]], params: Params,
@@ -90,8 +146,7 @@ def _read_json(text: str) -> tuple[Params, str, list, int]:
         raise LabelingFormatError(f"invalid JSON: {exc}") from exc
     if not isinstance(data, dict) or not isinstance(data.get("labels"), list):
         raise LabelingFormatError("expected an object with a 'labels' array")
-    # exact int: JSON true and false load as bool, a subclass of int
-    params, rule = _parse_header(data, lambda x: x if type(x) is int else None)
+    params, rule = _parse_header(data, "json")
     rows = []
     for i, entry in enumerate(data["labels"], start=1):
         if (
@@ -110,17 +165,11 @@ def _read_json(text: str) -> tuple[Params, str, list, int]:
 
 
 def _read_csv(text: str) -> tuple[Params, str, list, int]:
-    lines = text.splitlines()
-    fields = {}
-    at = 0  # 0-based index of the line being read; its row number is at + 1
-    while at < len(lines) and (lines[at].startswith("#") or not lines[at].strip()):
-        key, sep, value = lines[at].lstrip("#").partition(":")
-        if sep:
-            fields[key.strip()] = value.strip()
-        at += 1
-    params, rule = _parse_header(fields, _int)
-    if at == len(lines):
+    fields, at = _csv_header(text)  # the column row is line at + 1
+    params, rule = _parse_header(fields, "csv")
+    if at is None:
         raise LabelingFormatError("missing column header row")
+    lines = text.splitlines()
     width = lines[at].count(",") + 1
     # the width first: k comes from the header and may be huge
     if width != params.k:
@@ -148,66 +197,32 @@ def _read_csv(text: str) -> tuple[Params, str, list, int]:
     return params, rule, rows, len(lines) + 1
 
 
-# Where write_labeling puts k, q and the rule: on three lines from the
-# second (JSON) or the third (CSV), each behind its key and, in JSON, before
-# a comma; the rows follow the header's six lines.
-_HEADER = {"json": (1, b'  "%s": ', b","), "csv": (2, b"# %s: ", b"")}
 # what precedes each color where write_labeling puts it, up to its line's end
 _COLOR = {"json": rb'"color": ([0-9]+)\n', "csv": rb",([0-9]+)\n"}
 
 
-def _written_header(data: bytes) -> tuple[str, Params, str, bytes] | None:
-    """The format, instance and rule of a labeling file, read off the lines
-    where :func:`write_labeling` puts them, and the header's six lines; None
-    where those lines say otherwise.  Never raises."""
-    stop = -1
-    for _ in range(6):  # the header alone is copied, not the rows
-        stop = data.find(b"\n", stop + 1)
-        if stop < 0:
-            return None
-    head = data[:stop + 1]
-    fmt = "json" if head[:1] == b"{" else "csv"
-    first, key, end = _HEADER[fmt]
-    values = []
-    for name, line in zip((b"k", b"q", b"rule"), head.split(b"\n")[first:first + 3]):
-        start = key % name
-        if not (line.startswith(start) and line.endswith(end)):
-            return None
-        values.append(line[len(start):len(line) - len(end)])
-    try:
-        k, q, rule = [value.decode() for value in values]
-        rule = json.loads(rule) if fmt == "json" else rule
-        params = Params(_int(k), _int(q))  # an int's own spelling, or None
-    except (ValueError, RecursionError):  # UnicodeDecodeError and JSONDecodeError included
-        return None
-    return (fmt, params, rule, head) if type(rule) is str else None
-
-
 def _read_written(data: bytes) -> tuple[Params, tuple[int, ...], str] | None:
     """The fields of the labeling that :func:`write_labeling` writes as
-    exactly ``data``, or None.  The header is compared with the writer's,
-    the colors are taken from where the writer puts them and checked as
-    :func:`_check_rows` checks a file's rows, and the whole is written again
-    and compared with ``data``; so what it returns is what the row reader
-    makes of ``data``.  Never raises."""
-    header = _written_header(data)
+    exactly ``data``, or None.  The header :func:`_header` reads is compared
+    with the writer's, the colors are taken from where the writer puts them
+    and checked as :func:`_check_rows` checks rows, and the whole is written
+    again and compared with ``data``; so it returns what the row reader makes
+    of ``data``.  Never raises."""
+    header = _header(data)
     if header is None:
         return None
-    fmt, params, rule, head = header
-    # the width first, as _read_csv has it: k comes from the header and may be huge
-    if fmt == "csv" and (head.split(b"\n")[5].count(b",") + 1 != params.k
-                         or not _fits_csv_header(rule)):  # the writer raises on those
+    fmt, params, rule = header
+    # the floor first, as _check_rows has it, so no binomial is formed before it holds;
+    # the writer spends 2 bytes or more on each entry of a row, 3 on each of a CSV column
+    # row, so no vertex is enumerated nor a column row built for more than data holds
+    if (min(params.k - 1, params.q) >= len(data).bit_length()
+            or (2 * params.num_vertices + 3) * params.k > len(data)):
         return None
-    if head != _header_text(params, rule, fmt).encode():
+    head = _header_text(params, rule, fmt).encode()
+    if not data.startswith(head):
         return None
     spelled = re.compile(_COLOR[fmt]).findall(data, len(head))
-    # the floor first, as _check_rows has it, so that no binomial is formed
-    # before it holds; then each of the writer's rows spends at least two
-    # bytes on each of its k entries, so no vertex is enumerated for a file
-    # too short to hold them
-    if (min(params.k - 1, params.q) >= len(spelled).bit_length()
-            or len(spelled) != params.num_vertices
-            or len(spelled) * params.k > len(data)):
+    if len(spelled) != params.num_vertices:
         return None
     try:
         colors = tuple(map(int, spelled))

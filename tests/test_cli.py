@@ -14,7 +14,7 @@ import pytest
 
 import simplexlattice
 from simplexlattice import (Params, check_all_pi, cli, full_report, label_all, lattice,
-                            read_labeling, report_to_dict, write_labeling)
+                            read_labeling, readers, report_to_dict, write_labeling)
 from simplexlattice.cli import main
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -262,17 +262,36 @@ def test_verify_external_labels(tmp_path, capsys):
     assert code == 2 and "--labels" in err and "not UTF-8" in err
 
 
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_labels_for_another_instance_are_refused_from_their_header(fmt, tmp_path, capsys,
+def _json_relaid(data, **layout):
+    return json.dumps(json.loads(data), **layout).encode()
+
+
+# a labeling file as the writer lays it out, and laid out otherwise
+LAYOUTS = {
+    "csv": lambda labeling: write_labeling(labeling, "csv"),
+    "csv-crlf": lambda labeling: write_labeling(labeling, "csv").replace(b"\n", b"\r\n"),
+    "csv-comments": lambda labeling: b"# a note\n\n  \n# seen: before the header\n"
+                                     + write_labeling(labeling, "csv"),
+    "json": write_labeling,
+    "json-minified": lambda labeling: _json_relaid(write_labeling(labeling),
+                                                   separators=(",", ":")),
+    "json-indent0": lambda labeling: _json_relaid(write_labeling(labeling), indent=0),
+}
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_labels_for_another_instance_are_refused_from_their_header(layout, tmp_path, capsys,
                                                                    monkeypatch):
-    # the header where the writer puts it names the instance; no row is parsed
-    path = tmp_path / f"k3q300.{fmt}"
-    path.write_bytes(write_labeling(label_all(Params(3, 300)), fmt))
+    # the header names the instance, in any layout; no row is parsed
+    path = tmp_path / "k3q300"
+    path.write_bytes(LAYOUTS[layout](label_all(Params(3, 300))))
 
-    def unread(data):
-        pytest.fail("read_labeling was called")
+    def unread(*args):
+        pytest.fail("the rows were read")
 
-    monkeypatch.setattr(cli, "read_labeling", unread)
+    for module, name in ((readers, "_read_csv"), (readers, "_read_json"),
+                         (readers, "_check_rows"), (cli, "read_labeling")):
+        monkeypatch.setattr(module, name, unread)
     code, out, err = run(capsys, "verify", "--k", "3", "--q", "4", "--labels", str(path))
     assert (code, out, err) == (2, "", "error: --labels: file is for k=3, q=300; "
                                        "flags say k=3, q=4\n")

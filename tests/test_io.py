@@ -32,7 +32,7 @@ from simplexlattice import (
 import simplexlattice.readers
 from simplexlattice import lattice
 from simplexlattice.io import _header_text
-from simplexlattice.readers import _read_rows, _read_written, _written_header
+from simplexlattice.readers import _csv_header, _header, _read_rows, _read_written
 
 
 def roundtrip(labeling, fmt):
@@ -351,6 +351,12 @@ WIDER_FILES = [write_labeling(label_all(Params(4, 5)), fmt) for fmt in ("json", 
 SPELLINGS = [b'"', b'""', b"+", b"0", b" ", b"_", "\u0663".encode()]
 
 
+def own_format(data: bytes) -> str:
+    # a file json.loads takes opens with "{" after JSON's whitespace, and a
+    # CSV file the row reader takes opens with no "{" after any whitespace
+    return "json" if data.lstrip()[:1] == b"{" else "csv"
+
+
 @st.composite
 def mutated_files(draw, files=SMALL_FILES + WIDER_FILES):
     data = draw(st.sampled_from(files))
@@ -369,6 +375,8 @@ def test_any_bytes_give_a_labeling_or_a_format_error(data):
     except LabelingFormatError:
         fields = None
     assert _read_written(data) in (None, fields)  # one comparison agrees, or steps aside
+    if fields is not None:  # the header read before the rows names this file, or steps aside
+        assert _header(data) in (None, (own_format(data), fields[0], fields[2]))
     try:
         labeling = read_labeling(data)
     except LabelingFormatError:
@@ -401,6 +409,49 @@ def test_written_files_are_read_back_by_one_comparison(labeling):
         assert _read_written(crlf) is None and _read_rows(crlf) == fields
 
 
+def relaid(labeling: Labeling) -> dict[str, bytes]:
+    """The file of ``labeling`` in layouts the writer does not make, by name."""
+    data = write_labeling(labeling)
+    forms = {"json-minified": json.dumps(json.loads(data), separators=(",", ":")).encode(),
+             # json.dumps(indent=0) of the same object, without its pure-Python encoder
+             "json-indent0": b"\n".join(line.lstrip(b" ") for line in data.split(b"\n"))}
+    # an earlier "k" that the header's own overrides, as json.loads keeps the last
+    forms["json-shadowed"] = b'{"k": %d, ' % (labeling.params.k + 1) + data[1:]
+    if "\u2028" not in labeling.rule:
+        data = write_labeling(labeling, "csv")
+        forms["csv-crlf"] = data.replace(b"\n", b"\r\n")
+        forms["csv-comments"] = b"# k: %d\n\n  \n# note\f" % (labeling.params.k + 1) + data
+    return forms
+
+
+@pytest.mark.parametrize("labeling", WRITTEN, ids=lambda labeling: labeling.rule)
+def test_a_header_in_any_layout_names_the_files_own_instance(labeling):
+    # the early read of the header never refuses a file the row reader takes
+    fields = (labeling.params, labeling.colors, labeling.rule)
+    for name, data in relaid(labeling).items():
+        assert _read_rows(data) == fields, name
+        if name == "json-indent0" and labeling.params == Params(3, 4):
+            assert data == json.dumps(json.loads(data), indent=0).encode() + b"\n"
+        assert _header(data) == (name.partition("-")[0], labeling.params, labeling.rule), name
+
+
+def test_the_csv_header_splits_lines_where_str_splitlines_splits():
+    # the field "#i:" starts a line exactly where code point i - 1 breaks one;
+    # the CRLF below is one break, so the column row's index counts one line
+    # for each field
+    expected = set()
+    for plane in range(17):  # every code point but the surrogates, a plane at a time
+        points = [(c, chr(c)) for c in range(plane << 16, (plane + 1) << 16)
+                  if not 0xD800 <= c < 0xE000]
+        text = "".join(f"#{c}:{p}" for c, p in points) + "\r\n#crlf:\r\nv1,color\n"
+        breaks = {str(c + 1) for c, p in points if len(f"a{p}b".splitlines()) == 2}
+        for data in (text, text.encode()):
+            fields, at = _csv_header(data)
+            assert (set(fields), at) == (breaks | {str(plane << 16), "crlf"}, len(breaks) + 2)
+        expected |= breaks
+    assert expected == {str(ord(c) + 1) for c in "\n\v\f\r\x1c\x1d\x1e\x85\u2028\u2029"}
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_a_huge_header_is_refused_unformed(fmt, monkeypatch):
     # no binomial C(2 * 10**6 - 1, 10**6 - 1) is formed on the way to the refusal
@@ -431,7 +482,7 @@ def test_a_wide_header_over_short_rows_is_refused_unenumerated(fmt, monkeypatch)
     k = 20000
     row = b'      "color": 1\n' if fmt == "json" else b"0,1\n"
     data = _header_text(Params(k, 1), "identity", fmt).encode() + row * k
-    assert _written_header(data)[1] == Params(k, 1)
+    assert _header(data)[1] == Params(k, 1)
     monkeypatch.setattr(lattice, "enumerate_vertices", no_vertices)
     assert _read_written(data) is None
     with pytest.raises(LabelingFormatError):

@@ -12,10 +12,13 @@ module level holds two caches, the instance index and the rule's classes,
 the CLI writes its output through ``cli._emit`` alone, only
 ``cli.main`` turns a library error into a usage error, each command loads
 only the modules it runs, the per-point reference API reads only the
-fast-path names pinned here, and the benchmark tracer's wrappers see every call.
+fast-path names pinned here, the benchmark tracer's wrappers see every call,
+and one function reads a labeling file's header for the CLI, the fast path
+and the row readers.
 """
 
 import ast
+import inspect
 import json
 import os
 import subprocess
@@ -319,6 +322,43 @@ def test_the_checked_constructor_is_left_to_data_the_rule_did_not_make():
     assert constructor_calls(probe) == [6] and returns(probe, "label_all") == 2
 
 
+def callers(tree: ast.AST, name: str) -> list[str]:
+    """The functions in ``tree`` that call ``name`` by name."""
+    return sorted(function.name for function in ast.walk(tree)
+                  if isinstance(function, ast.FunctionDef)
+                  and any(isinstance(node, ast.Call) and getattr(node.func, "id", None) == name
+                          for node in ast.walk(function)))
+
+
+def field_splitters(tree: ast.AST) -> list[str]:
+    """The functions in ``tree`` that split a ``# key: value`` line at its
+    colon: each holds the string ``":"``."""
+    return sorted(function.name for function in ast.walk(tree)
+                  if isinstance(function, ast.FunctionDef)
+                  and any(isinstance(node, ast.Constant) and node.value == ":"
+                          for node in ast.walk(function)))
+
+
+def test_one_header_reader_serves_the_cli_the_fast_path_and_the_row_readers():
+    # the header is read in one place for every layout: _header, which the CLI
+    # refuses another instance from and the one-comparison read starts from,
+    # and its CSV half, the only reader of comment lines, which _read_csv shares
+    tree = ast.parse((PACKAGE / "readers.py").read_text())
+    assert {name for name, _ in private_definitions(tree)} & {"_written_header", "_HEADER"} \
+        == set()
+    assert field_splitters(tree) == ["_csv_header"]
+    assert callers(tree, "_csv_header") == ["_header", "_read_csv"]
+    assert callers(tree, "_header") == ["_read_written"]
+    load = next(node for node in ast.walk(ast.parse((PACKAGE / "cli.py").read_text()))
+                if isinstance(node, ast.FunctionDef) and node.name == "_load_labels")
+    assert (".readers", "_header", "_header") in imported_names(load)
+    assert callers(load, "_header") == ["_load_labels"]
+    # _read_csv as it was while it read its own comment lines
+    probe = ast.parse("def _read_csv(text):\n    for line in lines:\n"
+                      "        key, sep, value = line.lstrip('#').partition(':')\n")
+    assert field_splitters(probe) == ["_read_csv"]
+
+
 def output_outside_emit(tree: ast.AST) -> list[str]:
     """Each way ``tree`` writes output other than through ``_emit``: a
     ``print`` with no ``file=`` other than stdout, and, outside ``_emit``,
@@ -423,6 +463,12 @@ def test_public_names_are_pinned():
     assert simplexlattice.__all__ == PUBLIC
     assert [name for name in PUBLIC if not hasattr(simplexlattice, name)] == []
     assert [name for name in PUBLIC if name.startswith("_")] == ["__version__"]
+    # each public class and function is the object its defining module holds
+    defined = {name: obj for name in PUBLIC
+               if inspect.isclass(obj := getattr(simplexlattice, name)) or inspect.isfunction(obj)}
+    assert len(defined) == 43
+    assert [name for name, obj in defined.items()
+            if vars(sys.modules[obj.__module__]).get(name) is not obj] == []
 
 
 def names_used_from_package(path: Path) -> dict[str, set[str]]:
