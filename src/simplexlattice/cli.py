@@ -20,6 +20,7 @@ from .io import (
     LabelingFormatError,
     UnsupportedDimension,
     _check_renderable,
+    _nested,
     _report_json,
     render_svg,
     report_to_dict,
@@ -169,8 +170,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         report = full_report(labeling, pi, args.threshold)
         passed = passed and report.passed
         # all-pi holds the bytes of each report's capped view, not the report
-        chunks += ([b",\n  ", _report_json(report_to_dict(report), 2).encode()] if args.all_pi
-                   else [write_report(report)])
+        chunks += ([b",\n  ", _nested(_report_json(report_to_dict(report))).encode()]
+                   if args.all_pi else [write_report(report)])
 
     if args.all_pi:
         # json.dumps(views, indent=2) and a newline, each view written as it is

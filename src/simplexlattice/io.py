@@ -40,32 +40,33 @@ def _check_renderable(params: Params) -> None:
         raise UnsupportedDimension(f"rendering needs k=3, got k={params.k}")
 
 
-def _labeling_json(params: Params, colors: tuple[int, ...], rule: str,
-                   indent: int = 0) -> str:
+def _labeling_json(params: Params, colors: tuple[int, ...], rule: str) -> str:
     """A labeling's JSON object (``k``, ``q``, ``rule``, ``version``, then
     ``labels``: ``{"v": [...], "color": c}`` per vertex in rank order) as
-    ``json.dumps(indent=2)`` lays it out, each line after the first shifted
-    right by ``indent`` spaces, as it reads nested at that depth.  The rows
-    come from one ``%d`` template, the text ``json.dumps`` gives the exact
-    ints a Labeling holds, without the pure-Python encoder ``indent`` picks."""
-    pad = " " * indent
-    coords = f",\n{pad}        ".join(["%d"] * (params.k - 1))
-    row = (f'{pad}    {{\n{pad}      "v": [\n{pad}        {coords}\n{pad}      ],\n'
-           f'{pad}      "color": %d\n{pad}    }}')
+    ``json.dumps(indent=2)`` lays it out.  The rows come from one ``%d``
+    template, the text ``json.dumps`` gives the exact ints a Labeling holds,
+    without the pure-Python encoder ``indent`` picks."""
+    coords = ",\n        ".join(["%d"] * (params.k - 1))
+    row = f'    {{\n      "v": [\n        {coords}\n      ],\n      "color": %d\n    }}'
     rows = ",\n".join([row % (*v, c) for v, c in
                        zip(_instance_index(params).vertices, colors)])
-    return f'{_header_text(params, rule, "json", pad)}{rows}\n{pad}  ]\n{pad}}}'
+    return f'{_header_text(params, rule, "json")}{rows}\n  ]\n}}'
 
 
-def _header_text(params: Params, rule: str, format: str, pad: str = "") -> str:
-    """The six lines :func:`write_labeling` writes above the rows, each with
-    its line break; in JSON each line after the first shifted right by ``pad``."""
+def _header_text(params: Params, rule: str, format: str) -> str:
+    """The six lines :func:`write_labeling` writes above the rows, each with its line break."""
     if format == "json":
-        return (f'{{\n{pad}  "k": {params.k},\n{pad}  "q": {params.q},\n'
-                f'{pad}  "rule": {json.dumps(rule)},\n'
-                f'{pad}  "version": {json.dumps(TOOL_VERSION)},\n{pad}  "labels": [\n')
+        return (f'{{\n  "k": {params.k},\n  "q": {params.q},\n  "rule": {json.dumps(rule)},\n'
+                f'  "version": {json.dumps(TOOL_VERSION)},\n  "labels": [\n')
     return (f"# simplexlattice labeling\n# version: {TOOL_VERSION}\n# k: {params.k}\n"
             f"# q: {params.q}\n# rule: {rule}\n{_column_row(params.k)}\n")
+
+
+def _nested(text: str) -> str:
+    """JSON text laid out by ``json.dumps(indent=2)`` as it reads one level
+    deeper: each line after the first shifted right by two spaces (the text
+    holds no line break of its own: ``json.dumps`` escapes those in strings)."""
+    return text.replace("\n", "\n  ")
 
 
 def _column_row(k: int) -> str:
@@ -138,12 +139,9 @@ def report_to_dict(report, max_violations: int = 100) -> dict:
     }
 
 
-def _report_json(view: dict, indent: int = 0) -> str:
-    """A :func:`report_to_dict` view as ``json.dumps(indent=2)`` lays it out,
-    each line after the first shifted right by ``indent`` spaces, as it
-    reads nested at that depth (the text holds no line break of its own:
-    ``json.dumps`` escapes those in strings)."""
-    return json.dumps(view, indent=2).replace("\n", "\n" + " " * indent)
+def _report_json(view: dict) -> str:
+    """A :func:`report_to_dict` view as ``json.dumps(indent=2)`` lays it out."""
+    return json.dumps(view, indent=2)
 
 
 def write_report(report) -> bytes:
@@ -154,13 +152,13 @@ def write_report(report) -> bytes:
 def write_oracle_result(result) -> bytes:
     """An ``OracleResult`` as one JSON object, laid out as
     ``json.dumps(indent=2)`` lays it out, and a newline; the witness, last,
-    is written by :func:`_labeling_json`."""
+    is :func:`_labeling_json` one level deeper."""
     params = result.params
     head = json.dumps(dict(k=params.k, q=params.q, edge_rule=result.edge_rule,
                            min_max_colors=result.min_max_colors, exhausted=result.exhausted,
                            nodes_explored=result.nodes_explored), indent=2)[:-2]  # without "\n}"
     w = result.witness
-    witness = "null" if w is None else _labeling_json(w.params, w.colors, w.rule, 2)
+    witness = "null" if w is None else _nested(_labeling_json(w.params, w.colors, w.rule))
     return f'{head},\n  "witness": {witness}\n}}\n'.encode()
 
 

@@ -60,34 +60,18 @@ def _csv_header(data: str | bytes) -> tuple[dict, int | None]:
         size *= 2
 
 
-# in JSON's whitespace: the "{" or "," before a key and its opening quote; the ":" after it
-_KEY = re.compile(r'[ \t\n\r]*([{,])[ \t\n\r]*"')
-_COLON = re.compile(r"[ \t\n\r]*:[ \t\n\r]*")
-
-
-def _json_members(data: bytes) -> dict:
-    """The members before the ``"labels"`` key of the JSON object that the bytes
-    of ``data`` up to its first ``"labels"`` open; {} where they reach no such key."""
-    end = data.find(b'"labels"')
-    text = data[:end + len('"labels"')].decode() if end >= 0 else ""
-    members, at, decode = {}, 0, json.JSONDecoder().raw_decode
-    while (key := _KEY.match(text, at)) and key[1] == ("," if at else "{"):
-        name, at = json.decoder.scanstring(text, key.end())
-        if name == "labels":
-            return members
-        colon = _COLON.match(text, at)
-        if colon is None:
-            break
-        members[name], at = decode(text, colon.end())
-    return {}
-
-
 def _header(data: bytes) -> tuple[str, Params, str] | None:
     """The format, instance and rule that a labeling file's header names, read
-    off the header alone in any layout, or None.  Never raises."""
+    off the header alone in any layout, or None.  Never raises.  In JSON the
+    header is the members before the first ``"labels"``, closed into an object
+    of their own by ``:0}``, so ``json.loads`` keeps the last of each key."""
     try:
         if re.match(rb"[ \t\n\r]*[{[]", data):  # JSON as json.loads takes it
-            return "json", *_parse_header(_json_members(data), "json")
+            cut = data.find(b'"labels"') + len('"labels"')
+            # decoded as UTF-8 alone, where json.loads(bytes) would take UTF-16 and -32 too
+            fields = json.loads(data[:cut].decode() + ":0}") if cut > 7 else {}
+            # no "labels" key: the cut closed a key that ends in an escaped quote, as "a\"labels"
+            return ("json", *_parse_header(fields, "json")) if "labels" in fields else None
         return "csv", *_parse_header(_csv_header(data)[0], "csv")
     except (ValueError, RecursionError):  # UnicodeDecodeError and JSONDecodeError included
         return None
@@ -242,6 +226,11 @@ def _read_rows(data: bytes) -> tuple[Params, tuple[int, ...], str]:
         raise LabelingFormatError(f"not UTF-8 text: {exc}") from None
     read = _read_json if text.lstrip()[:1] in ("{", "[", "\ufeff") else _read_csv
     params, rule, rows, end_row = read(text)
+    header = _header(data) if read is _read_json else None
+    if header not in (None, ("json", params, rule)):  # json.loads keeps a key's last value
+        raise LabelingFormatError(
+            f"header keys repeated with other values: k={header[1].k}, q={header[1].q}, "
+            f"rule={header[2]!r} before 'labels', k={params.k}, q={params.q}, rule={rule!r} last")
     return params, _check_rows(rows, params, end_row), rule
 
 
@@ -256,6 +245,7 @@ def read_labeling(data: bytes) -> Labeling:
     behind a byte order mark, is refused as JSON.  Raises
     LabelingFormatError with the offending row number for malformed rows,
     wrong row counts, out-of-range colors, and duplicate vertices; any other
-    undecodable input raises it too.
+    undecodable input raises it too, and so does a JSON file whose ``k``,
+    ``q`` or ``rule`` before ``"labels"`` differ from the last in the file.
     """
     return Labeling(*(_read_written(data) or _read_rows(data)))

@@ -13,8 +13,9 @@ from pathlib import Path
 import pytest
 
 import simplexlattice
-from simplexlattice import (Params, check_all_pi, cli, full_report, label_all, lattice,
-                            read_labeling, readers, report_to_dict, write_labeling)
+from simplexlattice import (LabelingFormatError, Params, check_all_pi, cli, full_report,
+                            label_all, lattice, read_labeling, readers, report_to_dict,
+                            write_labeling)
 from simplexlattice.cli import main
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -295,6 +296,23 @@ def test_labels_for_another_instance_are_refused_from_their_header(layout, tmp_p
     code, out, err = run(capsys, "verify", "--k", "3", "--q", "4", "--labels", str(path))
     assert (code, out, err) == (2, "", "error: --labels: file is for k=3, q=300; "
                                        "flags say k=3, q=4\n")
+
+
+def test_labels_whose_header_is_repeated_with_other_values_are_refused(tmp_path, capsys):
+    # "q": 300 before "labels" and "q": 4 after the rows: the header read
+    # before the rows and json.loads, which keeps the last, name two instances
+    minified = _json_relaid(write_labeling(label_all(Params(3, 4))), separators=(",", ":"))
+    path = tmp_path / "repeated.json"
+    path.write_bytes(minified.replace(b'"q":4', b'"q":300', 1)[:-1] + b', "q": 4}')
+    repeated = ("error: --labels: header keys repeated with other values: k=3, q=300, "
+                "rule='identity' before 'labels', k=3, q=4, rule='identity' last\n")
+    with pytest.raises(LabelingFormatError) as err:
+        read_labeling(path.read_bytes())
+    assert f"error: --labels: {err.value}\n" == repeated
+    for q, message in (("4", "error: --labels: file is for k=3, q=300; flags say k=3, q=4\n"),
+                       ("300", repeated)):
+        assert run(capsys, "verify", "--k", "3", "--q", q, "--labels", str(path)) == \
+            (2, "", message), q
 
 
 @pytest.mark.parametrize("extra", [(), ("--reading", "position")])

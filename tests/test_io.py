@@ -435,6 +435,68 @@ def test_a_header_in_any_layout_names_the_files_own_instance(labeling):
         assert _header(data) == (name.partition("-")[0], labeling.params, labeling.rule), name
 
 
+def spelled(value, escaped: bool = False) -> str:
+    """``value`` as JSON text, spelled by hand; a string's every character
+    ``\\uXXXX``-escaped where ``escaped`` (the strings escaped here are ASCII)."""
+    if type(value) is str:
+        if escaped:
+            return '"' + "".join(f"\\u{ord(c):04x}" for c in value) + '"'
+        return '"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"'
+    if type(value) is list:
+        return "[" + ", ".join(map(spelled, value)) + "]"
+    if value is None or type(value) is bool:
+        return {None: "null", True: "true", False: "false"}[value]
+    return repr(value)  # an int or a finite float, spelled as JSON spells it
+
+
+SPACE = st.text(" \t\n\r", max_size=2)  # JSON's whitespace, or none
+PRINTABLE = st.characters(blacklist_categories=("Cc", "Cs"))
+OTHER_VALUE = (st.integers(-5, 400) | st.booleans() | st.none()
+               | st.floats(allow_nan=False, allow_infinity=False)
+               | st.text(PRINTABLE, max_size=4) | st.lists(st.integers(0, 9), max_size=3))
+HEADER_VALUES = {"k": st.integers(0, 12), "q": st.integers(-1, 400),
+                 "rule": st.text(PRINTABLE, max_size=12).filter(lambda rule: "labels" not in rule)}
+
+
+@st.composite
+def header_members(draw, keys=("k", "q", "rule", "other")):
+    """``(key, value, text)`` members in any order, repeats among them, each
+    text with JSON's whitespace or none around its parts; no ``"labels"``
+    appears in the text of any but a member keyed ``labels``."""
+    members = []
+    present = [key for key in HEADER_VALUES if draw(st.integers(0, 7))]  # most often all three
+    for key in draw(st.permutations(present + draw(st.lists(st.sampled_from(keys), max_size=5)))):
+        if key == "other":
+            key = draw(st.text("abcdefklqrsuv", min_size=1, max_size=7)
+                       .filter(lambda key: "labels" not in key))
+        # a header value most often, any other value otherwise
+        value = draw(HEADER_VALUES[key] if key in HEADER_VALUES and draw(st.integers(0, 3))
+                     else OTHER_VALUE)
+        key_text = spelled(key, key != "labels" and draw(st.booleans()))
+        space = [draw(SPACE) for _ in range(4)]
+        members.append((key, value, f"{space[0]}{key_text}{space[1]}:{space[2]}"
+                                    f"{spelled(value)}{space[3]}"))
+    return members
+
+
+@settings(max_examples=300)
+@given(header_members(), header_members(("k", "q", "rule", "labels", "other")))
+def test_the_json_header_is_the_last_of_each_key_before_labels(head, tail):
+    # the members before "labels" name the instance, as json.loads keeps the
+    # last of each key; none after the labels array counts, "labels" included
+    texts = ([text for _, _, text in head] + ['"labels": [{"v": [0, 0], "color": 3}]']
+             + [text for _, _, text in tail])
+    document = "{" + ",".join(texts) + "}"
+    last = {key: value for key, value, _ in head}
+    try:
+        params = Params(last["k"], last["q"])
+    except (KeyError, ValueError):
+        params = None
+    rule = last.get("rule")
+    expected = ("json", params, rule) if params is not None and type(rule) is str else None
+    assert _header(document.encode()) == expected, document
+
+
 def test_the_csv_header_splits_lines_where_str_splitlines_splits():
     # the field "#i:" starts a line exactly where code point i - 1 breaks one;
     # the CRLF below is one break, so the column row's index counts one line

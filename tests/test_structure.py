@@ -13,8 +13,9 @@ the CLI writes its output through ``cli._emit`` alone, only
 ``cli.main`` turns a library error into a usage error, each command loads
 only the modules it runs, the per-point reference API reads only the
 fast-path names pinned here, the benchmark tracer's wrappers see every call,
-and one function reads a labeling file's header for the CLI, the fast path
-and the row readers.
+one function reads a labeling file's header for the CLI, the fast path
+and the row readers, ``json`` itself reads a JSON header, and one shift
+nests every JSON document a level deeper.
 """
 
 import ast
@@ -348,7 +349,7 @@ def test_one_header_reader_serves_the_cli_the_fast_path_and_the_row_readers():
         == set()
     assert field_splitters(tree) == ["_csv_header"]
     assert callers(tree, "_csv_header") == ["_header", "_read_csv"]
-    assert callers(tree, "_header") == ["_read_written"]
+    assert callers(tree, "_header") == ["_read_rows", "_read_written"]
     load = next(node for node in ast.walk(ast.parse((PACKAGE / "cli.py").read_text()))
                 if isinstance(node, ast.FunctionDef) and node.name == "_load_labels")
     assert (".readers", "_header", "_header") in imported_names(load)
@@ -357,6 +358,45 @@ def test_one_header_reader_serves_the_cli_the_fast_path_and_the_row_readers():
     probe = ast.parse("def _read_csv(text):\n    for line in lines:\n"
                       "        key, sep, value = line.lstrip('#').partition(':')\n")
     assert field_splitters(probe) == ["_read_csv"]
+
+
+def parameters(tree: ast.AST, function: str) -> list[str]:
+    """The parameter names of the function ``function`` in ``tree``."""
+    node = next(node for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef) and node.name == function)
+    return [arg.arg for arg in node.args.posonlyargs + node.args.args + node.args.kwonlyargs]
+
+
+def line_shifters(tree: ast.AST) -> list[str]:
+    """The functions in ``tree`` that call ``.replace`` with ``"\\n"`` first:
+    each shifts the lines of a text."""
+    return sorted(function.name for function in ast.walk(tree)
+                  if isinstance(function, ast.FunctionDef)
+                  and any(isinstance(node, ast.Call) and node.args
+                          and getattr(node.func, "attr", None) == "replace"
+                          and getattr(node.args[0], "value", None) == "\n"
+                          for node in ast.walk(function)))
+
+
+def test_json_reads_the_header_and_one_shift_nests_every_document():
+    # the JSON header is json.loads of the members before "labels", with no
+    # scanner of its own; the writers lay out one depth, and _nested alone
+    # takes a document one level deeper, for the oracle's witness and each
+    # --all-pi view
+    readers = ast.parse((PACKAGE / "readers.py").read_text())
+    assert {name for name, _ in private_definitions(readers)} & \
+        {"_json_members", "_KEY", "_COLON"} == set()
+    assert {"scanstring", "raw_decode"} & set(mentions(readers)) == set()
+    writers, commands = (ast.parse((PACKAGE / f"{name}.py").read_text()) for name in ("io", "cli"))
+    assert parameters(writers, "_labeling_json") == ["params", "colors", "rule"]
+    assert parameters(writers, "_header_text") == ["params", "rule", "format"]
+    assert parameters(writers, "_report_json") == ["view"]
+    assert line_shifters(writers) == ["_nested"] and line_shifters(commands) == []
+    # _report_json as it was while it shifted its own lines
+    probe = ast.parse('def _report_json(view, indent=0):\n'
+                      '    return json.dumps(view).replace("\\n", "\\n" + " " * indent)\n')
+    assert line_shifters(probe) == ["_report_json"]
+    assert parameters(probe, "_report_json") == ["view", "indent"]
 
 
 def output_outside_emit(tree: ast.AST) -> list[str]:
