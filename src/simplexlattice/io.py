@@ -40,19 +40,6 @@ def _check_renderable(params: Params) -> None:
         raise UnsupportedDimension(f"rendering needs k=3, got k={params.k}")
 
 
-def _labeling_json(params: Params, colors: tuple[int, ...], rule: str) -> str:
-    """A labeling's JSON object (``k``, ``q``, ``rule``, ``version``, then
-    ``labels``: ``{"v": [...], "color": c}`` per vertex in rank order) as
-    ``json.dumps(indent=2)`` lays it out.  The rows come from one ``%d``
-    template, the text ``json.dumps`` gives the exact ints a Labeling holds,
-    without the pure-Python encoder ``indent`` picks."""
-    coords = ",\n        ".join(["%d"] * (params.k - 1))
-    row = f'    {{\n      "v": [\n        {coords}\n      ],\n      "color": %d\n    }}'
-    rows = ",\n".join([row % (*v, c) for v, c in
-                       zip(_instance_index(params).vertices, colors)])
-    return f'{_header_text(params, rule, "json")}{rows}\n  ]\n}}'
-
-
 def _header_text(params: Params, rule: str, format: str) -> str:
     """The six lines :func:`write_labeling` writes above the rows, each with its line break."""
     if format == "json":
@@ -73,20 +60,23 @@ def _column_row(k: int) -> str:
     return ",".join([f"v{i}" for i in range(1, k)] + ["color"])
 
 
-def _fits_csv_header(rule: str) -> bool:
-    # a CSV header line holds no line break, and the reader strips its ends
-    return rule == rule.strip() and len(f"{rule}.".splitlines()) == 1
-
-
-def _labeling_text(params: Params, colors: tuple[int, ...], rule: str, format: str) -> bytes:
-    """What :func:`write_labeling` writes for a labeling with these fields."""
+def _labeling_text(params: Params, colors: tuple[int, ...], rule: str, format: str) -> str:
+    """What :func:`write_labeling` writes, as text; the oracle's witness is its
+    JSON one level deeper.  JSON is ``json.dumps(indent=2)`` of ``k``, ``q``,
+    ``rule``, ``version`` and ``labels`` (``{"v": [...], "color": c}`` per
+    vertex in rank order).  Each format's rows come from one ``%d`` template:
+    ``str(n)`` of a Labeling's exact ints, without the pure-Python encoder ``indent`` picks."""
     if format == "json":
-        return (_labeling_json(params, colors, rule) + "\n").encode()
-    if not _fits_csv_header(rule):
+        coords = ",\n        ".join(["%d"] * (params.k - 1))
+        row = f'    {{\n      "v": [\n        {coords}\n      ],\n      "color": %d\n    }}'
+        joiner, end = ",\n", "\n  ]\n}\n"
+    elif rule == rule.strip() and len(f"{rule}.".splitlines()) == 1:
+        # a CSV header line holds no line break, and the reader strips its ends
+        row, joiner, end = ",".join(["%d"] * params.k), "\n", "\n"
+    else:
         raise ValueError(f"rule {rule!r} does not fit a CSV header line; write JSON")
-    row = ",".join(["%d"] * params.k)  # str(n) for the exact ints Labeling holds
-    rows = [row % (*v, c) for v, c in zip(_instance_index(params).vertices, colors)]
-    return (_header_text(params, rule, "csv") + "\n".join(rows) + "\n").encode()
+    rows = joiner.join([row % (*v, c) for v, c in zip(_instance_index(params).vertices, colors)])
+    return _header_text(params, rule, format) + rows + end
 
 
 def write_labeling(labeling: Labeling, format: str = "json") -> bytes:
@@ -99,7 +89,7 @@ def write_labeling(labeling: Labeling, format: str = "json") -> bytes:
     """
     if format not in FORMATS:
         raise ValueError(f"unknown format {format!r}; expected one of {FORMATS}")
-    return _labeling_text(labeling.params, labeling.colors, labeling.rule, format)
+    return _labeling_text(labeling.params, labeling.colors, labeling.rule, format).encode()
 
 
 def report_to_dict(report, max_violations: int = 100) -> dict:
@@ -152,13 +142,15 @@ def write_report(report) -> bytes:
 def write_oracle_result(result) -> bytes:
     """An ``OracleResult`` as one JSON object, laid out as
     ``json.dumps(indent=2)`` lays it out, and a newline; the witness, last,
-    is :func:`_labeling_json` one level deeper."""
+    is its :func:`_labeling_text` JSON, without the line break that ends it,
+    one level deeper."""
     params = result.params
     head = json.dumps(dict(k=params.k, q=params.q, edge_rule=result.edge_rule,
                            min_max_colors=result.min_max_colors, exhausted=result.exhausted,
                            nodes_explored=result.nodes_explored), indent=2)[:-2]  # without "\n}"
     w = result.witness
-    witness = "null" if w is None else _nested(_labeling_json(w.params, w.colors, w.rule))
+    witness = "null" if w is None else _nested(_labeling_text(w.params, w.colors, w.rule,
+                                                              "json")[:-1])
     return f'{head},\n  "witness": {witness}\n}}\n'.encode()
 
 

@@ -213,7 +213,7 @@ def _read_written(data: bytes) -> tuple[Params, tuple[int, ...], str] | None:
     except ValueError:  # more digits than int() reads
         return None
     if (not 1 <= min(colors) <= max(colors) <= params.k
-            or _labeling_text(params, colors, rule, fmt) != data):
+            or _labeling_text(params, colors, rule, fmt).encode() != data):
         return None
     return params, colors, rule
 

@@ -6,13 +6,15 @@ bad value, never an answer and never an ``IndexError`` from inside.  The
 property test draws values of each public function's documented types
 (small ``Params``, tuples of small ints of any length, near-permutations,
 numbers of the wrong kind); wrong types, such as None for a ``Params``, are
-out of its scope.
+out of its scope.  The command line's contract is the same: every argv that
+``cli.main`` is handed ends in exit 0, 1 or 2, never in a traceback.
 """
 
+import argparse
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, note, settings
 from hypothesis import strategies as st
 
 import simplexlattice
@@ -55,6 +57,7 @@ from simplexlattice import (
     write_oracle_result,
     write_report,
 )
+from simplexlattice.cli import build_parser, main
 
 P = Params(4, 3)
 
@@ -200,3 +203,114 @@ def test_public_calls_return_or_raise_value_error(name, k, q, data):
         CALLS[name](data.draw, Params(k, q))
     except ValueError:
         pass
+
+
+# Hypothesis draws the bounds of a range more often than the rest, so the
+# rare draws below test for 5, which is no bound: one time in twenty here
+RARELY = st.integers(0, 19).map(lambda n: n == 5)
+SPELLED = st.sampled_from(["\u0663", "+3", "3_0", "", "9" * 5000])
+IMAGES = st.one_of(
+    st.integers(0, 5).flatmap(lambda m: st.permutations(range(1, m + 1)))
+    .map(lambda pi: ",".join(map(str, pi))),
+    st.sampled_from([",", "1,,2", "2,1,", "0,1", "1,1", " 1, 2", "a,b", "\u0662,\u0661",
+                     "1.0,2"]),
+    st.text("0123456789,+-_ ", max_size=8), SPELLED)
+COUNTS = st.integers(-1, 3000).map(str)
+# What --labels and --out name, made under tmp_path for each example: the
+# writer's files for the drawn instance and the next, each format cut in
+# half, what the last --out to "new" wrote, a directory, a file in a missing
+# one, and "".  Never a FIFO (a silent one blocks the read) nor /dev/zero (a
+# 32 MB read per example).
+FILES = ("same.json", "same.csv", "cut.json", "cut.csv", "other.json", "other.csv", "new")
+PATHS = (*FILES, "dir", "absent/file", "")
+
+
+def mostly(good, *bad):
+    """``good``, else, one time in ten, one of ``bad``."""
+    return st.integers(0, 9).flatmap(lambda n: st.one_of(*bad) if n == 5 else good)
+
+
+def flag_values(k: int, q: int) -> dict:
+    """What the value of each CLI flag is drawn from in an argv about the
+    instance (k, q); a flag not named here, as one added later, draws from
+    all of them."""
+    return {
+        "--k": mostly(st.just(str(k)), st.just("2"), SPELLED),
+        "--q": mostly(st.just(str(q)), st.sampled_from(["0", "-1"]), SPELLED),
+        "--pi": mostly(st.permutations(range(1, k)).map(lambda pi: ",".join(map(str, pi))),
+                       IMAGES),
+        "--threshold": mostly(COUNTS, SPELLED),
+        "--budget": mostly(COUNTS, SPELLED),
+        "--labels": mostly(st.sampled_from(FILES), st.sampled_from(PATHS)),
+        "--out": st.sampled_from(PATHS),
+    }
+
+
+def arguments(draw, parser: argparse.ArgumentParser, values: dict) -> list[str]:
+    """An argv for ``parser`` built from its own flags, choices and
+    subcommands.  Rarely drawn: a value outside the choices or the
+    subcommands, a required flag left out, a flag that ends the parse
+    (``--help``, ``--version``), and none or two of a mutually exclusive group."""
+    picked = [None if draw(RARELY) else draw(st.sampled_from(group._group_actions))
+              for group in parser._mutually_exclusive_groups]
+    grouped = [action for group in parser._mutually_exclusive_groups
+               for action in group._group_actions]
+    chosen = []
+    for action in parser._actions:
+        if not action.option_strings:
+            continue
+        if action.required:
+            keep = not draw(RARELY)
+        elif action.default == argparse.SUPPRESS or action in grouped and action not in picked:
+            keep = draw(RARELY)
+        else:
+            keep = action in picked or draw(st.booleans())
+        if keep:
+            chosen.append(action)
+    argv = []
+    for action in draw(st.permutations(chosen)):
+        argv.append(draw(st.sampled_from(action.option_strings)))
+        if action.nargs != 0:
+            argv.append(draw(mostly(st.sampled_from(action.choices), st.just("other"))
+                             if action.choices
+                             else values.get(action.option_strings[-1],
+                                             st.one_of(*values.values()))))
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            name = draw(mostly(st.sampled_from(list(action.choices)), st.just("other")))
+            argv += [name, *(arguments(draw, action.choices[name], values)
+                             if name in action.choices else [])]
+    return argv
+
+
+def make_path(kind: str, params: Params, root) -> str:
+    """The path a kind of PATHS names under ``root``: a labeling file the
+    writer wrote for the instance or the next one, one cut short, or a path
+    the writer did not make."""
+    if kind in ("", "absent/file", "dir", "new"):
+        return kind and str(root / kind)
+    if kind.startswith("other"):
+        params = Params(params.k, params.q + 1)
+    labeling = (label_all(params) if params.q >= params.k
+                else Labeling(params, [params.k] * params.num_vertices, "external"))
+    data = write_labeling(labeling, kind.rpartition(".")[2])
+    path = root / kind
+    path.write_bytes(data[:len(data) // 2] if kind.startswith("cut") else data)
+    return str(path)
+
+
+def test_every_argv_ends_in_exit_0_1_or_2(tmp_path, capsys):
+    (tmp_path / "dir").mkdir()
+    parser = build_parser()
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(st.integers(3, 5), st.integers(1, 5), st.data())
+    def check(k, q, data):
+        argv = arguments(data.draw, parser, flag_values(k, q))
+        argv = [make_path(value, Params(k, q), tmp_path) if value in PATHS else value
+                for value in argv]
+        note(argv)
+        assert main(argv) in (0, 1, 2)
+        capsys.readouterr()
+
+    check()

@@ -14,8 +14,10 @@ the CLI writes its output through ``cli._emit`` alone, only
 only the modules it runs, the per-point reference API reads only the
 fast-path names pinned here, the benchmark tracer's wrappers see every call,
 one function reads a labeling file's header for the CLI, the fast path
-and the row readers, ``json`` itself reads a JSON header, and one shift
-nests every JSON document a level deeper.
+and the row readers, ``json`` itself reads a JSON header, one shift
+nests every JSON document a level deeper, and one writer lays out the
+rows of every labeling document: both formats' files, the rewrite the
+one-comparison read compares, and the oracle's witness.
 """
 
 import ast
@@ -331,13 +333,18 @@ def callers(tree: ast.AST, name: str) -> list[str]:
                           for node in ast.walk(function)))
 
 
+def holders(tree: ast.AST, text: str) -> list[str]:
+    """The functions in ``tree`` that hold the string ``text``."""
+    return sorted(function.name for function in ast.walk(tree)
+                  if isinstance(function, ast.FunctionDef)
+                  and any(isinstance(node, ast.Constant) and node.value == text
+                          for node in ast.walk(function)))
+
+
 def field_splitters(tree: ast.AST) -> list[str]:
     """The functions in ``tree`` that split a ``# key: value`` line at its
     colon: each holds the string ``":"``."""
-    return sorted(function.name for function in ast.walk(tree)
-                  if isinstance(function, ast.FunctionDef)
-                  and any(isinstance(node, ast.Constant) and node.value == ":"
-                          for node in ast.walk(function)))
+    return holders(tree, ":")
 
 
 def test_one_header_reader_serves_the_cli_the_fast_path_and_the_row_readers():
@@ -388,7 +395,7 @@ def test_json_reads_the_header_and_one_shift_nests_every_document():
         {"_json_members", "_KEY", "_COLON"} == set()
     assert {"scanstring", "raw_decode"} & set(mentions(readers)) == set()
     writers, commands = (ast.parse((PACKAGE / f"{name}.py").read_text()) for name in ("io", "cli"))
-    assert parameters(writers, "_labeling_json") == ["params", "colors", "rule"]
+    assert parameters(writers, "_labeling_text") == ["params", "colors", "rule", "format"]
     assert parameters(writers, "_header_text") == ["params", "rule", "format"]
     assert parameters(writers, "_report_json") == ["view"]
     assert line_shifters(writers) == ["_nested"] and line_shifters(commands) == []
@@ -397,6 +404,28 @@ def test_json_reads_the_header_and_one_shift_nests_every_document():
                       '    return json.dumps(view).replace("\\n", "\\n" + " " * indent)\n')
     assert line_shifters(probe) == ["_report_json"]
     assert parameters(probe, "_report_json") == ["view", "indent"]
+
+
+def test_one_writer_lays_out_every_labeling_document():
+    # both formats' rows come from one %-template loop in _labeling_text,
+    # which writes the file, the one-comparison read's rewrite and the
+    # oracle's witness; no other function of io holds a "%d" row template
+    writers, readers = (ast.parse((PACKAGE / f"{name}.py").read_text())
+                        for name in ("io", "readers"))
+    assert {name for name, _ in private_definitions(writers)} & \
+        {"_labeling_json", "_fits_csv_header"} == set()
+    assert holders(writers, "%d") == ["_labeling_text"]
+    assert callers(writers, "_labeling_text") == ["write_labeling", "write_oracle_result"]
+    assert callers(readers, "_labeling_text") == ["_read_written"]
+    # io as it was while JSON built its rows apart from CSV's
+    probe = ast.parse('def _labeling_json(params, colors, rule):\n'
+                      '    coords = ",".join(["%d"] * (params.k - 1))\n'
+                      'def _labeling_text(params, colors, rule, format):\n'
+                      '    if format == "json":\n'
+                      '        return _labeling_json(params, colors, rule)\n'
+                      '    row = ",".join(["%d"] * params.k)\n')
+    assert holders(probe, "%d") == ["_labeling_json", "_labeling_text"]
+    assert callers(probe, "_labeling_json") == ["_labeling_text"]
 
 
 def output_outside_emit(tree: ast.AST) -> list[str]:
